@@ -12,7 +12,7 @@ elliptic integrals I_k(h), their analytic continuation to complex energy
 levels, and certified counts of zeros.
 """
 
-from .geometry import Annulus, DomainError, branch_points, critical_values, hamiltonian, oval_y
+from .geometry import Annulus, DomainError, branch_points, hamiltonian, oval_y
 from .quadrature import AccuracyError, QuadratureSpec
 from .abelian import (
     CutSide,
@@ -44,7 +44,6 @@ __all__ = [
     "Annulus",
     "DomainError",
     "hamiltonian",
-    "critical_values",
     "branch_points",
     "oval_y",
     "QuadratureSpec",

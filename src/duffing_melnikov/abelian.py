@@ -50,7 +50,6 @@ __all__ = [
     "MIN_CLEARANCE",
     "CutSide",
     "PeriodVector",
-    "PFMatrix",
     "PoleError",
     "PathError",
     "AsymptoticsReport",
@@ -61,7 +60,6 @@ __all__ = [
     "i1_slope",
     "reduce_moment",
     "reduce_y_cubed",
-    "pf_matrix",
     "continue_complex",
     "transport_table",
     "PathTable",
@@ -178,12 +176,12 @@ def _oval_moment(k: int, h: float, annulus: Annulus, power: int,
                         * oval_smooth_factor(x, h, annulus))
             return x ** k * y if power == 1 else x ** k / np.maximum(y, 1e-300)
 
-        left, _ = integrate_endpoint_sqrt(left_piece, geom.x_lo, -cut, spec, with_product=True)
+        left, _ = integrate_endpoint_sqrt(left_piece, geom.x_lo, -cut, spec)
         mid, _ = integrate_smooth(neck, -u_max, u_max, spec)
-        right, _ = integrate_endpoint_sqrt(right_piece, cut, geom.x_hi, spec, with_product=True)
+        right, _ = integrate_endpoint_sqrt(right_piece, cut, geom.x_hi, spec)
         return left + mid + right
 
-    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec, with_product=True)
+    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec)
     return value
 
 
@@ -279,40 +277,15 @@ def reduce_y_cubed(h, pv: PeriodVector):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PFMatrix:
-    """First-order system matrix: d/dh (I_0, I_2)^T = a . (I_0, I_2)^T."""
-
-    h: complex
-    a: np.ndarray
-
-
-# test hook: additive corruption of the (0,0) entry, used to exercise the
-# failure path of the verification command.  Always 0.0 in normal operation.
-_PF_TWEAK = 0.0
-
-
-def _set_pf_tweak(value: float) -> None:
-    global _PF_TWEAK
-    _PF_TWEAK = float(value)
-
-
 def _pf_entries(h):
     """Entries (a00, a01, a10, a11) of the system matrix, vectorized over h."""
     h = np.asarray(h, dtype=complex)
     den = 4.0 * h * (4.0 * h + 1.0)
-    a00 = (12.0 * h + 4.0) / den + _PF_TWEAK
+    a00 = (12.0 * h + 4.0) / den
     a01 = -5.0 / den
     a10 = -1.0 / (4.0 * h + 1.0)
     a11 = 5.0 / (4.0 * h + 1.0)
     return a00, a01, a10, a11
-
-
-def pf_matrix(h: complex) -> PFMatrix:
-    if h == 0.0 or 4.0 * complex(h) + 1.0 == 0.0:
-        raise PoleError(f"system matrix has a pole at h={h}")
-    a00, a01, a10, a11 = _pf_entries(complex(h))
-    return PFMatrix(h=complex(h), a=np.array([[a00, a01], [a10, a11]], dtype=complex))
 
 
 def derivative_pair(h, i0, i2):
@@ -352,14 +325,13 @@ def _pf_rhs(t, u, z0, dz):
     return (d0.real, d0.imag, d2.real, d2.imag)
 
 
-def _transport_segment(z0: complex, z1: complex, i0: complex, i2: complex,
-                       dense: bool, rtol: float, atol: float):
+def _transport_segment(z0: complex, z1: complex, i0: complex, i2: complex):
     dz = z1 - z0
     sol = solve_ivp(
         _pf_rhs, (0.0, 1.0),
         (i0.real, i0.imag, i2.real, i2.imag),
         args=(z0, dz),
-        method="DOP853", rtol=rtol, atol=atol, dense_output=dense,
+        method="DOP853", rtol=_TRANSPORT_RTOL, atol=_TRANSPORT_ATOL, dense_output=True,
     )
     if not sol.success:
         raise PathError(f"transport failed on segment {z0} -> {z1}: {sol.message}")
@@ -386,14 +358,6 @@ class PathTable:
     def s_max(self) -> float:
         return float(len(self.solutions))
 
-    def h_at(self, s):
-        s = np.asarray(s, dtype=float)
-        k = np.minimum(np.floor(s).astype(int), len(self.solutions) - 1)
-        t = s - k
-        z0 = np.asarray([self.vertices[i] for i in k.ravel()]).reshape(k.shape)
-        z1 = np.asarray([self.vertices[i + 1] for i in k.ravel()]).reshape(k.shape)
-        return z0 + t * (z1 - z0)
-
     def values_at(self, s):
         """(h, I_0, I_1, I_2) arrays at polyline parameters s (ascending or not)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -417,8 +381,7 @@ class PathTable:
         return h[0], i0[0], i1[0], i2[0]
 
 
-def transport_table(path, annulus: Annulus, rtol: float = _TRANSPORT_RTOL,
-                    atol: float = _TRANSPORT_ATOL) -> PathTable:
+def transport_table(path, annulus: Annulus) -> PathTable:
     """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
 
     The starting vertex must be a real level inside the annulus interval; the
@@ -439,7 +402,7 @@ def transport_table(path, annulus: Annulus, rtol: float = _TRANSPORT_RTOL,
     for z in vertices[1:]:
         if z == z_prev:
             continue
-        (i0, i2), sol = _transport_segment(z_prev, z, i0, i2, True, rtol, atol)
+        (i0, i2), sol = _transport_segment(z_prev, z, i0, i2)
         solutions.append(sol)
         cleaned.append(z_prev)
         z_prev = z
@@ -448,8 +411,8 @@ def transport_table(path, annulus: Annulus, rtol: float = _TRANSPORT_RTOL,
                      i1_coef=i1_slope(annulus))
 
 
-def continue_complex(h_target: complex, path=None, annulus: Annulus = Annulus.EXTERIOR,
-                     rtol: float = _TRANSPORT_RTOL) -> PeriodVector:
+def continue_complex(h_target: complex, path=None,
+                     annulus: Annulus = Annulus.EXTERIOR) -> PeriodVector:
     """Analytic continuation of (I_0, I_1, I_2) to a complex level.
 
     path, when given, is a polyline whose first vertex is a real level inside
@@ -468,7 +431,7 @@ def continue_complex(h_target: complex, path=None, annulus: Annulus = Annulus.EX
     if abs(h_target - start) < 1e-15:
         base = period_vector(start.real, annulus)
         return PeriodVector(h_target, annulus, base.i0, base.i1, base.i2)
-    table = transport_table(path, annulus, rtol=rtol)
+    table = transport_table(path, annulus)
     h, i0, i1, i2 = table.end_values()
     return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
 
@@ -563,7 +526,10 @@ def monodromy_around_saddle(radius: float = 0.02, annulus: Annulus = Annulus.INT
 
 
 class RealPeriodTable:
-    """Dense (I_0, I_2) on a real sub-interval of an annulus.
+    """Dense (I_0, I_2) on the real interval of an annulus.
+
+    The table covers the interval up to 1e-7 from the singular levels, and
+    up to h = 12 on the exterior annulus (past the default contour radius).
 
     Built by integrating the period system once from the base point toward
     both ends with dense output; evaluation anywhere in the covered range is
@@ -571,19 +537,12 @@ class RealPeriodTable:
     per-point quadrature would dominate the runtime.
     """
 
-    def __init__(self, annulus: Annulus, h_min: float | None = None,
-                 h_max: float | None = None, rtol: float = _TRANSPORT_RTOL):
-        self.annulus = annulus
+    def __init__(self, annulus: Annulus):
         base = BASE_POINTS[annulus]
         if annulus is Annulus.EXTERIOR:
-            lo = h_min if h_min is not None else 1e-7
-            hi = h_max if h_max is not None else 12.0
+            self.h_min, self.h_max = 1e-7, 12.0
         else:
-            lo = h_min if h_min is not None else -0.25 + 1e-7
-            hi = h_max if h_max is not None else -1e-7
-        if not (lo < base < hi):
-            raise ValueError(f"table range ({lo}, {hi}) must contain the base point {base}")
-        self.h_min, self.h_max = float(lo), float(hi)
+            self.h_min, self.h_max = -0.25 + 1e-7, -1e-7
         bv = _base_values(annulus)
         init = (bv[0], 0.0, bv[2], 0.0)
 
@@ -591,7 +550,7 @@ class RealPeriodTable:
             sol = solve_ivp(
                 lambda h, u: _pf_rhs(0.0, u, h, 1.0),
                 (base, h_end), init, method="DOP853",
-                rtol=rtol, atol=1e-15, dense_output=True,
+                rtol=_TRANSPORT_RTOL, atol=1e-15, dense_output=True,
             )
             if not sol.success:
                 raise PathError(f"real-axis sweep to {h_end} failed: {sol.message}")
@@ -617,11 +576,6 @@ class RealPeriodTable:
                 i0[mask] = u[0]
                 i2[mask] = u[2]
         return i0, self._i1_coef * (4.0 * h + 1.0), i2
-
-    def period_vector(self, h: float) -> PeriodVector:
-        i0, i1, i2 = self.values(h)
-        return PeriodVector(h=float(h), annulus=self.annulus,
-                            i0=complex(i0[0]), i1=complex(i1[0]), i2=complex(i2[0]))
 
 
 # ---------------------------------------------------------------------------

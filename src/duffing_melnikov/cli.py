@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import pathlib
 import sys
 
@@ -37,20 +36,8 @@ import numpy as np
 
 from .geometry import Annulus, DomainError
 from .quadrature import AccuracyError
-from .abelian import (
-    PathError,
-    PoleError,
-    RealPeriodTable,
-    _set_pf_tweak,
-    asymptotics_check,
-    derivative_pair,
-    nonvanishing_grid,
-    oval_integral,
-    oval_integral_dh,
-    period_vector,
-    reduce_moment,
-    wronskian_cut,
-)
+from . import checks
+from .abelian import PathError, PoleError, period_vector
 from .melnikov import (
     ConstraintError,
     PerturbationParams,
@@ -64,7 +51,7 @@ from .melnikov import (
     m_eval,
 )
 from .oracle import DEFAULT_EPS_LIST, EscapeError, melnikov_fit
-from .zeros import BOUNDS, Status, bound_census, certify
+from .zeros import Status, bound_census, certify
 
 _CONSTRAINT_TOL = 1e-12
 
@@ -255,132 +242,6 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_for(annulus: Annulus, n: int) -> np.ndarray:
-    if annulus is Annulus.EXTERIOR:
-        return np.geomspace(1e-3, 10.0, n)
-    return -np.geomspace(0.24, 1e-3, n)
-
-
-def _check_pf_residual(annuli) -> dict:
-    """Quadrature derivatives of (I_0, I_2) against the system-matrix action."""
-    worst = 0.0
-    n = 0
-    for annulus in annuli:
-        for h in _grid_for(annulus, 50):
-            i0 = oval_integral(0, h, annulus)
-            i2 = oval_integral(2, h, annulus)
-            d0 = oval_integral_dh(0, h, annulus)
-            d2 = oval_integral_dh(2, h, annulus)
-            p0, p2 = derivative_pair(h, i0, i2)
-            worst = max(worst,
-                        abs(d0 - p0) / (1.0 + abs(d0)),
-                        abs(d2 - p2) / (1.0 + abs(d2)))
-            n += 1
-    return {"check": "picard-fuchs-residual", "worst": worst, "tol": 1e-8,
-            "ok": worst <= 1e-8, "detail": {"points": n}}
-
-
-def _check_moment_reduction(annuli) -> dict:
-    """I_4, I_6 and their derivatives against the rank-two reductions."""
-    worst = 0.0
-    for annulus in annuli:
-        for h in _grid_for(annulus, 12):
-            pv = period_vector(h, annulus)
-            i0, i2 = pv.i0.real, pv.i2.real
-            den = 4.0 * h + 1.0
-            pairs = [
-                (oval_integral(4, h, annulus), reduce_moment(4, h, pv).real),
-                (oval_integral(6, h, annulus), reduce_moment(6, h, pv).real),
-                (oval_integral_dh(2, h, annulus), (5.0 * i2 - i0) / den),
-                (oval_integral_dh(4, h, annulus), (4.0 * h * i0 + 5.0 * i2) / den),
-                (oval_integral_dh(6, h, annulus),
-                 (4.0 * h * i0 + (12.0 * h + 8.0) * i2) / den),
-            ]
-            for direct, reduced in pairs:
-                worst = max(worst, abs(direct - reduced) / (1.0 + abs(direct)))
-    return {"check": "moment-reduction", "worst": worst, "tol": 1e-8,
-            "ok": worst <= 1e-8, "detail": {"moments": [4, 6], "derivatives": [2, 4, 6]}}
-
-
-def _check_pf_matrix(annuli) -> dict:
-    """Transported period tables against per-point quadrature."""
-    worst = 0.0
-    for annulus in annuli:
-        table = RealPeriodTable(annulus)
-        for h in _grid_for(annulus, 6):
-            i0t, _, i2t = (float(v[0]) for v in table.values(h))
-            i0q = oval_integral(0, h, annulus)
-            i2q = oval_integral(2, h, annulus)
-            worst = max(worst, abs(i0t - i0q) / (1.0 + abs(i0q)),
-                        abs(i2t - i2q) / (1.0 + abs(i2q)))
-    return {"check": "picard-fuchs-matrix", "worst": worst, "tol": 1e-8,
-            "ok": worst <= 1e-8, "detail": {"levels_per_annulus": 6}}
-
-
-def _check_linear_moment() -> dict:
-    """The odd moment is exactly linear: s (4h+1) inside, identically 0 outside."""
-    hs = np.linspace(-0.245, -0.005, 20)
-    detail: dict = {}
-    worst = 0.0
-    for annulus in (Annulus.INTERIOR_RIGHT, Annulus.INTERIOR_LEFT):
-        vals = np.array([oval_integral(1, h, annulus) for h in hs])
-        coef = np.polyfit(hs, vals, 1)
-        resid = float(np.max(np.abs(np.polyval(coef, hs) - vals)))
-        root = -coef[1] / coef[0]
-        detail[annulus.value] = {"fit_residual": resid, "root": float(root),
-                                 "root_dev": abs(root + 0.25)}
-        worst = max(worst, resid / 1e-9, abs(root + 0.25) / 1e-6)
-    ext = max(abs(oval_integral(1, h, Annulus.EXTERIOR))
-              for h in np.geomspace(1e-3, 10.0, 20))
-    detail["exterior"] = {"max_abs": ext}
-    worst = max(worst, ext / 1e-10)
-    return {"check": "linear-moment", "worst": worst, "tol": 1.0,
-            "ok": worst <= 1.0, "detail": detail}
-
-
-def _check_asymptotics() -> dict:
-    report = asymptotics_check()
-    failures = report.failures()
-    worst = max(abs(report.i0_const_err), abs(report.i2_const_err),
-                abs(report.exterior_slope_err))
-    return {"check": "saddle-asymptotics", "worst": worst, "tol": 1e-3,
-            "ok": not failures,
-            "detail": {"i0_const": report.i0_const, "i2_const": report.i2_const,
-                       "log_coeffs": list(report.log_coeffs),
-                       "exterior_slope": report.exterior_slope,
-                       "failures": failures}}
-
-
-def _check_nonvanishing() -> dict:
-    min_i0, min_d0, rows = nonvanishing_grid()
-    worst = min(min_i0, min_d0)
-    return {"check": "area-nonvanishing", "worst": worst, "tol": 1e-6,
-            "ok": worst > 1e-6,
-            "detail": {"min_i0_normalized": min_i0, "min_di0_normalized": min_d0,
-                       "grid_points": len(rows)}}
-
-
-def _check_wronskian() -> dict:
-    """W/(h(4h+1)) constant on each cut segment, doubling across h = -1/4."""
-    segments = (np.linspace(-2.0, -0.35, 8), np.linspace(-0.2, -0.05, 8))
-    means = []
-    const_dev = 0.0
-    for hs in segments:
-        vals = np.array([wronskian_cut(h) / (h * (4.0 * h + 1.0)) for h in hs])
-        mean = vals.mean()
-        const_dev = max(const_dev, float(np.max(np.abs(vals - mean)) / abs(mean)))
-        means.append(mean)
-    jump = means[1] / means[0]
-    jump_dev = abs(jump - 2.0)
-    # two tolerances, reported on a common scale where 1.0 is the limit
-    worst = max(const_dev / 1e-6, jump_dev / 0.02)
-    return {"check": "wronskian-jump", "worst": worst, "tol": 1.0,
-            "ok": worst <= 1.0,
-            "detail": {"segment_constants_im": [m.imag for m in means],
-                       "constancy_dev": const_dev, "jump": {"re": jump.real, "im": jump.imag},
-                       "jump_dev": jump_dev}}
-
-
 def cmd_verify(args) -> int:
     if args.annulus is None:
         annuli = (Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
@@ -388,22 +249,8 @@ def cmd_verify(args) -> int:
         annuli = (Annulus.from_label(args.annulus),)
     config = {"command": "verify", "annuli": [a.value for a in annuli],
               "out": args.out}
-    if args.corrupt_pf:
-        config["corrupt_pf"] = args.corrupt_pf
     _print_config(config)
-    _set_pf_tweak(args.corrupt_pf)
-    try:
-        records = [
-            _check_pf_residual(annuli),
-            _check_moment_reduction(annuli),
-            _check_pf_matrix(annuli),
-            _check_linear_moment(),
-            _check_asymptotics(),
-            _check_nonvanishing(),
-            _check_wronskian(),
-        ]
-    finally:
-        _set_pf_tweak(0.0)
+    records = [check(annuli) for check in checks.CHECKS]
     for rec in records:
         rec["record"] = "check"
     _emit(args, config, records)
@@ -452,8 +299,8 @@ def cmd_zeros(args) -> int:
                        "dist": "uniform", "scale": 1.0})
         _print_config(config)
         certs, summary = bound_census(args.order, annulus, n_draws=args.draws,
-                                      seed=args.seed, scale=1.0, R=R, eta=eta,
-                                      rho=rho, source=args.source, dist="uniform")
+                                      seed=args.seed, R=R, eta=eta, rho=rho,
+                                      source=args.source)
         records = [{"record": "certificate", "draw": i, **c.as_record()}
                    for i, c in enumerate(certs)]
         records.append({"record": "census-summary", **summary})
@@ -621,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict grid checks to one annulus (default: interior "
                         "and exterior)")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--corrupt-pf", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zeros", help="argument-principle zero certificates")

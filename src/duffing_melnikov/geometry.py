@@ -32,11 +32,6 @@ def hamiltonian(x, y):
     return 0.5 * y * y - 0.5 * x * x + 0.25 * x * x * x * x
 
 
-def critical_values() -> tuple[float, float]:
-    """(h at the centers, h at the saddle) = (-1/4, 0)."""
-    return (H_CENTER, H_SADDLE)
-
-
 class DomainError(ValueError):
     """An energy level fell outside the annulus it was used with."""
 

@@ -424,8 +424,7 @@ def _both_branch_integral(phi, h: float, annulus: Annulus,
         y = np.maximum(y, 1e-300)
         return phi(x, y) - phi(x, -y)
 
-    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec,
-                                       with_product=True)
+    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec)
     return value
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "displacement",
     "displacement_sign",
     "melnikov_fit",
-    "sample_table",
 ]
 
 _FLOW_RTOL = 1e-12
@@ -276,11 +275,3 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
                        m1_err=float(err[0]), m2_err=float(err[1]),
                        cubic=sign * float(coef[2]), condition=cond,
                        sign=sign, samples=samples)
-
-
-def sample_table(samples) -> str:
-    """Tab-delimited block (h, epsilon, d, return_time) for external plotting."""
-    lines = ["h\tepsilon\td\treturn_time"]
-    for s in samples:
-        lines.append(f"{s.h:.12g}\t{s.epsilon:.12g}\t{s.d:.17g}\t{s.return_time:.12g}")
-    return "\n".join(lines) + "\n"

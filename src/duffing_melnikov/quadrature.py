@@ -19,6 +19,7 @@ Integrands must be vectorized (accept an ndarray of abscissae).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -58,68 +59,57 @@ class AccuracyError(RuntimeError):
         self.err_est = err_est
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GL_CACHE.get(n)
-    if rule is None:
-        rule = roots_legendre(n)
-        _GL_CACHE[n] = rule
-    return rule
+    return roots_legendre(n)
 
 
-def _converge(values: list, spec: QuadratureSpec):
-    """Check the doubling sequence for convergence; return (value, err) or None."""
-    if len(values) < 2:
-        return None
-    v, prev = values[-1], values[-2]
-    err = abs(v - prev)
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(v)):
-        return v, err
-    return None
+def _doubling(rule, spec: QuadratureSpec, where: str):
+    """Evaluate rule(nodes, weights) on 16, 32, ... Gauss-Legendre nodes.
+
+    Stops when the last two estimates agree to tolerance and returns
+    (value, err_est), err_est being their difference.  Raises AccuracyError
+    (with .value and .err_est set) if max_nodes is reached first.
+    """
+    value, err = None, np.inf
+    n = 16
+    while n <= spec.max_nodes:
+        prev, value = value, rule(*_gl_rule(n))
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                return value, err
+        n *= 2
+    raise AccuracyError(
+        f"no convergence with {spec.max_nodes} nodes on {where} (err~{err:.3g})",
+        value=value,
+        err_est=err,
+    )
 
 
-def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                            with_product: bool = False):
+def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integrate f over [a, b], f having at worst half-power endpoint singularities.
 
-    With with_product=True the integrand is called as f(x, t) where
-    t = (x-a)(b-x) evaluated as (rad cos(theta))^2, which is exact in the
-    substitution variable.  Integrands whose singular part is a power of
-    (x-a)(b-x) should reconstruct it from t: computing it from x loses half
-    the digits near the endpoints and puts a noise floor under the result.
+    The integrand is called as f(x, t) where t = (x-a)(b-x) evaluated as
+    (rad cos(theta))^2, which is exact in the substitution variable.
+    Integrands whose singular part is a power of (x-a)(b-x) should
+    reconstruct it from t: computing it from x loses half the digits near the
+    endpoints and puts a noise floor under the result.
 
-    Returns (value, err_est) where err_est is the difference between the two
-    finest node counts used.  Raises AccuracyError (with .value and .err_est
-    set) if max_nodes is reached without convergence.
+    Returns (value, err_est) as described in _doubling.
     """
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
-    values: list[float] = []
-    n = 16
-    while n <= spec.max_nodes:
-        nodes, weights = _gl_rule(n)
+
+    def rule(nodes, weights):
         theta = 0.5 * np.pi * nodes
         cos_t = np.cos(theta)
-        x = mid + rad * np.sin(theta)
-        if with_product:
-            fx = np.asarray(f(x, (rad * cos_t) ** 2), dtype=float)
-        else:
-            fx = np.asarray(f(x), dtype=float)
-        values.append(float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad))
-        done = _converge(values, spec)
-        if done is not None:
-            return done
-        n *= 2
-    err = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
-    raise AccuracyError(
-        f"no convergence with {spec.max_nodes} nodes on [{a}, {b}] (err~{err:.3g})",
-        value=values[-1],
-        err_est=err,
-    )
+        fx = np.asarray(f(mid + rad * np.sin(theta), (rad * cos_t) ** 2), dtype=float)
+        return float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad)
+
+    return _doubling(rule, spec, f"[{a}, {b}]")
 
 
 def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -132,43 +122,12 @@ def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
         raise ValueError(f"need a < b, got [{a}, {b}]")
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
-    values: list[float] = []
-    n = 16
-    while n <= spec.max_nodes:
-        nodes, weights = _gl_rule(n)
+
+    def rule(nodes, weights):
         fx = np.asarray(f(mid + rad * nodes), dtype=float)
-        values.append(float(np.dot(weights, fx) * rad))
-        done = _converge(values, spec)
-        if done is not None:
-            return done
-        n *= 2
-    err = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
-    raise AccuracyError(
-        f"no convergence with {spec.max_nodes} nodes on [{a}, {b}] (err~{err:.3g})",
-        value=values[-1],
-        err_est=err,
-    )
+        return float(np.dot(weights, fx) * rad)
 
-
-def _integrate_segment(f, z0: complex, z1: complex, spec: QuadratureSpec):
-    dz = z1 - z0
-    values: list[complex] = []
-    n = 16
-    while n <= spec.max_nodes:
-        nodes, weights = _gl_rule(n)
-        t = 0.5 * (nodes + 1.0)
-        fz = np.asarray(f(z0 + t * dz), dtype=complex)
-        values.append(complex(np.dot(weights, fz) * 0.5 * dz))
-        done = _converge(values, spec)
-        if done is not None:
-            return done
-        n *= 2
-    err = abs(values[-1] - values[-2]) if len(values) > 1 else np.inf
-    raise AccuracyError(
-        f"no convergence with {spec.max_nodes} nodes on segment {z0} -> {z1} (err~{err:.3g})",
-        value=values[-1],
-        err_est=err,
-    )
+    return _doubling(rule, spec, f"[{a}, {b}]")
 
 
 def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
@@ -184,6 +143,12 @@ def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
     for z0, z1 in zip(vertices[:-1], vertices[1:]):
         if z1 == z0:
             continue
-        value, _ = _integrate_segment(f, z0, z1, spec)
+        dz = z1 - z0
+
+        def rule(nodes, weights):
+            fz = np.asarray(f(z0 + 0.5 * (nodes + 1.0) * dz), dtype=complex)
+            return complex(np.dot(weights, fz) * 0.5 * dz)
+
+        value, _ = _doubling(rule, spec, f"segment {z0} -> {z1}")
         total += value
     return total

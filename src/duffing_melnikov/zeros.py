@@ -499,27 +499,19 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
 
 
 def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
-                 seed: int = 0, scale: float = 0.5, R: float = 10.0,
-                 eta: float = 1e-3, rho: float = 1e-3,
-                 source: str = "derived", dist: str = "normal"):
+                 seed: int = 0, R: float = 10.0, eta: float = 1e-3,
+                 rho: float = 1e-3, source: str = "derived"):
     """Certify a batch of seeded random draws; returns (certificates, summary).
 
-    dist selects the coefficient distribution: "normal" (standard normal
-    times scale) or "uniform" (uniform on [-scale, scale]).  Second-order
-    draws pass through the first-order vanishing constraints before
-    certification, mirroring how the second-order function becomes the
-    leading displacement term.
+    Coefficients are drawn uniform on [-1, 1].  Second-order draws pass
+    through the first-order vanishing constraints before certification,
+    mirroring how the second-order function becomes the leading
+    displacement term.
     """
     rng = np.random.default_rng(seed)
-    if dist == "normal":
-        draw = PerturbationParams.random
-    elif dist == "uniform":
-        draw = PerturbationParams.uniform
-    else:
-        raise ValueError(f"unknown draw distribution {dist!r}")
     certs = []
     for _ in range(n_draws):
-        p = draw(rng, scale)
+        p = PerturbationParams.uniform(rng)
         if order == 2:
             p = enforce_m1_zero(p, annulus)
         certs.append(certify(p, order, annulus, R, eta, rho, source))
@@ -529,8 +521,8 @@ def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
         "annulus": annulus.value,
         "draws": n_draws,
         "seed": seed,
-        "scale": scale,
-        "dist": dist,
+        "scale": 1.0,
+        "dist": "uniform",
         "bound": BOUNDS[(order, annulus)],
         "contour": {"R": R, "eta": eta, "rho": rho},
         "max_winding": max(windings, default=0),

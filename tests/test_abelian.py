@@ -19,10 +19,8 @@ from duffing_melnikov.abelian import (
     SADDLE_LOG_I0,
     SADDLE_LOG_I2,
     PathError,
-    PoleError,
     RealPeriodTable,
     _check_path,
-    _set_pf_tweak,
     asymptotics_check,
     continue_complex,
     cut_values,
@@ -35,7 +33,6 @@ from duffing_melnikov.abelian import (
     oval_integral,
     oval_integral_dh,
     period_vector,
-    pf_matrix,
     reduce_moment,
     reduce_y_cubed,
     saddle_constants,
@@ -161,17 +158,14 @@ def test_moment_reduction_property_interior(h):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("h", [0.0, -0.25])
-def test_system_matrix_pole(h):
-    with pytest.raises(PoleError):
-        pf_matrix(h)
-
-
 def test_system_matrix_entries():
-    m = pf_matrix(1.0)
-    assert m.a.shape == (2, 2)
-    assert m.a[0, 0] == pytest.approx((12.0 + 4.0) / 20.0)
-    assert m.a[1, 1] == pytest.approx(1.0)
+    # the columns of the system matrix at h = 1 act on the unit vectors
+    a00, a10 = derivative_pair(1.0, 1.0, 0.0)
+    a01, a11 = derivative_pair(1.0, 0.0, 1.0)
+    assert a00 == pytest.approx((12.0 + 4.0) / 20.0)
+    assert a01 == pytest.approx(-5.0 / 20.0)
+    assert a10 == pytest.approx(-1.0 / 5.0)
+    assert a11 == pytest.approx(1.0)
 
 
 def test_path_through_pole_rejected():
@@ -262,19 +256,6 @@ def test_transport_table_dense_values():
     assert abs(i2[-1] - end.i2) < 1e-10 * abs(end.i2)
 
 
-def test_corruption_hook_is_reversible():
-    target = 2.0 + 1.0j
-    clean = continue_complex(target, annulus=Annulus.EXTERIOR)
-    try:
-        _set_pf_tweak(1e-3)
-        bad = continue_complex(target, annulus=Annulus.EXTERIOR)
-    finally:
-        _set_pf_tweak(0.0)
-    assert abs(bad.i0 - clean.i0) > 1e-6
-    again = continue_complex(target, annulus=Annulus.EXTERIOR)
-    assert abs(again.i0 - clean.i0) < 1e-12 * abs(clean.i0)
-
-
 # ---------------------------------------------------------------------------
 # monodromy and cut structure
 # ---------------------------------------------------------------------------
@@ -347,11 +328,12 @@ def test_real_table_matches_quadrature(annulus):
 
 
 def test_real_table_rejects_outside_range():
-    table = RealPeriodTable(Annulus.EXTERIOR, h_min=0.5, h_max=2.0)
+    table = RealPeriodTable(Annulus.EXTERIOR)
+    assert table.h_max == 12.0
     with pytest.raises(DomainError):
-        table.values(3.0)
-    with pytest.raises(ValueError):
-        RealPeriodTable(Annulus.EXTERIOR, h_min=2.0, h_max=3.0)  # excludes base point
+        table.values(13.0)
+    with pytest.raises(DomainError):
+        table.values(0.0)
 
 
 # ---------------------------------------------------------------------------

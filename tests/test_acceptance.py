@@ -12,18 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from duffing_melnikov import checks
 from duffing_melnikov.abelian import (
     exterior_slope,
     period_vector,
     saddle_constants,
-    wronskian_cut,
-)
-from duffing_melnikov.cli import (
-    _check_linear_moment,
-    _check_moment_reduction,
-    _check_nonvanishing,
-    _check_pf_residual,
-    _check_wronskian,
 )
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import (
@@ -39,6 +32,7 @@ from duffing_melnikov.oracle import melnikov_fit
 from duffing_melnikov.zeros import BOUNDS, Status, bound_census, circle_argument
 
 SEED = 20260815
+ANNULI = (Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
 
 LEVELS = {
     Annulus.INTERIOR_RIGHT: (-0.23, -0.18, -0.125, -0.07, -0.02),
@@ -66,9 +60,8 @@ def test_acceptance_1_saddle_limit_constants():
 
 def test_acceptance_2_period_system_residuals():
     t0 = time.monotonic()
-    annuli = (Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
-    res = _check_pf_residual(annuli)
-    red = _check_moment_reduction(annuli)
+    res = checks.picard_fuchs_residual(ANNULI)
+    red = checks.moment_reduction(ANNULI)
     worst = max(res["worst"], red["worst"])
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -78,7 +71,7 @@ def test_acceptance_2_period_system_residuals():
 
 def test_acceptance_3_first_moment_linearity():
     t0 = time.monotonic()
-    rec = _check_linear_moment()
+    rec = checks.linear_moment(ANNULI)
     d = rec["detail"]
     fit_resid = max(d["interior-right"]["fit_residual"],
                     d["interior-left"]["fit_residual"])
@@ -183,8 +176,7 @@ def test_acceptance_7_zero_count_census():
     lines = []
     ok = True
     for order, annulus in classes:
-        certs, summary = bound_census(order, annulus, n_draws=200, seed=SEED,
-                                      scale=1.0, dist="uniform")
+        certs, summary = bound_census(order, annulus, n_draws=200, seed=SEED)
         bound = BOUNDS[(order, annulus)]
         hist = Counter(c.winding for c in certs
                        if c.status is not Status.DEGENERATE)
@@ -207,8 +199,8 @@ def test_acceptance_7_zero_count_census():
 
 def test_acceptance_8_nonvanishing_and_wronskian():
     t0 = time.monotonic()
-    nv = _check_nonvanishing()
-    wr = _check_wronskian()
+    nv = checks.area_nonvanishing(ANNULI)
+    wr = checks.wronskian_jump(ANNULI)
     min_norm = min(nv["detail"]["min_i0_normalized"],
                    nv["detail"]["min_di0_normalized"])
     const_dev = wr["detail"]["constancy_dev"]

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from duffing_melnikov import cli
+from duffing_melnikov import abelian, checks, cli
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
 from duffing_melnikov.quadrature import AccuracyError
@@ -177,13 +177,21 @@ def test_verify_single_annulus_passes(capsys):
     assert out.count("PASS") == 7
 
 
-def test_verify_detects_corrupted_period_system(capsys):
-    code = cli.main(["verify", "--annulus", "interior-right",
-                     "--corrupt-pf", "1e-3"])
+def test_verify_detects_corrupted_period_system(capsys, monkeypatch):
+    clean = abelian._pf_entries
+
+    def corrupted(h):
+        a00, a01, a10, a11 = clean(h)
+        return a00 + 1e-3, a01, a10, a11
+
+    with monkeypatch.context() as patch:
+        patch.setattr(abelian, "_pf_entries", corrupted)
+        code = cli.main(["verify", "--annulus", "interior-right"])
     out = capsys.readouterr().out
     assert code == 3
-    assert "picard-fuchs-residual" in out
-    # the corruption hook must not leak into later runs
+    failed = next(line for line in out.splitlines() if "check(s) failed" in line)
+    assert "picard-fuchs-residual" in failed
+    # the corruption must not leak into later runs
     assert cli.main(["verify", "--annulus", "interior-right"]) == 0
 
 
@@ -191,7 +199,7 @@ def test_verify_maps_numerical_failure_to_exit_4(capsys, monkeypatch):
     def boom(annuli):
         raise AccuracyError("no convergence", err_est=1.0)
 
-    monkeypatch.setattr(cli, "_check_pf_residual", boom)
+    monkeypatch.setattr(checks, "CHECKS", (boom,) + checks.CHECKS[1:])
     assert cli.main(["verify", "--annulus", "interior-right"]) == 4
 
 

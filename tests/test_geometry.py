@@ -11,7 +11,6 @@ from duffing_melnikov.geometry import (
     Annulus,
     DomainError,
     branch_points,
-    critical_values,
     hamiltonian,
     oval_smooth_factor,
     oval_y,
@@ -24,7 +23,7 @@ FRACTION = st.floats(0.001, 0.999)
 
 
 def test_critical_values():
-    assert critical_values() == (-0.25, 0.0)
+    # H at the centers (+-1, 0) and at the saddle (0, 0)
     assert hamiltonian(1.0, 0.0) == -0.25
     assert hamiltonian(-1.0, 0.0) == -0.25
     assert hamiltonian(0.0, 0.0) == 0.0

@@ -24,7 +24,6 @@ from duffing_melnikov.oracle import (
     flow,
     melnikov_fit,
     oval_section,
-    sample_table,
 )
 
 
@@ -114,19 +113,3 @@ def test_fit_core_recovers_synthetic_cubic():
     assert coef[2] == pytest.approx(a3, rel=1e-10)
     assert np.all(err < 1e-8)
     assert cond < 1e12
-
-
-def test_sample_table_format():
-    samples = [
-        DisplacementSample(h=-0.125, epsilon=1e-2, d=3.25e-3,
-                           integration_tol=1e-12, return_time=6.9),
-        DisplacementSample(h=-0.125, epsilon=5e-3, d=1.6e-3,
-                           integration_tol=1e-12, return_time=6.9),
-    ]
-    text = sample_table(samples)
-    lines = text.strip().splitlines()
-    assert lines[0].split("\t") == ["h", "epsilon", "d", "return_time"]
-    assert len(lines) == 3
-    fields = lines[1].split("\t")
-    assert float(fields[1]) == 1e-2
-    assert float(fields[2]) == 3.25e-3

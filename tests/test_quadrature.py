@@ -23,8 +23,7 @@ INTERVALS = st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 4.0)).map(
 def test_sqrt_weight_area(ab):
     # closed form: integral of sqrt((x-a)(b-x)) over [a,b] is pi (b-a)^2 / 8
     a, b = ab
-    value, err = integrate_endpoint_sqrt(lambda x, t: np.sqrt(t), a, b,
-                                         with_product=True)
+    value, err = integrate_endpoint_sqrt(lambda x, t: np.sqrt(t), a, b)
     exact = math.pi * (b - a) ** 2 / 8.0
     assert value == pytest.approx(exact, rel=1e-12)
     assert err <= 1e-9 * abs(exact) + 1e-12
@@ -33,22 +32,20 @@ def test_sqrt_weight_area(ab):
 @given(ab=INTERVALS)
 def test_reciprocal_sqrt_weight(ab):
     a, b = ab
-    value, _ = integrate_endpoint_sqrt(lambda x, t: 1.0 / np.sqrt(t), a, b,
-                                       with_product=True)
+    value, _ = integrate_endpoint_sqrt(lambda x, t: 1.0 / np.sqrt(t), a, b)
     assert value == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_first_moment_with_sqrt_weight():
     a, b = -0.3, 1.1
-    value, _ = integrate_endpoint_sqrt(lambda x, t: x * np.sqrt(t), a, b,
-                                       with_product=True)
+    value, _ = integrate_endpoint_sqrt(lambda x, t: x * np.sqrt(t), a, b)
     exact = math.pi * (b - a) ** 2 / 8.0 * 0.5 * (a + b)
     assert value == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
 def test_product_argument_is_exact_endpoint_product():
     a, b = 0.0, 2.0
-    value, _ = integrate_endpoint_sqrt(lambda x, t: t, a, b, with_product=True)
+    value, _ = integrate_endpoint_sqrt(lambda x, t: t, a, b)
     assert value == pytest.approx((b - a) ** 3 / 6.0, rel=1e-13)
 
 
@@ -61,23 +58,36 @@ def test_smooth_polynomial_exactness(coeffs):
     assert value == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
-def test_plain_call_without_product_argument():
-    value, _ = integrate_endpoint_sqrt(lambda x: np.exp(x), 0.0, 1.0)
-    assert value == pytest.approx(math.e - 1.0, rel=1e-12)
+# each integrator on an oscillation that 16 and 32 nodes cannot resolve,
+# with the interval or segment its error message must name
+UNRESOLVED = {
+    "integrate_endpoint_sqrt": (
+        lambda spec: integrate_endpoint_sqrt(
+            lambda x, t: np.sqrt(t) * np.cos(377.0 * x), 0.0, 1.0, spec),
+        "on [0.0, 1.0]"),
+    "integrate_smooth": (
+        lambda spec: integrate_smooth(lambda x: np.cos(377.0 * x), 0.0, 1.0, spec),
+        "on [0.0, 1.0]"),
+    "integrate_path": (
+        lambda spec: integrate_path(lambda z: np.cos(377.0 * z), [0.0, 1.0j], spec),
+        "on segment 0j -> 1j"),
+}
 
 
-def test_failure_carries_best_value():
+@pytest.mark.parametrize("name", sorted(UNRESOLVED))
+def test_failure_carries_best_value(name):
+    integrate, where = UNRESOLVED[name]
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_nodes=32)
     with pytest.raises(AccuracyError) as info:
-        integrate_endpoint_sqrt(lambda x, t: np.sqrt(t) * np.cos(377.0 * x),
-                                0.0, 1.0, spec, with_product=True)
+        integrate(spec)
     assert info.value.value is not None
     assert info.value.err_est > 0.0
+    assert where in str(info.value)
 
 
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
-        integrate_endpoint_sqrt(lambda x: x, 1.0, 1.0)
+        integrate_endpoint_sqrt(lambda x, t: x, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_smooth(lambda x: x, 2.0, -1.0)
 

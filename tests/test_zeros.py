@@ -212,8 +212,7 @@ def test_certificate_record_roundtrip():
 
 
 def test_census_summary_fields():
-    certs, summary = bound_census(1, Annulus.EXTERIOR, n_draws=5, seed=3,
-                                  scale=1.0, dist="uniform")
+    certs, summary = bound_census(1, Annulus.EXTERIOR, n_draws=5, seed=3)
     assert len(certs) == 5
     assert summary["draws"] == 5
     assert summary["dist"] == "uniform"
@@ -227,11 +226,6 @@ def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     assert s1 == s2
-
-
-def test_census_rejects_unknown_distribution():
-    with pytest.raises(ValueError):
-        bound_census(1, Annulus.EXTERIOR, n_draws=1, dist="cauchy")
 
 
 # ---------------------------------------------------------------------------
