@@ -441,6 +441,8 @@ def continue_complex(h_target: complex, path=None,
 # ---------------------------------------------------------------------------
 
 _CUT_DETOUR = 0.35  # imaginary offset of the dog-leg used to reach cut points
+_CUT_ETA = 1e-3     # largest offset from the cut in the eta -> 0 extrapolation
+_CUT_LEVELS = 3     # offsets _CUT_ETA / 2^j for j < 3, fitted by a quadratic
 
 
 def _cut_path(h: float, eta: float, annulus: Annulus, upper: bool) -> list[complex]:
@@ -450,14 +452,13 @@ def _cut_path(h: float, eta: float, annulus: Annulus, upper: bool) -> list[compl
     return [base, base + lift, h + lift, h + sign * 1j * eta]
 
 
-def cut_values(h: float, annulus: Annulus, eta: float = 1e-3,
-               levels: int = 3) -> tuple[PeriodVector, PeriodVector]:
+def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     """Boundary values (plus side, minus side) of the periods on the branch cut.
 
     The cut is [0, +inf) for the interior families and (-inf, 0] for the
     exterior one.  Each side is computed by transporting to h + i*eta/2^j for
-    j = 0..levels-1 and extrapolating polynomially to eta = 0.  For real
-    coefficients the two sides are complex conjugates; both are computed
+    eta = 1e-3, j = 0, 1, 2 and extrapolating quadratically to eta = 0.  For
+    real coefficients the two sides are complex conjugates; both are computed
     independently so that tests can check this rather than assume it.
     """
     h = float(h)
@@ -470,7 +471,7 @@ def cut_values(h: float, annulus: Annulus, eta: float = 1e-3,
     if abs(h) < MIN_CLEARANCE or abs(h + 0.25) < MIN_CLEARANCE:
         raise PathError(
             f"cut point h={h} within the clearance {MIN_CLEARANCE} of a singular level")
-    etas = [eta / 2 ** j for j in range(levels)]
+    etas = [_CUT_ETA / 2 ** j for j in range(_CUT_LEVELS)]
     results = []
     for upper in (True, False):
         vals = []
@@ -478,27 +479,23 @@ def cut_values(h: float, annulus: Annulus, eta: float = 1e-3,
             pv = continue_complex(h + (1j * e if upper else -1j * e),
                                   path=_cut_path(h, e, annulus, upper), annulus=annulus)
             vals.append((pv.i0, pv.i2))
-        if levels > 1:
-            x = np.asarray(etas)
-            i0 = np.polyval(np.polyfit(x, np.asarray([v[0] for v in vals]), levels - 1), 0.0)
-            i2 = np.polyval(np.polyfit(x, np.asarray([v[1] for v in vals]), levels - 1), 0.0)
-        else:
-            i0, i2 = vals[0]
+        x = np.asarray(etas)
+        i0 = np.polyval(np.polyfit(x, np.asarray([v[0] for v in vals]), _CUT_LEVELS - 1), 0.0)
+        i2 = np.polyval(np.polyfit(x, np.asarray([v[1] for v in vals]), _CUT_LEVELS - 1), 0.0)
         side = CutSide.PLUS if upper else CutSide.MINUS
         results.append(PeriodVector(h=h, annulus=annulus, i0=i0,
                                     i1=complex(_i1_at(h, annulus)), i2=i2, side=side))
     return results[0], results[1]
 
 
-def wronskian_cut(h: float, annulus: Annulus = Annulus.EXTERIOR,
-                  eta: float = 1e-3) -> complex:
+def wronskian_cut(h: float) -> complex:
     """Wronskian of the two cut-side determinations, W = I_2^+ I_0^- - I_2^- I_0^+.
 
     On the exterior cut W(h) equals a constant times h (4h + 1) on each
     maximal interval where the boundary values are analytic, with the
     constant doubling when h crosses -1/4.
     """
-    plus, minus = cut_values(h, annulus, eta=eta)
+    plus, minus = cut_values(h, Annulus.EXTERIOR)
     return plus.i2 * minus.i0 - minus.i2 * plus.i0
 
 
@@ -582,6 +579,11 @@ class RealPeriodTable:
 # asymptotic structure
 # ---------------------------------------------------------------------------
 
+# tolerances of AsymptoticsReport.failures
+_CONST_TOL = 1e-6    # saddle constants of I_0 and I_2
+_LOG_TOL = 1e-4      # fitted log coefficients of I_0
+_SLOPE_TOL = 1e-3    # exterior growth exponent
+
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
@@ -597,16 +599,15 @@ class AsymptoticsReport:
     exterior_slope_err: float   # versus 3/4
     exterior_amplitude: float   # prefactor C in I_0 ~ C h^(3/4)
 
-    def failures(self, const_tol: float = 1e-6, log_tol: float = 1e-4,
-                 slope_tol: float = 1e-3) -> list[str]:
+    def failures(self) -> list[str]:
         out = []
-        if abs(self.i0_const_err) > const_tol:
+        if abs(self.i0_const_err) > _CONST_TOL:
             out.append(f"I_0 saddle constant off by {self.i0_const_err:.3g}")
-        if abs(self.i2_const_err) > const_tol:
+        if abs(self.i2_const_err) > _CONST_TOL:
             out.append(f"I_2 saddle constant off by {self.i2_const_err:.3g}")
-        if max(abs(e) for e in self.log_coeff_errs) > log_tol:
+        if max(abs(e) for e in self.log_coeff_errs) > _LOG_TOL:
             out.append(f"I_0 log coefficients off by {self.log_coeff_errs}")
-        if abs(self.exterior_slope_err) > slope_tol:
+        if abs(self.exterior_slope_err) > _SLOPE_TOL:
             out.append(f"exterior growth exponent off by {self.exterior_slope_err:.3g}")
         return out
 
@@ -615,14 +616,15 @@ def _log_series(coeffs, h):
     return sum(c * h ** k for k, c in enumerate(coeffs))
 
 
-def saddle_constants(points=(-1e-2, -1e-3, -1e-4)) -> tuple[float, float]:
+def saddle_constants() -> tuple[float, float]:
     """Limits of I_0 and I_2 as h -> 0- on an interior lobe (exactly 4/3, 16/15).
 
     Extracted by removing the known logarithmic part of the expansion and
-    solving for the analytic part's quadratic Taylor polynomial on the given
-    levels; the extrapolation error is then O(h1*h2*h3) and far below 1e-6.
+    solving for the analytic part's quadratic Taylor polynomial on the levels
+    -1e-2, -1e-3, -1e-4; the extrapolation error is then O(h1*h2*h3) and far
+    below 1e-6.
     """
-    hs = np.asarray(points, dtype=float)
+    hs = np.array([-1e-2, -1e-3, -1e-4])
     logs = np.log(-hs)
     vand = np.vander(hs, 3, increasing=True)
     out = []
@@ -634,16 +636,16 @@ def saddle_constants(points=(-1e-2, -1e-3, -1e-4)) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def saddle_log_fit(n_points: int = 12) -> tuple[float, float]:
+def saddle_log_fit() -> tuple[float, float]:
     """Fit the (h, h^2) log coefficients of I_0 near h = 0- (expected -1, 3/8).
 
-    Levels are geometrically spaced in (-2e-2, -1e-5); the known higher log
-    terms are subtracted and the model
+    Twelve levels -2e-2 / 2^j are geometrically spaced in (-2e-2, -1e-5);
+    the known higher log terms are subtracted and the model
         (quartic in h) + (a1 h + a2 h^2) log|h|
     is fitted by least squares, returning (a1, a2).  With this design the
     fitted values are good to ~1e-8 and ~1e-5 respectively.
     """
-    hs = -0.02 * np.power(2.0, -np.arange(n_points, dtype=float))
+    hs = -0.02 * np.power(2.0, -np.arange(12, dtype=float))
     logs = np.log(-hs)
     vals = np.array([oval_integral(0, h, Annulus.INTERIOR_RIGHT) for h in hs])
     tail = np.array([_log_series(SADDLE_LOG_I0[3:], h) * h ** 3 for h in hs])
@@ -653,16 +655,16 @@ def saddle_log_fit(n_points: int = 12) -> tuple[float, float]:
     return float(coef[5]), float(coef[6])
 
 
-def exterior_slope(h_lo: float = 1e2, h_hi: float = 1e6, n_points: int = 17,
-                   corrected: bool = True) -> tuple[float, float]:
+def exterior_slope(corrected: bool = True) -> tuple[float, float]:
     """Log-log growth exponent of the exterior I_0 (expected 3/4) and amplitude.
 
     The expansion at infinity is I_0 = C h^(3/4) (1 + c h^(-1/2) + ...); the
     h^(-1/2) term shifts a plain least-squares slope on [1e2, 1e6] by about
     3e-3, so by default the fit includes that correction column, after which
-    the residual slope error is at the 1e-5 level.
+    the residual slope error is at the 1e-5 level.  The fit uses 17
+    log-spaced levels.
     """
-    hs = np.logspace(math.log10(h_lo), math.log10(h_hi), n_points)
+    hs = np.logspace(2.0, 6.0, 17)
     vals = np.array([oval_integral(0, h, Annulus.EXTERIOR) for h in hs])
     lh, lv = np.log(hs), np.log(vals)
     if corrected:

@@ -44,6 +44,7 @@ from .melnikov import (
     enforce_m1_zero,
     m1_form,
     m1_quadrature,
+    m1_vanishes,
     m1_vanishing_residuals,
     m2_deviation_report,
     m2_form,
@@ -52,8 +53,6 @@ from .melnikov import (
 )
 from .oracle import DEFAULT_EPS_LIST, EscapeError, melnikov_fit
 from .zeros import Status, bound_census, certify
-
-_CONSTRAINT_TOL = 1e-12
 
 # default comparison levels for table-producing commands, chosen mid-annulus
 # away from both critical levels
@@ -196,7 +195,7 @@ def cmd_coeffs(args) -> int:
     records: list[dict] = []
     f1 = m1_form(params, annulus)
     res = m1_vanishing_residuals(params, annulus)
-    constrained = max(abs(v) for v in res.values()) <= _CONSTRAINT_TOL
+    constrained = m1_vanishes(params, annulus)
     if args.order != 2:
         records.append({"record": "m1-table", "annulus": annulus.value,
                         "slots": _form_slots(f1)})
@@ -291,16 +290,13 @@ def cmd_zeros(args) -> int:
     annulus = Annulus.from_label(args.annulus)
     R, eta, rho = _parse_contour(args.contour)
     config = {"command": "zeros", "annulus": annulus.value, "order": args.order,
-              "contour": {"R": R, "eta": eta, "rho": rho}, "source": args.source,
-              "out": args.out}
+              "contour": {"R": R, "eta": eta, "rho": rho}, "out": args.out}
 
     if args.draws is not None:
-        config.update({"draws": args.draws, "seed": args.seed,
-                       "dist": "uniform", "scale": 1.0})
+        config.update({"draws": args.draws, "seed": args.seed})
         _print_config(config)
         certs, summary = bound_census(args.order, annulus, n_draws=args.draws,
-                                      seed=args.seed, R=R, eta=eta, rho=rho,
-                                      source=args.source)
+                                      seed=args.seed, R=R, eta=eta, rho=rho)
         records = [{"record": "certificate", "draw": i, **c.as_record()}
                    for i, c in enumerate(certs)]
         records.append({"record": "census-summary", **summary})
@@ -319,8 +315,7 @@ def cmd_zeros(args) -> int:
     params = _load_params(args.params)
     config["params"] = params.to_dict()
     _print_config(config)
-    cert = certify(params, args.order, annulus, R=R, eta=eta, rho=rho,
-                   source=args.source)
+    cert = certify(params, args.order, annulus, R=R, eta=eta, rho=rho)
     _emit(args, config, [{"record": "certificate", **cert.as_record()}])
     _print_certificate(cert)
     if cert.status in (Status.BOUND_VIOLATED, Status.INCONCLUSIVE):
@@ -342,8 +337,7 @@ def cmd_oracle(args) -> int:
     eps = _parse_eps_list(args.eps_list) if args.eps_list else DEFAULT_EPS_LIST
     hs = _gather_h(args, annulus)
 
-    res = m1_vanishing_residuals(params, annulus)
-    constrained = max(abs(v) for v in res.values()) <= _CONSTRAINT_TOL
+    constrained = m1_vanishes(params, annulus)
     if args.order == 2 and not constrained:
         if "draw" in origin:
             params = enforce_m1_zero(params, annulus)
@@ -352,7 +346,8 @@ def cmd_oracle(args) -> int:
         else:
             raise ConstraintError(
                 "--order 2 needs parameters with a vanishing first-order function; "
-                "residuals " + json.dumps(res, sort_keys=True))
+                "residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
+                                          sort_keys=True))
     with_m2 = constrained and args.order != 1
 
     config = {"command": "oracle", "annulus": annulus.value, "order": args.order,
@@ -404,9 +399,7 @@ def cmd_eval(args) -> int:
     _print_config(config)
 
     f1 = m1_form(params, annulus)
-    res = m1_vanishing_residuals(params, annulus)
-    constrained = max(abs(v) for v in res.values()) <= _CONSTRAINT_TOL
-    f2 = m2_form(params, annulus) if constrained else None
+    f2 = m2_form(params, annulus) if m1_vanishes(params, annulus) else None
 
     records = []
     header = ["h", "i0", "i1", "i2", "m1"] + (["m2"] if f2 else []) + ["quad_rel_tol"]
@@ -427,7 +420,8 @@ def cmd_eval(args) -> int:
         print("\t".join(cells))
     if f2 is None:
         print("# m2 column omitted: first-order function does not vanish "
-              "(residuals " + json.dumps(res, sort_keys=True) + ")")
+              "(residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
+                                         sort_keys=True) + ")")
     _emit(args, config, records)
     return 0
 
@@ -477,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certify N seeded uniform draws instead of --params")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--contour", default="10,1e-3,1e-3", metavar="R,ETA,RHO")
-    p.add_argument("--source", choices=("derived", "legacy"), default="derived",
-                   help="which second-order coefficient table to count with")
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("oracle", help="displacement fits vs closed forms")

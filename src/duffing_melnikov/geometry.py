@@ -50,10 +50,6 @@ class Annulus(enum.Enum):
             return (H_SADDLE, math.inf)
         return (H_CENTER, H_SADDLE)
 
-    @property
-    def is_interior(self) -> bool:
-        return self is not Annulus.EXTERIOR
-
     def contains(self, h: float) -> bool:
         lo, hi = self.sigma
         return lo < h < hi

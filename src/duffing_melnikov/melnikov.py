@@ -19,12 +19,12 @@ polynomial (in h) coefficients:
     annulus the reduced coefficients acquire a 1/(4h+1) factor from the
     inverted period relations.
 
-m2_form carries closed-form coefficients.  Its default tables were derived
+m2_form carries closed-form coefficients.  Its tables were derived
 symbolically from the Iliev formula and cross-checked against direct
 quadrature of that formula and against an independent integrate-the-flow
-oracle; source="legacy" selects an alternative coefficient table in
-circulation that disagrees in several slots (see m2_deviation_report), kept
-for comparison only.
+oracle.  An older coefficient table in circulation disagrees in several
+slots; it is kept as private data, reachable only through
+m2_deviation_report, which lists the slot-by-slot differences.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "m1_form",
     "m2_form",
     "m1_vanishing_residuals",
+    "m1_vanishes",
     "enforce_m1_zero",
     "m_eval",
     "pole_cleared_eval",
@@ -180,6 +181,9 @@ def m1_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
     return MelnikovForm(order=1, annulus=annulus, poly0=poly0, poly1=poly1, poly2=poly2)
 
 
+_RESIDUAL_TOL = 1e-12
+
+
 def m1_vanishing_residuals(params: PerturbationParams, annulus: Annulus) -> dict[str, float]:
     """Linear combinations of first-tier parameters that must vanish for M1 = 0.
 
@@ -198,6 +202,12 @@ def m1_vanishing_residuals(params: PerturbationParams, annulus: Annulus) -> dict
     if annulus is Annulus.EXTERIOR:
         del res["i1"]
     return res
+
+
+def m1_vanishes(params: PerturbationParams, annulus: Annulus) -> bool:
+    """Whether M1 vanishes identically: every residual of the annulus within 1e-12."""
+    return all(abs(v) <= _RESIDUAL_TOL
+               for v in m1_vanishing_residuals(params, annulus).values())
 
 
 def enforce_m1_zero(params: PerturbationParams, annulus: Annulus) -> PerturbationParams:
@@ -220,13 +230,11 @@ def enforce_m1_zero(params: PerturbationParams, annulus: Annulus) -> Perturbatio
 # order two
 # ---------------------------------------------------------------------------
 
-_RESIDUAL_TOL = 1e-12
-
 
 def _require_m1_zero(params: PerturbationParams, annulus: Annulus) -> None:
-    res = m1_vanishing_residuals(params, annulus)
-    bad = {k: v for k, v in res.items() if abs(v) > _RESIDUAL_TOL}
-    if bad:
+    if not m1_vanishes(params, annulus):
+        res = m1_vanishing_residuals(params, annulus)
+        bad = {k: v for k, v in res.items() if abs(v) > _RESIDUAL_TOL}
         raise ConstraintError(
             f"second-order form needs M1 = 0 on {annulus.value}; nonzero residuals: {bad}")
 
@@ -271,25 +279,37 @@ def _m2_exterior_coeffs(params: PerturbationParams):
     return (p00, p01, p02), (p20, p21, p22)
 
 
-def _m2_interior_coeffs_legacy(params: PerturbationParams):
+def m2_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
+    """Closed form of the second-order Melnikov function (requires M1 = 0).
+
+    Raises ConstraintError unless the first-order residuals of the annulus
+    vanish to 1e-12.  The coefficient tables are the symbolically derived
+    ones, validated against quadrature of the Iliev formula and an
+    integrate-the-flow oracle; the older legacy table is reachable only
+    through m2_deviation_report.
+    """
+    _require_m1_zero(params, annulus)
+    if annulus is Annulus.EXTERIOR:
+        p0, p2 = _m2_exterior_coeffs(params)
+        return MelnikovForm(2, annulus, p0, (), p2, pole=True)
+    return MelnikovForm(2, annulus, *_m2_interior_coeffs(params))
+
+
+def _m2_legacy_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
+    """The older published order-2 table, for m2_deviation_report only."""
     l, g = params.lambda1, params.gamma1
     m, n = params.lambda2, params.gamma2
     c = l[3] + 2.0 * g[5]
     w = l[6] + g[7]
-    a0 = -l[0] * c + m[1] + n[2]
-    a1h = 4.0 * c * (-l[8] / 7.0 - l[5])
-    b0 = -c * (l[1] - l[7] / 8.0) + 2.0 * w * (l[0] + 2.0 * l[4] - 2.0 * l[7]) + 2.0 * m[4] + n[3]
-    b1h = 4.0 * (-0.5 * l[7] * c + 3.0 * l[7] * w)
-    rho = (c * (l[4] - l[5] / 7.0 - (8.0 / 7.0) * l[8]) - 2.0 * l[1] * w
-           + n[6] + 3.0 * m[8] + m[7] / 7.0 + (3.0 / 7.0) * n[9])
-    return (a0, a1h), (b0, b1h), (rho,)
-
-
-def _m2_exterior_coeffs_legacy(params: PerturbationParams):
-    l, g = params.lambda1, params.gamma1
-    m, n = params.lambda2, params.gamma2
-    c = l[3] + 2.0 * g[5]
-    w = l[6] + g[7]
+    if annulus is not Annulus.EXTERIOR:
+        a0 = -l[0] * c + m[1] + n[2]
+        a1h = 4.0 * c * (-l[8] / 7.0 - l[5])
+        b0 = (-c * (l[1] - l[7] / 8.0) + 2.0 * w * (l[0] + 2.0 * l[4] - 2.0 * l[7])
+              + 2.0 * m[4] + n[3])
+        b1h = 4.0 * (-0.5 * l[7] * c + 3.0 * l[7] * w)
+        rho = (c * (l[4] - l[5] / 7.0 - (8.0 / 7.0) * l[8]) - 2.0 * l[1] * w
+               + n[6] + 3.0 * m[8] + m[7] / 7.0 + (3.0 / 7.0) * n[9])
+        return MelnikovForm(2, annulus, (a0, a1h), (b0, b1h), (rho,))
     e = g[3] + 2.0 * l[4]
     half_c = g[5] + l[3] / 2.0
     tier2_0 = m[1] + n[2]
@@ -305,34 +325,7 @@ def _m2_exterior_coeffs_legacy(params: PerturbationParams):
             + (l[5] / 7.0) * c + (16.0 / 7.0) * l[8] * w)
     b0 = -(head - 5.0 * e * (g[4] / 3.0 + g[0]) + (17.0 / 15.0) * e * half_c)
     b1 = -(head - (1.0 / 5.0) * e * half_c)
-    return (a0, 4.0 * a1, a2), (b0, 4.0 * b1)
-
-
-def m2_form(params: PerturbationParams, annulus: Annulus,
-            source: str = "derived") -> MelnikovForm:
-    """Closed form of the second-order Melnikov function (requires M1 = 0).
-
-    Raises ConstraintError unless the first-order residuals of the annulus
-    vanish to 1e-12.  source="derived" (default) uses the symbolically
-    re-derived coefficient tables validated against quadrature of the Iliev
-    formula and an integrate-the-flow oracle; source="legacy" reproduces an
-    older published table that differs in several entries and is retained
-    only for side-by-side comparison.
-    """
-    _require_m1_zero(params, annulus)
-    if source == "derived":
-        if annulus is Annulus.EXTERIOR:
-            p0, p2 = _m2_exterior_coeffs(params)
-            return MelnikovForm(2, annulus, p0, (), p2, pole=True)
-        (a0, a1), (b0, b1), (r0, r1) = _m2_interior_coeffs(params)
-        return MelnikovForm(2, annulus, (a0, a1), (b0, b1), (r0, r1))
-    if source == "legacy":
-        if annulus is Annulus.EXTERIOR:
-            p0, p2 = _m2_exterior_coeffs_legacy(params)
-            return MelnikovForm(2, annulus, p0, (), p2, pole=True)
-        p0, p1, p2 = _m2_interior_coeffs_legacy(params)
-        return MelnikovForm(2, annulus, p0, p1, p2)
-    raise ValueError(f"unknown source {source!r}; expected 'derived' or 'legacy'")
+    return MelnikovForm(2, annulus, (a0, 4.0 * a1, a2), (), (b0, 4.0 * b1), pole=True)
 
 
 def m2_deviation_report(params: PerturbationParams, annulus: Annulus) -> dict:
@@ -341,8 +334,8 @@ def m2_deviation_report(params: PerturbationParams, annulus: Annulus) -> dict:
     Returns {"annulus", "slots": {name: {"derived", "legacy", "delta"}},
     "max_abs_delta"}; slot names are <period>-h<power>.
     """
-    derived = m2_form(params, annulus, source="derived")
-    legacy = m2_form(params, annulus, source="legacy")
+    derived = m2_form(params, annulus)
+    legacy = _m2_legacy_form(params, annulus)
     slots: dict[str, dict[str, float]] = {}
     for label, dv, lv in (("i0", derived.poly0, legacy.poly0),
                           ("i1", derived.poly1, legacy.poly1),
@@ -371,11 +364,7 @@ def m_eval(form: MelnikovForm, h, periods):
     aligned with h.  Works for real or complex h; raises PoleError on the
     exterior order-2 pole at h = -1/4 (use pole_cleared_eval there).
     """
-    if isinstance(periods, PeriodVector):
-        i0, i1, i2 = periods.i0, periods.i1, periods.i2
-    else:
-        i0, i1, i2 = periods
-    value = pole_cleared_eval(form, h, (i0, i1, i2))
+    value = pole_cleared_eval(form, h, periods)
     if not form.pole:
         return value
     den = 4.0 * np.asarray(h) + 1.0

@@ -125,8 +125,7 @@ def _perturbed_rhs(params: PerturbationParams, epsilon: float):
 
 
 def flow(state, params: PerturbationParams, epsilon: float, section: Section,
-         t_min: float = 0.0, t_max: float = _TIME_BUDGET,
-         rtol: float = _FLOW_RTOL, atol: float = _FLOW_ATOL):
+         t_min: float = 0.0, t_max: float = _TIME_BUDGET):
     """Integrate the perturbed system until the section-crossing event.
 
     Returns (state, time) at the first flow-direction crossing with
@@ -142,7 +141,7 @@ def flow(state, params: PerturbationParams, epsilon: float, section: Section,
     event.direction = 1.0
     event.terminal = False
     sol = solve_ivp(_perturbed_rhs(params, epsilon), (0.0, t_max), state,
-                    method="DOP853", rtol=rtol, atol=atol, events=[event])
+                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=[event])
     if not sol.success:
         raise EscapeError(f"integration failed: {sol.message}")
     anchor = np.asarray(section.point)
@@ -166,22 +165,21 @@ class DisplacementSample:
 
 
 def displacement(h: float, epsilon: float, params: PerturbationParams,
-                 annulus: Annulus, phase: float = 0.0,
-                 rtol: float = _FLOW_RTOL, atol: float = _FLOW_ATOL) -> DisplacementSample:
+                 annulus: Annulus, phase: float = 0.0) -> DisplacementSample:
     """First-return displacement d = H(end) - h at one perturbation strength.
 
     At epsilon = 0 the orbit closes and |d| sits at the integrator noise
-    floor, a few multiples of rtol.
+    floor, a few multiples of the integration tolerance 1e-12.
     """
     annulus.require(h)
     sec = oval_section(h, annulus, phase)
     T0 = orbit_period(h, annulus)
     t_max = min(_TIME_BUDGET, 3.0 * T0 + 10.0)
     end, t_ret = flow(sec.point, params, epsilon, sec,
-                      t_min=0.5 * T0, t_max=t_max, rtol=rtol, atol=atol)
+                      t_min=0.5 * T0, t_max=t_max)
     d = hamiltonian(end[0], end[1]) - h
     return DisplacementSample(h=float(h), epsilon=float(epsilon), d=float(d),
-                              integration_tol=rtol, return_time=t_ret)
+                              integration_tol=_FLOW_RTOL, return_time=t_ret)
 
 
 def _fit_core(samples):

@@ -89,6 +89,7 @@ _CLOSURE_TOL = 1e-8      # relative mismatch of the transported loop endpoints
 _MAX_REFINE = 40
 _MAX_SAMPLES = 300_000
 _DEGENERATE_TOL = 1e-14
+_ROOT_XTOL = 1e-12       # bracket width of a polished real root
 
 
 class Status(enum.Enum):
@@ -351,16 +352,15 @@ def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
                            closure_error=closure, n_samples=int(s.size))
 
 
-def circle_argument(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
-                    rho: float = 1e-3) -> float:
-    """Argument increase (radians) of the form along the big circle |h| = R.
+def circle_argument(form: MelnikovForm) -> float:
+    """Argument increase (radians) of the form along the big circle |h| = 10.
 
     Growth diagnostic: a form dominated by h^p times the leading period
     growth accumulates about 2 pi (p + growth exponent) here.  Interior
     forms are measured raw, exterior ones with the same normalization the
     winding uses.
     """
-    ct = contour_table(form.annulus, R, eta, rho)
+    ct = contour_table(form.annulus)
     lo, hi = ct.s_circle
     s = ct.s_init
     s = s[(s >= lo) & (s <= hi)]
@@ -375,11 +375,11 @@ def circle_argument(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 
-def real_zeros(fn, interval, n_scan: int = 512, xtol: float = 1e-12):
+def real_zeros(fn, interval, n_scan: int = 512):
     """Bracketing root scan on a real interval.
 
     fn must accept a float ndarray and return values; sign changes of the
-    real part are polished by bisection to width xtol and returned as
+    real part are polished by bisection to width 1e-12 and returned as
     (location, width) pairs.  Local minima of |fn| below 1e-6 of the scan
     scale without a sign change are returned separately as suspects (the
     even-multiplicity heuristic); they are flagged, never counted.
@@ -409,8 +409,8 @@ def real_zeros(fn, interval, n_scan: int = 512, xtol: float = 1e-12):
     roots = []
     sign = np.sign(v)
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        r = brentq(scalar, h[i], h[i + 1], xtol=xtol)
-        roots.append((float(r), xtol))
+        r = brentq(scalar, h[i], h[i + 1], xtol=_ROOT_XTOL)
+        roots.append((float(r), _ROOT_XTOL))
     for i in np.flatnonzero(sign == 0):
         roots.append((float(h[i]), 0.0))
     suspects = []
@@ -432,8 +432,7 @@ def _real_table(annulus: Annulus) -> RealPeriodTable:
 # ---------------------------------------------------------------------------
 
 
-def imaginary_part_on_cut(form: MelnikovForm, h: float, eta: float = 1e-3,
-                          levels: int = 3):
+def imaginary_part_on_cut(form: MelnikovForm, h: float):
     """(value+ - value-) / (2i) across the branch cut at a real level h.
 
     The two one-sided limits come from shrinking-offset extrapolation of the
@@ -441,7 +440,7 @@ def imaginary_part_on_cut(form: MelnikovForm, h: float, eta: float = 1e-3,
     real (the two boundary values are complex conjugates); the imaginary
     residue of the returned number is a numerical-quality indicator.
     """
-    plus, minus = cut_values(h, form.annulus, eta=eta, levels=levels)
+    plus, minus = cut_values(h, form.annulus)
     return (m_eval(form, h, plus) - m_eval(form, h, minus)) / 2j
 
 
@@ -460,8 +459,7 @@ def _degenerate_certificate(form: MelnikovForm, R, eta, rho) -> ZeroCertificate:
 
 
 def certify(params: PerturbationParams, order: int, annulus: Annulus,
-            R: float = 10.0, eta: float = 1e-3, rho: float = 1e-3,
-            source: str = "derived") -> ZeroCertificate:
+            R: float = 10.0, eta: float = 1e-3, rho: float = 1e-3) -> ZeroCertificate:
     """Full zero-count certificate for one parameter draw.
 
     Combines the keyhole winding with a real-root scan over the physical
@@ -472,7 +470,7 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
     if order == 1:
         form = m1_form(params, annulus)
     elif order == 2:
-        form = m2_form(params, annulus, source=source)
+        form = m2_form(params, annulus)
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
     try:
@@ -500,7 +498,7 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
 
 def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
                  seed: int = 0, R: float = 10.0, eta: float = 1e-3,
-                 rho: float = 1e-3, source: str = "derived"):
+                 rho: float = 1e-3):
     """Certify a batch of seeded random draws; returns (certificates, summary).
 
     Coefficients are drawn uniform on [-1, 1].  Second-order draws pass
@@ -514,15 +512,13 @@ def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
         p = PerturbationParams.uniform(rng)
         if order == 2:
             p = enforce_m1_zero(p, annulus)
-        certs.append(certify(p, order, annulus, R, eta, rho, source))
+        certs.append(certify(p, order, annulus, R, eta, rho))
     windings = [c.winding for c in certs if c.status is not Status.DEGENERATE]
     summary = {
         "order": order,
         "annulus": annulus.value,
         "draws": n_draws,
         "seed": seed,
-        "scale": 1.0,
-        "dist": "uniform",
         "bound": BOUNDS[(order, annulus)],
         "contour": {"R": R, "eta": eta, "rho": rho},
         "max_winding": max(windings, default=0),

@@ -10,7 +10,6 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from duffing_melnikov import checks
 from duffing_melnikov.abelian import (

@@ -8,8 +8,6 @@ tolerances; census output is checked for byte-level determinism.
 
 import json
 
-import pytest
-
 from duffing_melnikov import abelian, checks, cli
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
@@ -60,6 +58,10 @@ def test_short_eps_ladder_rejected(capsys, tmp_path):
 
 def test_bad_contour_spec(capsys):
     assert cli.main(["zeros", "--draws", "1", "--contour", "1,2"]) == 2
+
+
+def test_zeros_source_flag_is_gone(capsys):
+    assert cli.main(["zeros", "--draws", "1", "--source", "legacy"]) == 2
 
 
 def test_level_outside_annulus(capsys):
@@ -227,16 +229,5 @@ def test_zeros_census_is_byte_identical(capsys, tmp_path):
     assert out1.with_name(out1.name + ".config.json").exists()
     records = [json.loads(line) for line in out1.read_text().splitlines()]
     assert records[-1]["record"] == "census-summary"
-    assert records[-1]["dist"] == "uniform"
+    assert not {"dist", "scale", "source"} & records[-1].keys()
     assert len(records) == 5
-
-
-def test_zeros_legacy_source_selectable(capsys, tmp_path):
-    params = enforce_m1_zero(
-        PerturbationParams.random(np.random.default_rng(8)), Annulus.INTERIOR_RIGHT)
-    path = _write_params(tmp_path / "p.json", params)
-    code = cli.main(["zeros", "--params", path, "--order", "2",
-                     "--annulus", "interior-right", "--source", "legacy"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert '"source": "legacy"' in out.splitlines()[0]

@@ -1,7 +1,5 @@
 """Level-oval geometry: branch points, the level-set identity, domains."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given

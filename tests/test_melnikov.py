@@ -23,6 +23,7 @@ from duffing_melnikov.melnikov import (
     m1_form,
     m1_quadrature,
     m1_vanishing_residuals,
+    _m2_legacy_form,
     m2_deviation_report,
     m2_form,
     m2_iliev_quadrature,
@@ -47,8 +48,8 @@ def _closed_m1(params, h, annulus):
                                 h, period_vector(h, annulus))))
 
 
-def _closed_m2(params, h, annulus, source="derived"):
-    return float(np.real(m_eval(m2_form(params, annulus, source=source),
+def _closed_m2(params, h, annulus):
+    return float(np.real(m_eval(m2_form(params, annulus),
                                 h, period_vector(h, annulus))))
 
 
@@ -195,8 +196,8 @@ def test_m2_splits_into_quadratic_and_linear_parts():
 
 
 def test_m2_legacy_table_disagrees_with_quadrature():
-    # The alternative table is kept for comparison; on a generic constrained
-    # draw it deviates from the quadrature oracle while the default matches.
+    # The legacy table is kept for comparison; on a generic constrained draw
+    # it deviates from the quadrature oracle while the derived table matches.
     rng = np.random.default_rng(21)
     annulus = Annulus.EXTERIOR
     params = enforce_m1_zero(PerturbationParams.random(rng), annulus)
@@ -204,8 +205,9 @@ def test_m2_legacy_table_disagrees_with_quadrature():
     assert report["max_abs_delta"] > 1e-3
     h = 0.9
     quad = m2_iliev_quadrature(params, h, annulus)
-    derived = _closed_m2(params, h, annulus, source="derived")
-    legacy = _closed_m2(params, h, annulus, source="legacy")
+    derived = _closed_m2(params, h, annulus)
+    legacy = float(np.real(m_eval(_m2_legacy_form(params, annulus),
+                                  h, period_vector(h, annulus))))
     assert derived == pytest.approx(quad, rel=1e-9)
     assert abs(legacy - quad) > 1e-6 * abs(quad)
 
@@ -220,12 +222,6 @@ def test_m2_deviation_report_structure(rng):
         assert slot["delta"] == pytest.approx(slot["derived"] - slot["legacy"])
     assert report["max_abs_delta"] == pytest.approx(
         max(abs(s["delta"]) for s in report["slots"].values()))
-
-
-def test_m2_form_rejects_unknown_source(rng):
-    params = enforce_m1_zero(PerturbationParams.random(rng), Annulus.EXTERIOR)
-    with pytest.raises(ValueError):
-        m2_form(params, Annulus.EXTERIOR, source="printed")
 
 
 # ---------------------------------------------------------------------------

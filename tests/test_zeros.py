@@ -215,7 +215,6 @@ def test_census_summary_fields():
     certs, summary = bound_census(1, Annulus.EXTERIOR, n_draws=5, seed=3)
     assert len(certs) == 5
     assert summary["draws"] == 5
-    assert summary["dist"] == "uniform"
     assert summary["bound"] == BOUNDS[(1, Annulus.EXTERIOR)]
     assert summary["max_winding"] == max(c.winding for c in certs)
     counted = sum(summary["status_counts"].values())
