@@ -39,7 +39,7 @@ def main() -> int:
 
     annulus = Annulus.from_label(args.annulus)
     rng = np.random.default_rng(args.seed)
-    params = PerturbationParams.uniform(rng, 1.0)
+    params = PerturbationParams.uniform(rng)
     if args.constrained:
         params = enforce_m1_zero(params, annulus)
 

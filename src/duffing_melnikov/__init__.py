@@ -15,7 +15,6 @@ levels, and certified counts of zeros.
 from .geometry import Annulus, DomainError, branch_points, hamiltonian, oval_y
 from .quadrature import AccuracyError, QuadratureSpec
 from .abelian import (
-    CutSide,
     PathError,
     PeriodVector,
     PoleError,
@@ -49,7 +48,6 @@ __all__ = [
     "QuadratureSpec",
     "AccuracyError",
     "PeriodVector",
-    "CutSide",
     "PoleError",
     "PathError",
     "oval_integral",

@@ -24,6 +24,10 @@ is regular except at h = 0 and h = -1/4.  Analytic continuation is done by
 transporting (I_0, I_2) along polylines with a high-order ODE integrator;
 I_1 needs no transport because on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
+One segment integrator serves every transport: complex paths (PathTable),
+which keep MIN_CLEARANCE from the singular levels, and the real-axis table
+of the root scans (RealPeriodTable), two real segments from the base point
+that run to within 1e-7 of them.
 
 The natural single-valuedness domains are the cut planes C minus [0, +inf)
 for the interior families and C minus (-inf, 0] for the exterior family;
@@ -34,7 +38,6 @@ h +- i*eta and extrapolating eta -> 0.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,12 +46,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import Annulus, DomainError, branch_points, oval_smooth_factor
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_endpoint_sqrt, integrate_smooth
+from .quadrature import integrate_endpoint_sqrt, integrate_smooth
 
 __all__ = [
     "BASE_POINTS",
     "MIN_CLEARANCE",
-    "CutSide",
     "PeriodVector",
     "PoleError",
     "PathError",
@@ -59,13 +61,11 @@ __all__ = [
     "period_vector",
     "i1_slope",
     "reduce_moment",
-    "reduce_y_cubed",
     "continue_complex",
     "transport_table",
     "PathTable",
     "RealPeriodTable",
     "cut_values",
-    "monodromy_around_saddle",
     "asymptotics_check",
     "wronskian_cut",
     "nonvanishing_grid",
@@ -107,26 +107,15 @@ class PathError(ValueError):
     """A continuation path runs too close to a singular level."""
 
 
-class CutSide(enum.Enum):
-    OFF_CUT = "off-cut"
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 @dataclass(frozen=True)
 class PeriodVector:
-    """Values of (I_0, I_1, I_2) at a (possibly complex) level h.
-
-    side records, for points on the branch cut of the annulus domain, which
-    boundary value the entry holds.
-    """
+    """Values of (I_0, I_1, I_2) at a (possibly complex) level h."""
 
     h: complex
     annulus: Annulus
     i0: complex
     i1: complex
     i2: complex
-    side: CutSide = CutSide.OFF_CUT
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +130,7 @@ class PeriodVector:
 _PINCH_SPLIT_H = 0.05
 
 
-def _oval_moment(k: int, h: float, annulus: Annulus, power: int,
-                 spec: QuadratureSpec) -> float:
+def _oval_moment(k: int, h: float, annulus: Annulus, power: int) -> float:
     """Upper-branch integral of x^k y^power dx, power in {+1, -1}."""
     geom = branch_points(h, annulus)
 
@@ -176,46 +164,42 @@ def _oval_moment(k: int, h: float, annulus: Annulus, power: int,
                         * oval_smooth_factor(x, h, annulus))
             return x ** k * y if power == 1 else x ** k / np.maximum(y, 1e-300)
 
-        left, _ = integrate_endpoint_sqrt(left_piece, geom.x_lo, -cut, spec)
-        mid, _ = integrate_smooth(neck, -u_max, u_max, spec)
-        right, _ = integrate_endpoint_sqrt(right_piece, cut, geom.x_hi, spec)
+        left, _ = integrate_endpoint_sqrt(left_piece, geom.x_lo, -cut)
+        mid, _ = integrate_smooth(neck, -u_max, u_max)
+        right, _ = integrate_endpoint_sqrt(right_piece, cut, geom.x_hi)
         return left + mid + right
 
-    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec)
+    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi)
     return value
 
 
-def oval_integral(k: int, h: float, annulus: Annulus,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def oval_integral(k: int, h: float, annulus: Annulus) -> float:
     """I_k(h) = contour integral of x^k y dx, flow orientation (I_0 = area > 0).
 
     Equals twice the integral of x^k y(x) over the upper branch between the
     oval's branch points.
     """
-    return 2.0 * _oval_moment(k, h, annulus, 1, spec)
+    return 2.0 * _oval_moment(k, h, annulus, 1)
 
 
-def oval_integral_dh(k: int, h: float, annulus: Annulus,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def oval_integral_dh(k: int, h: float, annulus: Annulus) -> float:
     """I_k'(h) = contour integral of x^k / y dx (the h-derivative of I_k)."""
-    return 2.0 * _oval_moment(k, h, annulus, -1, spec)
+    return 2.0 * _oval_moment(k, h, annulus, -1)
 
 
-def orbit_period(h: float, annulus: Annulus,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def orbit_period(h: float, annulus: Annulus) -> float:
     """Period of the closed orbit at level h; equal to I_0'(h)."""
-    return oval_integral_dh(0, h, annulus, spec)
+    return oval_integral_dh(0, h, annulus)
 
 
-def period_vector(h: float, annulus: Annulus,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> PeriodVector:
+def period_vector(h: float, annulus: Annulus) -> PeriodVector:
     """(I_0, I_1, I_2) at a real level, by direct quadrature."""
     return PeriodVector(
         h=h,
         annulus=annulus,
-        i0=oval_integral(0, h, annulus, spec),
-        i1=oval_integral(1, h, annulus, spec),
-        i2=oval_integral(2, h, annulus, spec),
+        i0=oval_integral(0, h, annulus),
+        i1=oval_integral(1, h, annulus),
+        i2=oval_integral(2, h, annulus),
     )
 
 
@@ -265,11 +249,6 @@ def reduce_moment(k: int, h, pv: PeriodVector):
     if k == 6:
         return (16.0 * h / 21.0) * pv.i0 + (4.0 * h / 3.0 + 32.0 / 21.0) * pv.i2
     raise ValueError(f"no reduction implemented for k={k}")
-
-
-def reduce_y_cubed(h, pv: PeriodVector):
-    """Contour integral of y^3 dx = (12h/7) I_0 + (3/7) I_2."""
-    return (12.0 * h / 7.0) * pv.i0 + (3.0 / 7.0) * pv.i2
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +360,9 @@ class PathTable:
         return h[0], i0[0], i1[0], i2[0]
 
 
-def transport_table(path, annulus: Annulus) -> PathTable:
-    """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
-
-    The starting vertex must be a real level inside the annulus interval; the
-    initial values come from quadrature there.  Returns the dense PathTable.
-    """
-    vertices = [complex(z) for z in path]
-    if len(vertices) < 2:
-        raise ValueError("path needs at least two vertices")
-    start = vertices[0]
-    if abs(start.imag) > 1e-14 or not annulus.contains(start.real):
-        raise PathError(f"path must start at a real level inside the annulus, got {start}")
-    _check_path(vertices)
-    base = period_vector(start.real, annulus)
+def _transport(vertices: list[complex], annulus: Annulus) -> PathTable:
+    """Transport from quadrature values at vertices[0], with no path checks."""
+    base = period_vector(vertices[0].real, annulus)
     i0, i2 = complex(base.i0), complex(base.i2)
     solutions = []
     cleaned = []
@@ -409,6 +377,23 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     cleaned.append(z_prev)
     return PathTable(annulus=annulus, vertices=cleaned, solutions=solutions,
                      i1_coef=i1_slope(annulus))
+
+
+def transport_table(path, annulus: Annulus) -> PathTable:
+    """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
+
+    The starting vertex must be a real level inside the annulus interval; the
+    initial values come from quadrature there.  Every segment must keep
+    MIN_CLEARANCE from the singular levels.  Returns the dense PathTable.
+    """
+    vertices = [complex(z) for z in path]
+    if len(vertices) < 2:
+        raise ValueError("path needs at least two vertices")
+    start = vertices[0]
+    if abs(start.imag) > 1e-14 or not annulus.contains(start.real):
+        raise PathError(f"path must start at a real level inside the annulus, got {start}")
+    _check_path(vertices)
+    return _transport(vertices, annulus)
 
 
 def continue_complex(h_target: complex, path=None,
@@ -482,9 +467,8 @@ def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
         x = np.asarray(etas)
         i0 = np.polyval(np.polyfit(x, np.asarray([v[0] for v in vals]), _CUT_LEVELS - 1), 0.0)
         i2 = np.polyval(np.polyfit(x, np.asarray([v[1] for v in vals]), _CUT_LEVELS - 1), 0.0)
-        side = CutSide.PLUS if upper else CutSide.MINUS
         results.append(PeriodVector(h=h, annulus=annulus, i0=i0,
-                                    i1=complex(_i1_at(h, annulus)), i2=i2, side=side))
+                                    i1=complex(_i1_at(h, annulus)), i2=i2))
     return results[0], results[1]
 
 
@@ -499,39 +483,24 @@ def wronskian_cut(h: float) -> complex:
     return plus.i2 * minus.i0 - minus.i2 * plus.i0
 
 
-def monodromy_around_saddle(radius: float = 0.02, annulus: Annulus = Annulus.INTERIOR_RIGHT,
-                            n: int = 64) -> tuple[complex, complex]:
-    """(Delta I_0, Delta I_2) / (2 pi i) for one positive loop around h = 0.
-
-    The loop is an n-gon of the given radius traversed counterclockwise,
-    entered from the base point along the negative real axis.  The result
-    should match the logarithmic coefficients SADDLE_LOG_* evaluated at the
-    loop's entry level -radius.
-    """
-    base = BASE_POINTS[annulus]
-    entry = -radius
-    before = continue_complex(entry, annulus=annulus)
-    loop = [radius * cmath.exp(1j * (math.pi + 2.0 * math.pi * j / n)) for j in range(n + 1)]
-    after = continue_complex(entry, path=[base] + loop, annulus=annulus)
-    two_pi_i = 2j * math.pi
-    return ((after.i0 - before.i0) / two_pi_i, (after.i2 - before.i2) / two_pi_i)
-
-
 # ---------------------------------------------------------------------------
 # real-axis dense tables (fast repeated evaluation for scans and fits)
 # ---------------------------------------------------------------------------
 
 
 class RealPeriodTable:
-    """Dense (I_0, I_2) on the real interval of an annulus.
+    """Dense (I_0, I_1, I_2) on the real interval of an annulus.
 
     The table covers the interval up to 1e-7 from the singular levels, and
     up to h = 12 on the exterior annulus (past the default contour radius).
 
-    Built by integrating the period system once from the base point toward
-    both ends with dense output; evaluation anywhere in the covered range is
-    then an interpolant lookup.  Intended for root scans and grids where
-    per-point quadrature would dominate the runtime.
+    Built from two one-segment PathTables, base point -> h_min and base
+    point -> h_max, transported once by the same integrator as every
+    complex path; evaluation anywhere in the covered range is then an
+    interpolant lookup.  The segments end inside MIN_CLEARANCE, so they skip
+    the path check of transport_table: the singular levels are the ends of
+    the real interval, not points a segment passes.  Intended for root scans
+    and grids where per-point quadrature would dominate the runtime.
     """
 
     def __init__(self, annulus: Annulus):
@@ -540,23 +509,10 @@ class RealPeriodTable:
             self.h_min, self.h_max = 1e-7, 12.0
         else:
             self.h_min, self.h_max = -0.25 + 1e-7, -1e-7
-        bv = _base_values(annulus)
-        init = (bv[0], 0.0, bv[2], 0.0)
-
-        def sweep(h_end):
-            sol = solve_ivp(
-                lambda h, u: _pf_rhs(0.0, u, h, 1.0),
-                (base, h_end), init, method="DOP853",
-                rtol=_TRANSPORT_RTOL, atol=1e-15, dense_output=True,
-            )
-            if not sol.success:
-                raise PathError(f"real-axis sweep to {h_end} failed: {sol.message}")
-            return sol
-
-        self._down = sweep(self.h_min)
-        self._up = sweep(self.h_max)
+        self._annulus = annulus
         self._base = base
-        self._i1_coef = i1_slope(annulus)
+        self._down = _transport([complex(base), complex(self.h_min)], annulus)
+        self._up = _transport([complex(base), complex(self.h_max)], annulus)
 
     def values(self, h):
         """(I_0, I_1, I_2) arrays at real levels h inside the covered range."""
@@ -567,12 +523,14 @@ class RealPeriodTable:
         i0 = np.empty(h.shape)
         i2 = np.empty(h.shape)
         lo_mask = h <= self._base
-        for mask, sol in ((lo_mask, self._down), (~lo_mask, self._up)):
+        for mask, end, table in ((lo_mask, self.h_min, self._down),
+                                 (~lo_mask, self.h_max, self._up)):
             if np.any(mask):
-                u = sol.sol(h[mask])
-                i0[mask] = u[0]
-                i2[mask] = u[2]
-        return i0, self._i1_coef * (4.0 * h + 1.0), i2
+                s = (h[mask] - self._base) / (end - self._base)
+                _, t0, _, t2 = table.values_at(s)
+                i0[mask] = t0.real
+                i2[mask] = t2.real
+        return i0, _i1_at(h, self._annulus), i2
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def _resolve_params(args) -> tuple[PerturbationParams, dict]:
         return _load_params(args.params), {"params_file": args.params}
     if getattr(args, "seed", None) is not None:
         rng = np.random.default_rng(args.seed)
-        return PerturbationParams.uniform(rng, 1.0), {"draw": "uniform", "seed": args.seed}
+        return PerturbationParams.uniform(rng), {"draw": "uniform", "seed": args.seed}
     return PerturbationParams.zero(), {}
 
 

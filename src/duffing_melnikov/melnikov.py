@@ -101,8 +101,8 @@ class PerturbationParams:
         return cls(draw(), draw(), draw(), draw())
 
     @classmethod
-    def uniform(cls, rng: np.random.Generator, scale: float = 1.0) -> "PerturbationParams":
-        draw = lambda: tuple(scale * rng.uniform(-1.0, 1.0, len(MONOMIALS)))
+    def uniform(cls, rng: np.random.Generator) -> "PerturbationParams":
+        draw = lambda: tuple(rng.uniform(-1.0, 1.0, len(MONOMIALS)))
         return cls(draw(), draw(), draw(), draw())
 
     @classmethod
@@ -462,8 +462,7 @@ def _iliev_pieces(params: PerturbationParams):
     return F, div, p1, p2
 
 
-def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) -> float:
     """M2 by direct quadrature of the two-step averaging formula.
 
     M2 = contour[ G1h P2 - G1 P2h ] dx - contour[ (F/y)(f1_x + g1_y) ] dx
@@ -501,5 +500,5 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
 
     total = 0.0
     for phi in (phi_g1, phi_div, phi_tier2):
-        total += _both_branch_integral(phi, h, annulus, spec)
+        total += _both_branch_integral(phi, h, annulus, DEFAULT_SPEC)
     return total

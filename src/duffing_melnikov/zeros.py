@@ -43,7 +43,6 @@ from .abelian import (
     MIN_CLEARANCE,
     PathTable,
     RealPeriodTable,
-    cut_values,
     transport_table,
 )
 from .geometry import Annulus
@@ -53,7 +52,6 @@ from .melnikov import (
     enforce_m1_zero,
     m1_form,
     m2_form,
-    m_eval,
     pole_cleared_eval,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "ZeroCertificate",
     "real_zeros",
     "winding_count",
-    "imaginary_part_on_cut",
     "certify",
     "bound_census",
     "circle_argument",
@@ -145,23 +142,6 @@ class ZeroCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.as_record(), sort_keys=True)
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "ZeroCertificate":
-        return cls(
-            annulus=Annulus.from_label(rec["annulus"]),
-            order=int(rec["order"]),
-            real_roots=tuple((float(r), float(w)) for r, w in rec["real_roots"]),
-            suspect_roots=tuple(float(r) for r in rec["suspect_roots"]),
-            winding=int(rec["winding"]),
-            bound=int(rec["bound"]),
-            contour=(rec["contour"]["R"], rec["contour"]["eta"],
-                     rec["contour"]["rho"]),
-            status=Status(rec["status"]),
-            phase_defect=float(rec["phase_defect"]),
-            closure_error=float(rec["closure_error"]),
-            n_samples=int(rec["n_samples"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +405,6 @@ def real_zeros(fn, interval, n_scan: int = 512):
 @lru_cache(maxsize=None)
 def _real_table(annulus: Annulus) -> RealPeriodTable:
     return RealPeriodTable(annulus)
-
-
-# ---------------------------------------------------------------------------
-# cut diagnostics
-# ---------------------------------------------------------------------------
-
-
-def imaginary_part_on_cut(form: MelnikovForm, h: float):
-    """(value+ - value-) / (2i) across the branch cut at a real level h.
-
-    The two one-sided limits come from shrinking-offset extrapolation of the
-    transported periods.  For a form with real coefficients the result is
-    real (the two boundary values are complex conjugates); the imaginary
-    residue of the returned number is a numerical-quality indicator.
-    """
-    plus, minus = cut_values(h, form.annulus)
-    return (m_eval(form, h, plus) - m_eval(form, h, minus)) / 2j
 
 
 # ---------------------------------------------------------------------------

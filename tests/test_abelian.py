@@ -6,6 +6,7 @@ boundary values on the cuts, and the asymptotic constants all have an
 independent numerical route, and the tests compare the two.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -28,14 +29,12 @@ from duffing_melnikov.abelian import (
     derivative_pair,
     exterior_slope,
     i1_slope,
-    monodromy_around_saddle,
     nonvanishing_grid,
     orbit_period,
     oval_integral,
     oval_integral_dh,
     period_vector,
     reduce_moment,
-    reduce_y_cubed,
     saddle_constants,
     saddle_log_fit,
     transport_table,
@@ -143,7 +142,9 @@ def test_y_cubed_reduction(annulus):
         direct = (2.0 * h * oval_integral(0, h, annulus)
                   + oval_integral(2, h, annulus)
                   - 0.5 * oval_integral(4, h, annulus))
-        assert complex(reduce_y_cubed(h, pv)).real == pytest.approx(direct, rel=1e-10)
+        # the same integral reduced to the basis: (12h/7) I_0 + (3/7) I_2
+        reduced = (12.0 * h / 7.0) * pv.i0 + (3.0 / 7.0) * pv.i2
+        assert complex(reduced).real == pytest.approx(direct, rel=1e-10)
 
 
 @settings(max_examples=10)
@@ -262,9 +263,27 @@ def test_transport_table_dense_values():
 # ---------------------------------------------------------------------------
 
 
+def _monodromy_around_saddle(radius: float):
+    """(Delta I_0, Delta I_2) / (2 pi i) for one positive loop around h = 0.
+
+    The loop is a 64-gon of the given radius traversed counterclockwise,
+    entered from the base point along the negative real axis.
+    """
+    annulus = Annulus.INTERIOR_RIGHT
+    n = 64
+    entry = -radius
+    before = continue_complex(entry, annulus=annulus)
+    loop = [radius * cmath.exp(1j * (math.pi + 2.0 * math.pi * j / n)) for j in range(n + 1)]
+    after = continue_complex(entry, path=[BASE_POINTS[annulus]] + loop, annulus=annulus)
+    two_pi_i = 2j * math.pi
+    return ((after.i0 - before.i0) / two_pi_i, (after.i2 - before.i2) / two_pi_i)
+
+
 def test_saddle_monodromy_matches_log_series():
+    # the increment should match the logarithmic coefficients SADDLE_LOG_*
+    # evaluated at the loop's entry level -radius
     radius = 0.02
-    d0, d2 = monodromy_around_saddle(radius=radius)
+    d0, d2 = _monodromy_around_saddle(radius)
     h = -radius
 
     def series(coeffs):
@@ -326,6 +345,25 @@ def test_real_table_matches_quadrature(annulus):
         assert i0 == pytest.approx(float(pv.i0.real), rel=1e-9)
         assert i1 == pytest.approx(float(pv.i1.real), rel=1e-9, abs=1e-12)
         assert i2 == pytest.approx(float(pv.i2.real), rel=1e-9)
+
+
+@pytest.mark.parametrize("annulus,offsets", [
+    (Annulus.INTERIOR_RIGHT, (1e-6, 1e-5, 1e-4)),
+    (Annulus.EXTERIOR, (1e-5, 1e-4)),
+])
+def test_real_table_matches_quadrature_inside_clearance(annulus, offsets):
+    # The root scan reads the table closer to the singular levels than
+    # MIN_CLEARANCE, where no complex path may go; the interpolant must keep
+    # quadrature accuracy there too.
+    table = RealPeriodTable(annulus)
+    edge = -0.25 if annulus is not Annulus.EXTERIOR else 0.0
+    for offset in offsets:
+        h = edge + offset
+        assert offset < MIN_CLEARANCE
+        got = (float(v[0]) for v in table.values(h))
+        pv = period_vector(h, annulus)
+        for value, ref in zip(got, (pv.i0.real, pv.i1.real, pv.i2.real)):
+            assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def test_real_table_rejects_outside_range():

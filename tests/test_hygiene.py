@@ -1,16 +1,38 @@
-"""No module in src/ or tests/ imports a name it never reads (stdlib ast only).
+"""Source hygiene scans (stdlib ast and re only).
 
-An import counts as used when its bound name appears as a name anywhere in
-the module or is listed in the module's __all__.
+No module in src/ or tests/ imports a name it never reads: an import counts
+as used when its bound name appears as a name anywhere in the module or is
+listed in the module's __all__.
+
+No public name is kept for the tests alone: every name in a package module's
+__all__ must be referenced somewhere in src/, scripts/ or bench/ outside its
+own definition and outside the __all__ lists.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
+
+# Public names kept without a caller in the program, each with its reason.
+EXEMPT = {
+    "circle_argument": "acceptance 8's growth diagnostic, the argument gained "
+                       "along the big circle; only the acceptance suite reads it",
+}
+
+# a string constant that spells a dotted name refers to it (bench/tracing.py
+# binds its targets as "module", "Class.method")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _is_all(node) -> bool:
+    return (isinstance(node, ast.Assign)
+            and "__all__" in [getattr(t, "id", "") for t in node.targets])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -21,8 +43,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and "__all__" in [getattr(t, "id", "") for t in node.targets]):
+        elif _is_all(node):
             used.update(ast.literal_eval(node.value))
     return [(line, name) for line, name in imported if name not in used]
 
@@ -36,3 +57,67 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def exported(source: str) -> list[str]:
+    return [name for node in ast.parse(source).body if _is_all(node)
+            for name in ast.literal_eval(node.value)]
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and
+    dotted-name string constants.  Docstrings and __all__ do not count, nor
+    does a function's or class's mention of its own name."""
+    tree = ast.parse(source)
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                  if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef))
+                  and n.body and isinstance(n.body[0], ast.Expr)
+                  and isinstance(n.body[0].value, ast.Constant)}
+    refs: set[str] = set()
+
+    def visit(node, owners):
+        if _is_all(node):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        names = []
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings and _DOTTED.fullmatch(node.value)):
+            names = node.value.split(".")
+        refs.update(n for n in names if n not in owners)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return refs
+
+
+def unreferenced_exports(sources: list[str]) -> list[str]:
+    refs = set().union(*(references(s) for s in sources))
+    return sorted({name for s in sources for name in exported(s)} - refs)
+
+
+def test_scan_finds_an_unreferenced_export():
+    # the module docstring spells the unreferenced name; that is no reference
+    lib = ('"""helper"""\n__all__ = ["used", "helper", "traced", "Box"]\n'
+           "def used(): pass\n"
+           "def helper():\n    return helper\n"
+           "def traced(): pass\n"
+           "class Box:\n    def method(self):\n        return Box\n")
+    user = "from lib import used\nTARGET = ('lib', 'traced')\nbox = lib.Box\n"
+    assert unreferenced_exports([lib, user]) == ["helper"]
+    assert unreferenced_exports([lib]) == ["Box", "helper", "traced", "used"]
+
+
+def test_every_export_has_a_program_reference():
+    found = unreferenced_exports([p.read_text() for p in PROGRAM])
+    assert [name for name in found if name not in EXEMPT] == []
+    # an exemption that has gained a caller is stale
+    assert set(EXEMPT) <= set(found)

@@ -144,9 +144,8 @@ def test_enforce_keeps_odd_moment_slot_on_exterior(rng):
 
 def test_constrained_draw_vanishes_pointwise_interior(rng):
     fixed = enforce_m1_zero(PerturbationParams.random(rng), Annulus.INTERIOR_RIGHT)
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_nodes=4096)
     for h in (-0.2, -0.1, -0.03):
-        assert abs(m1_quadrature(fixed, h, Annulus.INTERIOR_RIGHT, spec=spec)) < 1e-11
+        assert abs(m1_quadrature(fixed, h, Annulus.INTERIOR_RIGHT)) < 1e-11
 
 
 def test_second_order_form_requires_constraint(rng):
@@ -285,10 +284,10 @@ def test_params_from_dict_rejects_extras_and_bad_length():
 
 
 def test_uniform_draw_stays_in_box(rng):
-    params = PerturbationParams.uniform(rng, scale=0.5)
+    params = PerturbationParams.uniform(rng)
     for field in (params.lambda1, params.gamma1, params.lambda2, params.gamma2):
         assert len(field) == _N
-        assert all(-0.5 <= v <= 0.5 for v in field)
+        assert all(-1.0 <= v <= 1.0 for v in field)
 
 
 def test_coeff_grid_layout():
