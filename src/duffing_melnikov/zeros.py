@@ -9,8 +9,19 @@ around the boundary of D_R.  This module builds that boundary as a keyhole
 polyline (big circle, two cut sides at height eta, small polygon around the
 puncture), transports the period basis along it once, and then counts zeros
 of any bifurcation form by sampling its phase with adaptive refinement.
-The transport is parameter independent, so a single cached contour table
-serves every parameter draw in a census.
+
+Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
+parameters, and the levels where the periods are read do not depend on the
+parameters.  So the periods are evaluated once and cached: the contour
+table holds the transported basis and its values at the initial samples,
+and the real scan holds its grid, the 9-point window around each grid point
+and the periods at all of those points.  A draw then only evaluates its
+polynomials against cached values; the bisection midpoints of the phase
+refinement and the steps of root polishing are the only periods evaluated
+per draw.  Each period value is computed point by point, so a value read
+from the cache is the same float a fresh evaluation at that point returns,
+and the certificates do not depend on the cache.  The cached arrays are
+read-only.
 
 Counting normalizations.  Interior forms are counted as they stand.  On the
 exterior annulus the first-order form is divided by I_0 and the second-order
@@ -87,6 +98,8 @@ _MAX_REFINE = 40
 _MAX_SAMPLES = 300_000
 _DEGENERATE_TOL = 1e-14
 _ROOT_XTOL = 1e-12       # bracket width of a polished real root
+_N_SCAN = 512            # real-scan grid points
+_SCAN_CACHE_SIZE = 32    # intervals whose scan windows and periods stay cached
 
 
 class Status(enum.Enum):
@@ -151,7 +164,14 @@ class ZeroCertificate:
 
 @dataclass
 class ContourTable:
-    """One transported keyhole boundary, reusable across parameter draws."""
+    """One transported keyhole boundary, reusable across parameter draws.
+
+    init_values caches table.values_at(s_init), the periods at the initial
+    samples, which do not depend on the parameters.  values_at evaluates
+    point by point, so these are the floats a per-draw evaluation would
+    return.  s_init and init_values are read-only: every later draw reads
+    them.
+    """
 
     annulus: Annulus
     R: float
@@ -162,6 +182,7 @@ class ContourTable:
     s_loop: tuple        # parameter range of the closed boundary
     s_circle: tuple      # parameter sub-range of the big-circle portion
     s_init: np.ndarray   # initial sample parameters over s_loop
+    init_values: tuple   # (h, I_0, I_1, I_2) at s_init
 
 
 def _validate_contour(R: float, eta: float, rho: float) -> None:
@@ -233,6 +254,11 @@ def _initial_samples(n_entry: int, loop) -> np.ndarray:
 _CONTOUR_CACHE: dict = {}
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
                   rho: float = 1e-3) -> ContourTable:
     """Transport the period basis along the keyhole boundary (cached)."""
@@ -246,11 +272,13 @@ def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
     n_entry = len(entry) - 1
     s_loop = (float(n_entry), float(len(vertices) - 1))
     s_circle = (s_loop[0] + 1.0, s_loop[0] + 1.0 + _N_CIRCLE)
+    s_init = _initial_samples(n_entry, loop)
     ct = ContourTable(annulus=annulus, R=float(R), eta=float(eta),
                       rho=float(rho),
                       rho_arc=rho / math.cos(math.pi / _N_PUNCT),
                       table=table, s_loop=s_loop, s_circle=s_circle,
-                      s_init=_initial_samples(n_entry, loop))
+                      s_init=_read_only(s_init),
+                      init_values=tuple(_read_only(x) for x in table.values_at(s_init)))
     _CONTOUR_CACHE[key] = ct
     return ct
 
@@ -268,13 +296,15 @@ def _counting_values(form: MelnikovForm, h, i0, i1, i2):
     return v
 
 
-def _refined_phase(ct: ContourTable, form: MelnikovForm, s: np.ndarray):
+def _refined_phase(ct: ContourTable, form: MelnikovForm, s: np.ndarray,
+                   values: tuple):
     """Sample the counting function on s, bisecting until phase steps < pi/2.
 
-    Returns (s, values, converged).  Non-convergence signals a zero on or
-    numerically touching the contour.
+    values holds (h, I_0, I_1, I_2) at s; only the bisection midpoints are
+    evaluated here.  Returns (s, values, converged).  Non-convergence signals
+    a zero on or numerically touching the contour.
     """
-    h, i0, i1, i2 = ct.table.values_at(s)
+    h, i0, i1, i2 = values
     v = _counting_values(form, h, i0, i1, i2)
     scale = float(np.max(np.abs(v)))
     if scale < _DEGENERATE_TOL * (1.0 + float(np.max(np.abs(i0)))):
@@ -311,7 +341,7 @@ def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
     Raises DegenerateFormError for a numerically zero counting function.
     """
     ct = contour_table(form.annulus, R, eta, rho)
-    s, v, converged = _refined_phase(ct, form, ct.s_init.copy())
+    s, v, converged = _refined_phase(ct, form, ct.s_init, ct.init_values)
     total = float(np.sum(np.angle(v[1:] / v[:-1])))
     raw = total / (2.0 * math.pi)
     winding = int(round(raw))
@@ -342,9 +372,9 @@ def circle_argument(form: MelnikovForm) -> float:
     """
     ct = contour_table(form.annulus)
     lo, hi = ct.s_circle
-    s = ct.s_init
-    s = s[(s >= lo) & (s <= hi)]
-    s, v, converged = _refined_phase(ct, form, s)
+    on_circle = (ct.s_init >= lo) & (ct.s_init <= hi)
+    s, v, converged = _refined_phase(ct, form, ct.s_init[on_circle],
+                                     tuple(x[on_circle] for x in ct.init_values))
     if not converged:
         raise DegenerateFormError("phase refinement failed on the circle")
     return float(np.sum(np.angle(v[1:] / v[:-1])))
@@ -355,7 +385,28 @@ def circle_argument(form: MelnikovForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-def real_zeros(fn, interval, n_scan: int = 512):
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_windows(a: float, b: float, n_scan: int):
+    """The scan grid on [a, b] and the 9-point window over each grid point.
+
+    Row i of windows spans grid points i-1 .. i+1 (clipped at the ends); it
+    is where the scan densifies when sample i is small.  Read-only.
+    """
+    h = np.linspace(a, b, n_scan)
+    windows = np.array([np.linspace(h[max(i - 1, 0)], h[min(i + 1, n_scan - 1)], 9)
+                        for i in range(n_scan)])
+    return _read_only(h), _read_only(windows)
+
+
+def _suspect_roots(h, mag, sign, scale: float) -> list:
+    """Interior local minima of |fn| below 1e-6 scale without a sign change."""
+    m = mag[1:-1]
+    hit = ((m < 1e-6 * scale) & (m <= mag[:-2]) & (m <= mag[2:])
+           & (sign[:-2] == sign[2:]) & (sign[1:-1] == sign[:-2]))
+    return [float(x) for x in h[1:-1][hit]]
+
+
+def real_zeros(fn, interval, n_scan: int = _N_SCAN):
     """Bracketing root scan on a real interval.
 
     fn must accept a float ndarray and return values; sign changes of the
@@ -367,7 +418,7 @@ def real_zeros(fn, interval, n_scan: int = 512):
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
-    h = np.linspace(a, b, n_scan)
+    h, windows = _scan_windows(a, b, n_scan)
     v = np.real(np.asarray(fn(h)))
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
@@ -375,12 +426,7 @@ def real_zeros(fn, interval, n_scan: int = 512):
     # densify 4x around small-magnitude samples to catch close root pairs
     small = np.flatnonzero(np.abs(v) < 0.05 * scale)
     if small.size:
-        extra = []
-        for i in small:
-            lo = h[max(i - 1, 0)]
-            hi = h[min(i + 1, n_scan - 1)]
-            extra.append(np.linspace(lo, hi, 9))
-        h = np.unique(np.concatenate([h] + extra))
+        h = np.unique(np.concatenate([h, windows[small].ravel()]))
         v = np.real(np.asarray(fn(h)))
 
     def scalar(x):
@@ -393,18 +439,26 @@ def real_zeros(fn, interval, n_scan: int = 512):
         roots.append((float(r), _ROOT_XTOL))
     for i in np.flatnonzero(sign == 0):
         roots.append((float(h[i]), 0.0))
-    suspects = []
-    mag = np.abs(v)
-    for i in range(1, len(h) - 1):
-        if (mag[i] < 1e-6 * scale and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]
-                and sign[i - 1] == sign[i + 1] and sign[i] == sign[i - 1]):
-            suspects.append(float(h[i]))
-    return roots, suspects
+    return roots, _suspect_roots(h, np.abs(v), sign, scale)
 
 
 @lru_cache(maxsize=None)
 def _real_table(annulus: Annulus) -> RealPeriodTable:
     return RealPeriodTable(annulus)
+
+
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_values(annulus: Annulus, a: float, b: float, n_scan: int):
+    """Every level the real scan of [a, b] can sample before root polishing,
+    sorted, and (I_0, I_1, I_2) there.  Read-only.
+
+    RealPeriodTable.values evaluates point by point, so these are the floats
+    a per-draw evaluation of the same levels returns.
+    """
+    h, windows = _scan_windows(a, b, n_scan)
+    points = np.unique(np.concatenate([h, windows.ravel()]))
+    periods = _real_table(annulus).values(points)
+    return _read_only(points), tuple(_read_only(x) for x in periods)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +500,16 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
         interval = (1.01 * rho_arc, min(R, table.h_max) * (1.0 - 1e-9))
     else:
         interval = (-0.25 + 1e-6, -1.01 * rho_arc)
+    points, cached = _scan_values(annulus, *interval, _N_SCAN)
 
     def fn(arr):
-        i0, i1, i2 = table.values(arr)
+        # cached scan levels are looked up; root polishing evaluates afresh
+        idx = np.minimum(np.searchsorted(points, arr), points.size - 1)
+        i0, i1, i2 = (c[idx] for c in cached)
+        miss = points[idx] != arr
+        if miss.any():
+            for out, fresh in zip((i0, i1, i2), table.values(arr[miss])):
+                out[miss] = fresh
         return _counting_values(form, arr, i0, i1, i2)
 
     roots, suspects = real_zeros(fn, interval)

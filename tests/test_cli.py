@@ -8,7 +8,7 @@ tolerances; census output is checked for byte-level determinism.
 
 import json
 
-from duffing_melnikov import abelian, checks, cli
+from duffing_melnikov import abelian, checks, cli, zeros
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
 from duffing_melnikov.quadrature import AccuracyError
@@ -220,6 +220,12 @@ def test_zeros_single_certificate(capsys, tmp_path):
 
 
 def test_zeros_census_is_byte_identical(capsys, tmp_path):
+    # the first pass builds every cached table and period value, the second
+    # reads them: the cache must not change a byte of the output
+    zeros._CONTOUR_CACHE.clear()
+    zeros._real_table.cache_clear()
+    zeros._scan_windows.cache_clear()
+    zeros._scan_values.cache_clear()
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (out1, out2):
         code = cli.main(["zeros", "--draws", "4", "--seed", "11",

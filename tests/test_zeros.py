@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from duffing_melnikov import zeros
 from duffing_melnikov.abelian import cut_values
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import (
@@ -23,6 +26,10 @@ from duffing_melnikov.zeros import (
     BOUNDS,
     DegenerateFormError,
     Status,
+    _real_table,
+    _scan_values,
+    _scan_windows,
+    _suspect_roots,
     bound_census,
     certify,
     circle_argument,
@@ -272,3 +279,122 @@ def test_real_zeros_flags_tangency_as_suspect():
 def test_real_zeros_rejects_empty_interval():
     with pytest.raises(ValueError):
         real_zeros(lambda h: h, (1.0, 1.0))
+
+
+def _reference_suspects(h, mag, sign, scale):
+    # reference: the suspect conditions checked one index at a time
+    out = []
+    for i in range(1, len(h) - 1):
+        if (mag[i] < 1e-6 * scale and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]
+                and sign[i - 1] == sign[i + 1] and sign[i] == sign[i - 1]):
+            out.append(float(h[i]))
+    return out
+
+
+# few distinct magnitudes, so draws are full of ties, plateaus and exact zeros
+_SCAN_VALUES = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 3e-8, -3e-8, 2e-7, 0.4, -0.4, 1.0])
+
+
+@given(st.lists(_SCAN_VALUES, min_size=0, max_size=40))
+def test_suspect_scan_matches_reference_loop(values):
+    v = np.array(values)
+    h = np.linspace(0.0, 1.0, v.size)
+    mag, sign = np.abs(v), np.sign(v)
+    scale = float(np.max(mag, initial=0.0)) or 1.0
+    assert _suspect_roots(h, mag, sign, scale) == _reference_suspects(h, mag, sign, scale)
+
+
+def test_scan_windows_match_per_sample_linspace():
+    h, windows = _scan_windows(-0.2, 0.3, 64)
+    assert np.array_equal(h, np.linspace(-0.2, 0.3, 64))
+    for i in range(64):
+        assert np.array_equal(windows[i], np.linspace(h[max(i - 1, 0)], h[min(i + 1, 63)], 9))
+
+
+# ---------------------------------------------------------------------------
+# cached period values
+# ---------------------------------------------------------------------------
+
+_CENSUS_ANNULI = (Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
+
+
+def _default_scan_key(annulus):
+    """The scan-cache key of certify on the default contour."""
+    rho_arc = 1e-3 / math.cos(math.pi / zeros._N_PUNCT)
+    if annulus is Annulus.EXTERIOR:
+        return (annulus, 1.01 * rho_arc, 10.0 * (1.0 - 1e-9), zeros._N_SCAN)
+    return (annulus, -0.25 + 1e-6, -1.01 * rho_arc, zeros._N_SCAN)
+
+
+def _scan_cache(annulus):
+    """(key, entry) of the scan cache that certify fills on the default contour."""
+    certify(_single_param(lambda1_1=-2.0, gamma1_6=1.0), 1, annulus)
+    misses = _scan_values.cache_info().misses
+    key = _default_scan_key(annulus)
+    entry = _scan_values(*key)
+    assert _scan_values.cache_info().misses == misses  # certify built it
+    return key, entry
+
+
+def _assert_subset_matches(evaluate, points, seed):
+    # each value depends on its own point only: a random subset, in random
+    # or sorted order, reproduces the same rows of the full evaluation
+    full = evaluate(points)
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(points.size, size=rng.integers(1, points.size), replace=False)
+    if rng.random() < 0.5:
+        idx = np.sort(idx)
+    for part, whole in zip(evaluate(points[idx]), full):
+        assert np.array_equal(part, whole[idx])
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
+    ct = contour_table(annulus)
+    _assert_subset_matches(ct.table.values_at, ct.s_init, seed)
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
+    _, (points, _) = _scan_cache(annulus)
+    _assert_subset_matches(_real_table(annulus).values, points, seed)
+
+
+@pytest.mark.parametrize("annulus", _CENSUS_ANNULI)
+def test_cached_periods_equal_a_fresh_evaluation(annulus):
+    ct = contour_table(annulus)
+    for cached, fresh in zip(ct.init_values, ct.table.values_at(ct.s_init)):
+        assert np.array_equal(cached, fresh)
+    _, (points, cached) = _scan_cache(annulus)
+    for c, fresh in zip(cached, _real_table(annulus).values(points)):
+        assert np.array_equal(c, fresh)
+    # the cache holds the whole grid and every densification window
+    h, windows = _scan_windows(*_default_scan_key(annulus)[1:])
+    assert np.array_equal(points, np.unique(np.concatenate([h, windows.ravel()])))
+
+
+def test_cached_arrays_are_read_only():
+    ct = contour_table(Annulus.EXTERIOR)
+    key, (points, periods) = _scan_cache(Annulus.EXTERIOR)
+    h, windows = _scan_windows(*key[1:])
+    for arr in (ct.s_init, *ct.init_values, h, windows, points, *periods):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_caches_do_not_grow_over_a_census():
+    for annulus in (Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR):
+        _scan_cache(annulus)
+    ct = contour_table(Annulus.EXTERIOR)
+
+    def sizes():
+        return (len(zeros._CONTOUR_CACHE), _real_table.cache_info().currsize,
+                _scan_windows.cache_info().currsize, _scan_values.cache_info().currsize)
+
+    before = sizes()
+    bound_census(2, Annulus.EXTERIOR, n_draws=20, seed=5)
+    bound_census(1, Annulus.INTERIOR_RIGHT, n_draws=20, seed=5)
+    assert sizes() == before
+    assert contour_table(Annulus.EXTERIOR) is ct
