@@ -31,6 +31,7 @@ import argparse
 import json
 import pathlib
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -431,7 +432,10 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args fills a fresh namespace
+    on every call, so one parser serves repeated in-process main calls."""
     parser = argparse.ArgumentParser(
         prog="duffing-melnikov",
         description="Melnikov functions of cubic perturbations of the Duffing "

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from .abelian import orbit_period, period_vector
@@ -112,14 +111,24 @@ def oval_section(h: float, annulus: Annulus, phase: float = 0.0) -> Section:
     return Section(point=z, normal=(vx / norm, vy / norm))
 
 
+def _cubic(c: np.ndarray):
+    """Scalar cubic p(x, y) in polyval2d's operation order, so flows match it bit for bit."""
+    (a00, a01, a02, a03), (a10, a11, a12, _), (a20, a21, _, _), (a30, _, _, _) = c.tolist()
+
+    def p(x, y):
+        return (((a03 * y + (a12 * x + a02)) * y + ((a21 * x + a11) * x + a01)) * y
+                + (((a30 * x + a20) * x + a10) * x + a00))
+
+    return p
+
+
 def _perturbed_rhs(params: PerturbationParams, epsilon: float):
-    cf = params.coeff_grid("lambda1") + epsilon * params.coeff_grid("lambda2")
-    cg = params.coeff_grid("gamma1") + epsilon * params.coeff_grid("gamma2")
+    f = _cubic(params.coeff_grid("lambda1") + epsilon * params.coeff_grid("lambda2"))
+    g = _cubic(params.coeff_grid("gamma1") + epsilon * params.coeff_grid("gamma2"))
 
     def rhs(t, z):
-        x, y = z
-        return (y + epsilon * npoly.polyval2d(x, y, cf),
-                x - x * x * x + epsilon * npoly.polyval2d(x, y, cg))
+        x, y = z.tolist()
+        return (y + epsilon * f(x, y), x - x * x * x + epsilon * g(x, y))
 
     return rhs
 

@@ -78,6 +78,26 @@ def test_oracle_needs_parameters(capsys):
     assert cli.main(["oracle", "--h", "-0.125"]) == 2
 
 
+def _config_h(out: str) -> list[float]:
+    line = next(line for line in out.splitlines() if line.startswith("# config "))
+    return json.loads(line[len("# config "):])["h"]
+
+
+def test_repeated_main_calls_share_no_parse_state(capsys):
+    # main reuses one parser: --h append lists and usage errors must not carry
+    # over from one call to the next
+    assert cli.main(["eval", "--annulus", "exterior", "--h", "0.5", "--h", "1"]) == 0
+    assert _config_h(capsys.readouterr().out) == [0.5, 1.0]
+    assert cli.main(["eval", "--annulus", "exterior", "--h", "2"]) == 0
+    assert _config_h(capsys.readouterr().out) == [2.0]
+    assert cli.main(["eval", "--annulus", "exterior"]) == 0
+    assert _config_h(capsys.readouterr().out) == [0.4, 1.0, 2.5]
+    assert cli.main(["eval", "--annulus", "exterior", "--no-such-flag"]) == 2
+    assert cli.main(["eval", "--annulus", "exterior", "--h", "2"]) == 0
+    assert _config_h(capsys.readouterr().out) == [2.0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_order_two_table_needs_constraint(capsys, tmp_path):
     rng = np.random.default_rng(0)
     path = _write_params(tmp_path / "q.json", PerturbationParams.random(rng))

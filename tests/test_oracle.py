@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import solve_ivp
 
 from duffing_melnikov.abelian import orbit_period, period_vector
 from duffing_melnikov.geometry import Annulus, hamiltonian
@@ -18,7 +21,11 @@ from duffing_melnikov.oracle import (
     DEFAULT_EPS_LIST,
     DisplacementSample,
     EscapeError,
+    _FLOW_ATOL,
+    _FLOW_RTOL,
+    _cubic,
     _fit_core,
+    _perturbed_rhs,
     displacement,
     displacement_sign,
     flow,
@@ -113,3 +120,71 @@ def test_fit_core_recovers_synthetic_cubic():
     assert coef[2] == pytest.approx(a3, rel=1e-10)
     assert np.all(err < 1e-8)
     assert cond < 1e12
+
+
+# ---------------------------------------------------------------------------
+# the hand-expanded right-hand side reproduces polyval2d bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _polyval_rhs(params, epsilon):
+    # the flow right-hand side written with numpy's 2-D polynomial evaluator
+    cf = params.coeff_grid("lambda1") + epsilon * params.coeff_grid("lambda2")
+    cg = params.coeff_grid("gamma1") + epsilon * params.coeff_grid("gamma2")
+
+    def rhs(t, z):
+        x, y = z
+        return (y + epsilon * npoly.polyval2d(x, y, cf),
+                x - x * x * x + epsilon * npoly.polyval2d(x, y, cg))
+
+    return rhs
+
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -3.0]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+_eps = st.one_of(st.sampled_from([0.0] + [s * e for e in DEFAULT_EPS_LIST for s in (1, -1)]),
+                 st.floats(-0.05, 0.05, allow_nan=False))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), epsilon=_eps,
+       points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+def test_cubic_equals_polyval2d_exactly(seed, epsilon, points):
+    params = PerturbationParams.random(np.random.default_rng(seed))
+    fast, reference = _perturbed_rhs(params, epsilon), _polyval_rhs(params, epsilon)
+    for tier1, tier2 in (("lambda1", "lambda2"), ("gamma1", "gamma2")):
+        c = params.coeff_grid(tier1) + epsilon * params.coeff_grid(tier2)
+        p = _cubic(c)
+        for x, y in points:
+            assert p(x, y) == npoly.polyval2d(x, y, c)
+    for x, y in points:
+        z = np.array([x, y])
+        assert fast(0.0, z) == reference(0.0, z)
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_RIGHT, -0.125),
+    (Annulus.EXTERIOR, 1.0),
+])
+def test_flow_end_state_equals_a_polyval2d_integration(annulus, h):
+    # the oracle's return point and time are the floats a polyval2d
+    # right-hand side gives under the same solver, tolerances and event
+    params = PerturbationParams.random(np.random.default_rng(7), scale=0.5)
+    epsilon = DEFAULT_EPS_LIST[0]
+    sec = oval_section(h, annulus)
+    T0 = orbit_period(h, annulus)
+    t_min, t_max = 0.5 * T0, 3.0 * T0 + 10.0
+    end, t_ret = flow(sec.point, params, epsilon, sec, t_min=t_min, t_max=t_max)
+
+    def event(t, z):
+        return sec.crossing(t, z)
+
+    event.direction = 1.0
+    sol = solve_ivp(_polyval_rhs(params, epsilon), (0.0, t_max), sec.point,
+                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=[event])
+    anchor = np.asarray(sec.point)
+    guard = 0.5 * (1.0 + math.hypot(*sec.point))
+    t_ref, z_ref = next((t, z) for t, z in zip(sol.t_events[0], sol.y_events[0])
+                        if t > t_min and np.hypot(*(z - anchor)) < guard)
+    assert t_ret == t_ref
+    assert end.tolist() == z_ref.tolist()
