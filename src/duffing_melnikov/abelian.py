@@ -8,9 +8,18 @@ taken with the orientation of the flow, so I_0(h) > 0 equals the area
 enclosed by the oval.  Their h-derivatives are I_k'(h) = contour integral of
 x^k / y dx; in particular I_0'(h) is the period of the orbit.
 
-On the real annuli everything is evaluated by endpoint-singular quadrature.
-In the complex h-plane the pair (I_0, I_2) satisfies a first-order linear
-system (the Picard-Fuchs system)
+There are three routes to these values, and the tests compare them.
+
+Quadrature: on the real annuli, endpoint-singular quadrature of the oval
+integrals themselves (period_vector and friends).
+
+Closed form: with u = x^2 every period is a complete elliptic integral in
+Carlson's symmetric form (closed_form).  It is the evaluator of the zero
+counts, the root scans (RealPeriodTable), the cut boundary values and the
+nonvanishing survey, at real or complex levels.
+
+Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
+Picard-Fuchs system)
 
     I_0 = (4/3) h I_0' + (1/3) I_2'
     I_2 = (4/15) h I_0' + (4h/5 + 4/15) I_2'
@@ -20,30 +29,27 @@ whose inverted form
     I_0' = ((12h + 4) I_0 - 5 I_2) / (4h (4h + 1))
     I_2' = (5 I_2 - I_0) / (4h + 1)
 
-is regular except at h = 0 and h = -1/4.  Analytic continuation is done by
-transporting (I_0, I_2) along polylines with a high-order ODE integrator;
-I_1 needs no transport because on an interior lobe it is exactly linear,
+is regular except at h = 0 and h = -1/4.  transport_table and
+continue_complex integrate it along polylines from quadrature values at a
+real base point; they serve as the independent check of the closed form.
+I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
-One segment integrator serves every transport: complex paths (PathTable),
-which keep MIN_CLEARANCE from the singular levels, and the real-axis table
-of the root scans (RealPeriodTable), two real segments from the base point
-that run to within 1e-7 of them.
 
 The natural single-valuedness domains are the cut planes C minus [0, +inf)
 for the interior families and C minus (-inf, 0] for the exterior family;
-boundary values on the two sides of a cut are obtained by transporting to
-h +- i*eta and extrapolating eta -> 0.
+the closed form is analytic there, and its values at h +- 1e-15 i are the
+boundary values on the two sides of a cut.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import elliprd, elliprf
 
 from .geometry import Annulus, DomainError, branch_points, oval_smooth_factor
 from .quadrature import integrate_endpoint_sqrt, integrate_smooth
@@ -61,6 +67,7 @@ __all__ = [
     "period_vector",
     "i1_slope",
     "reduce_moment",
+    "closed_form",
     "continue_complex",
     "transport_table",
     "PathTable",
@@ -228,6 +235,49 @@ def _i1_at(h, annulus: Annulus):
 
 
 # ---------------------------------------------------------------------------
+# closed form in Carlson symmetric integrals
+# ---------------------------------------------------------------------------
+
+
+def closed_form(h, annulus: Annulus):
+    """(I_0, I_1, I_2, I_0', I_2') at real or complex levels h, vectorized.
+
+    With u = x^2 the oval runs between roots of (a - u)(u - b) u, where
+    s = sqrt(1 + 4h) and a, b = 1 +- s.  For roots e1 > e2 > e3 write
+
+        J0 = 2 R_F(0, e2 - e3, e1 - e3)
+        J1 = (2/3) (e1 - e2)(e1 - e3) R_D(0, e2 - e3, e1 - e3)
+
+    (Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.29).  Interior:
+    I_0' = sqrt(2) J0 and I_2' = sqrt(2) (a J0 - J1) on (e1, e2, e3) =
+    (a, b, 0); exterior: the same on (a, 0, b) with the factor 2 sqrt(2).
+    I_0 and I_2 follow from the Picard-Fuchs relations, which in terms of
+    F = R_F and D = R_D reduce to
+
+        I_0 = (2/3) c a s G,   I_2 = (2/15) c a s (G + s (3 F - 2 s D)),
+
+    with G = F - (2/3) D and c the factor above.  Taking the factor s out by
+    hand keeps the relative accuracy of I_0 and I_2 near the centre level
+    -1/4, where both vanish like s^2.  scipy's principal branches give the
+    values on the annulus's own cut plane; I_1 is the exact linear form.
+    Real levels inside the annulus give real arrays.
+    """
+    h = np.asarray(h)
+    s = np.sqrt(1.0 + 4.0 * h)
+    a, b = 1.0 + s, 1.0 - s
+    if annulus is Annulus.EXTERIOR:
+        f, d, c = elliprf(0.0, -b, a - b), elliprd(0.0, -b, a - b), 2.0 * math.sqrt(2.0)
+    else:
+        f, d, c = elliprf(0.0, b, a), elliprd(0.0, b, a), math.sqrt(2.0)
+    g = f - (2.0 / 3.0) * d
+    i0 = (2.0 / 3.0) * c * a * s * g
+    i2 = (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d))
+    d0 = 2.0 * c * f
+    d2 = 2.0 * c * a * (f - (2.0 / 3.0) * s * d)
+    return i0, _i1_at(h, annulus), i2, d0, d2
+
+
+# ---------------------------------------------------------------------------
 # moment reduction
 # ---------------------------------------------------------------------------
 
@@ -324,8 +374,8 @@ class PathTable:
 
     The polyline is parameterized by s in [0, n_segments]; segment k covers
     [k, k+1] linearly.  values_at(s) evaluates (h, I_0, I_1, I_2) anywhere on
-    the polyline from the stored dense ODE solutions, so a single transport
-    serves any number of later evaluations (contour sampling, refinement).
+    the polyline from the stored dense ODE solutions, so one transport can
+    be compared with the closed form at any number of points.
     """
 
     annulus: Annulus
@@ -360,25 +410,6 @@ class PathTable:
         return h[0], i0[0], i1[0], i2[0]
 
 
-def _transport(vertices: list[complex], annulus: Annulus) -> PathTable:
-    """Transport from quadrature values at vertices[0], with no path checks."""
-    base = period_vector(vertices[0].real, annulus)
-    i0, i2 = complex(base.i0), complex(base.i2)
-    solutions = []
-    cleaned = []
-    z_prev = vertices[0]
-    for z in vertices[1:]:
-        if z == z_prev:
-            continue
-        (i0, i2), sol = _transport_segment(z_prev, z, i0, i2)
-        solutions.append(sol)
-        cleaned.append(z_prev)
-        z_prev = z
-    cleaned.append(z_prev)
-    return PathTable(annulus=annulus, vertices=cleaned, solutions=solutions,
-                     i1_coef=i1_slope(annulus))
-
-
 def transport_table(path, annulus: Annulus) -> PathTable:
     """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
 
@@ -393,7 +424,21 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     if abs(start.imag) > 1e-14 or not annulus.contains(start.real):
         raise PathError(f"path must start at a real level inside the annulus, got {start}")
     _check_path(vertices)
-    return _transport(vertices, annulus)
+    base = period_vector(start.real, annulus)
+    i0, i2 = complex(base.i0), complex(base.i2)
+    solutions = []
+    cleaned = []
+    z_prev = start
+    for z in vertices[1:]:
+        if z == z_prev:
+            continue
+        (i0, i2), sol = _transport_segment(z_prev, z, i0, i2)
+        solutions.append(sol)
+        cleaned.append(z_prev)
+        z_prev = z
+    cleaned.append(z_prev)
+    return PathTable(annulus=annulus, vertices=cleaned, solutions=solutions,
+                     i1_coef=i1_slope(annulus))
 
 
 def continue_complex(h_target: complex, path=None,
@@ -425,25 +470,14 @@ def continue_complex(h_target: complex, path=None,
 # boundary values on the cut
 # ---------------------------------------------------------------------------
 
-_CUT_DETOUR = 0.35  # imaginary offset of the dog-leg used to reach cut points
-_CUT_ETA = 1e-3     # largest offset from the cut in the eta -> 0 extrapolation
-_CUT_LEVELS = 3     # offsets _CUT_ETA / 2^j for j < 3, fitted by a quadratic
-
-
-def _cut_path(h: float, eta: float, annulus: Annulus, upper: bool) -> list[complex]:
-    base = BASE_POINTS[annulus]
-    sign = 1.0 if upper else -1.0
-    lift = sign * 1j * _CUT_DETOUR
-    return [base, base + lift, h + lift, h + sign * 1j * eta]
-
-
 def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     """Boundary values (plus side, minus side) of the periods on the branch cut.
 
     The cut is [0, +inf) for the interior families and (-inf, 0] for the
-    exterior one.  Each side is computed by transporting to h + i*eta/2^j for
-    eta = 1e-3, j = 0, 1, 2 and extrapolating quadratically to eta = 0.  For
-    real coefficients the two sides are complex conjugates; both are computed
+    exterior one.  Each side is the closed form at h +- 1e-15 i: a signed
+    zero imaginary part does not select a side, an offset this small does
+    and moves the values by far less than their rounding error.  For real
+    coefficients the two sides are complex conjugates; both are computed
     independently so that tests can check this rather than assume it.
     """
     h = float(h)
@@ -456,20 +490,11 @@ def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     if abs(h) < MIN_CLEARANCE or abs(h + 0.25) < MIN_CLEARANCE:
         raise PathError(
             f"cut point h={h} within the clearance {MIN_CLEARANCE} of a singular level")
-    etas = [_CUT_ETA / 2 ** j for j in range(_CUT_LEVELS)]
-    results = []
-    for upper in (True, False):
-        vals = []
-        for e in etas:
-            pv = continue_complex(h + (1j * e if upper else -1j * e),
-                                  path=_cut_path(h, e, annulus, upper), annulus=annulus)
-            vals.append((pv.i0, pv.i2))
-        x = np.asarray(etas)
-        i0 = np.polyval(np.polyfit(x, np.asarray([v[0] for v in vals]), _CUT_LEVELS - 1), 0.0)
-        i2 = np.polyval(np.polyfit(x, np.asarray([v[1] for v in vals]), _CUT_LEVELS - 1), 0.0)
-        results.append(PeriodVector(h=h, annulus=annulus, i0=i0,
-                                    i1=complex(_i1_at(h, annulus)), i2=i2))
-    return results[0], results[1]
+    i0, _, i2, _, _ = closed_form(h + np.array([1e-15j, -1e-15j]), annulus)
+    i1 = complex(_i1_at(h, annulus))
+    plus, minus = (PeriodVector(h=h, annulus=annulus, i0=complex(i0[k]), i1=i1,
+                                i2=complex(i2[k])) for k in (0, 1))
+    return plus, minus
 
 
 def wronskian_cut(h: float) -> complex:
@@ -484,53 +509,32 @@ def wronskian_cut(h: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# real-axis dense tables (fast repeated evaluation for scans and fits)
+# real-axis evaluation for the root scans
 # ---------------------------------------------------------------------------
 
 
 class RealPeriodTable:
-    """Dense (I_0, I_1, I_2) on the real interval of an annulus.
+    """(I_0, I_1, I_2) on the real interval of an annulus, for root scans.
 
-    The table covers the interval up to 1e-7 from the singular levels, and
-    up to h = 12 on the exterior annulus (past the default contour radius).
-
-    Built from two one-segment PathTables, base point -> h_min and base
-    point -> h_max, transported once by the same integrator as every
-    complex path; evaluation anywhere in the covered range is then an
-    interpolant lookup.  The segments end inside MIN_CLEARANCE, so they skip
-    the path check of transport_table: the singular levels are the ends of
-    the real interval, not points a segment passes.  Intended for root scans
-    and grids where per-point quadrature would dominate the runtime.
+    Covers the interval up to 1e-7 from the singular levels, and up to
+    h = 12 on the exterior annulus (past the default contour radius);
+    values are the closed form.
     """
 
     def __init__(self, annulus: Annulus):
-        base = BASE_POINTS[annulus]
         if annulus is Annulus.EXTERIOR:
             self.h_min, self.h_max = 1e-7, 12.0
         else:
             self.h_min, self.h_max = -0.25 + 1e-7, -1e-7
         self._annulus = annulus
-        self._base = base
-        self._down = _transport([complex(base), complex(self.h_min)], annulus)
-        self._up = _transport([complex(base), complex(self.h_max)], annulus)
 
     def values(self, h):
         """(I_0, I_1, I_2) arrays at real levels h inside the covered range."""
         h = np.atleast_1d(np.asarray(h, dtype=float))
         if np.any(h < self.h_min - 1e-12) or np.any(h > self.h_max + 1e-12):
             raise DomainError(f"level outside table range [{self.h_min}, {self.h_max}]")
-        h = np.clip(h, self.h_min, self.h_max)
-        i0 = np.empty(h.shape)
-        i2 = np.empty(h.shape)
-        lo_mask = h <= self._base
-        for mask, end, table in ((lo_mask, self.h_min, self._down),
-                                 (~lo_mask, self.h_max, self._up)):
-            if np.any(mask):
-                s = (h[mask] - self._base) / (end - self._base)
-                _, t0, _, t2 = table.values_at(s)
-                i0[mask] = t0.real
-                i2[mask] = t2.real
-        return i0, _i1_at(h, self._annulus), i2
+        i0, i1, i2, _, _ = closed_form(np.clip(h, self.h_min, self.h_max), self._annulus)
+        return i0, i1, i2
 
 
 # ---------------------------------------------------------------------------
@@ -613,22 +617,19 @@ def saddle_log_fit() -> tuple[float, float]:
     return float(coef[5]), float(coef[6])
 
 
-def exterior_slope(corrected: bool = True) -> tuple[float, float]:
+def exterior_slope() -> tuple[float, float]:
     """Log-log growth exponent of the exterior I_0 (expected 3/4) and amplitude.
 
     The expansion at infinity is I_0 = C h^(3/4) (1 + c h^(-1/2) + ...); the
-    h^(-1/2) term shifts a plain least-squares slope on [1e2, 1e6] by about
-    3e-3, so by default the fit includes that correction column, after which
-    the residual slope error is at the 1e-5 level.  The fit uses 17
-    log-spaced levels.
+    h^(-1/2) term would shift a plain least-squares slope on [1e2, 1e6] by
+    about 3e-3, so the fit includes that correction column, after which the
+    residual slope error is at the 1e-5 level.  The fit uses 17 log-spaced
+    levels.
     """
     hs = np.logspace(2.0, 6.0, 17)
     vals = np.array([oval_integral(0, h, Annulus.EXTERIOR) for h in hs])
     lh, lv = np.log(hs), np.log(vals)
-    if corrected:
-        cols = np.column_stack([lh, np.ones_like(lh), 1.0 / np.sqrt(hs)])
-    else:
-        cols = np.column_stack([lh, np.ones_like(lh)])
+    cols = np.column_stack([lh, np.ones_like(lh), 1.0 / np.sqrt(hs)])
     coef, *_ = np.linalg.lstsq(cols, lv, rcond=None)
     return float(coef[0]), float(math.exp(coef[1]))
 
@@ -656,29 +657,18 @@ def nonvanishing_grid(R: float = 10.0, n_radial: int = 20, n_angular: int = 20,
                       r_min: float = 2e-3, angle_margin: float = 0.05):
     """Minima of |I_0| and |I_0'| (normalized by |h|^(3/4)) over the cut disc.
 
-    Transports the exterior periods along n_angular rays of the disc |h| <= R
-    (angles kept away from the cut (-inf, 0] by angle_margin) and samples
+    Evaluates the exterior closed form on n_angular rays of the disc
+    |h| <= R (angles kept away from the cut (-inf, 0] by angle_margin) at
     n_radial log-spaced radii on each.  Returns (min |I_0|/|h|^(3/4),
     min |I_0'|/|h|^(3/4), rows) with one row (h, normalized |I_0|,
     normalized |I_0'|) per grid point.
     """
-    base = BASE_POINTS[Annulus.EXTERIOR]
     radii = np.logspace(math.log10(r_min), math.log10(R), n_radial)
     angles = np.linspace(-math.pi + angle_margin, math.pi - angle_margin, n_angular)
-    rows = []
-    for theta in angles:
-        arc = [R * cmath.exp(1j * t) for t in np.linspace(0.0, theta, max(8, int(64 * abs(theta) / math.pi)) + 1)]
-        path = [base, complex(R)] + arc[1:] + [r_min * cmath.exp(1j * theta)]
-        table = transport_table(path, Annulus.EXTERIOR)
-        # the inward radial segment is the last one
-        seg = len(table.solutions) - 1
-        z0, z1 = table.vertices[seg], table.vertices[seg + 1]
-        s = seg + (radii * cmath.exp(1j * theta) - z0) / (z1 - z0)
-        s = np.clip(s.real, seg, seg + 1)
-        h, i0, _, i2 = table.values_at(s)
-        d0, _ = derivative_pair(h, i0, i2)
-        norm = np.abs(h) ** 0.75
-        rows.extend(zip(h.tolist(), (np.abs(i0) / norm).tolist(), (np.abs(d0) / norm).tolist()))
+    h = (np.exp(1j * angles)[:, None] * radii).ravel()
+    i0, _, _, d0, _ = closed_form(h, Annulus.EXTERIOR)
+    norm = np.abs(h) ** 0.75
+    rows = list(zip(h.tolist(), (np.abs(i0) / norm).tolist(), (np.abs(d0) / norm).tolist()))
     min_i0 = min(r[1] for r in rows)
     min_d0 = min(r[2] for r in rows)
     return min_i0, min_d0, rows

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .abelian import (
-    RealPeriodTable,
     asymptotics_check,
+    continue_complex,
     derivative_pair,
     nonvanishing_grid,
     oval_integral,
@@ -73,12 +73,12 @@ def moment_reduction(annuli) -> dict:
 
 
 def picard_fuchs_matrix(annuli) -> dict:
-    """Transported period tables against per-point quadrature."""
+    """Picard-Fuchs transport from the base point against per-point quadrature."""
     worst = 0.0
     for annulus in annuli:
-        table = RealPeriodTable(annulus)
         for h in _grid_for(annulus, 6):
-            i0t, _, i2t = (float(v[0]) for v in table.values(h))
+            pv = continue_complex(h, annulus=annulus)
+            i0t, i2t = pv.i0.real, pv.i2.real
             i0q = oval_integral(0, h, annulus)
             i2q = oval_integral(2, h, annulus)
             worst = max(worst, abs(i0t - i0q) / (1.0 + abs(i0q)),

@@ -6,7 +6,7 @@ coeffs   closed-form Melnikov coefficient tables for one parameter set, with
          the vanishing residuals, the legacy-table deviations, and a
          quadrature agreement column
 verify   structural checks of the period integrals: system-matrix residuals
-         on level grids, moment reductions, transported tables against
+         on level grids, moment reductions, Picard-Fuchs transport against
          quadrature, linearity of the odd moment, saddle and large-h
          asymptotics, nonvanishing over the cut disc, and the
          boundary-value Wronskian jump

@@ -7,14 +7,16 @@ The number of zeros of an analytic function inside the cut disc
 equals, by the argument principle, the winding of the function's argument
 around the boundary of D_R.  This module builds that boundary as a keyhole
 polyline (big circle, two cut sides at height eta, small polygon around the
-puncture), transports the period basis along it once, and then counts zeros
-of any bifurcation form by sampling its phase with adaptive refinement.
+puncture) and counts zeros of any bifurcation form by sampling its phase
+along it with adaptive refinement.  Every period value, on the loop and on
+the real scan, is the closed form abelian.closed_form; no Picard-Fuchs
+transport runs here.
 
 Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
 parameters, and the levels where the periods are read do not depend on the
 parameters.  So the periods are evaluated once and cached: the contour
-table holds the transported basis and its values at the initial samples,
-and the real scan holds its grid, the 9-point window around each grid point
+table holds the loop and the periods at its initial samples, and the real
+scan holds its grid, the 9-point window around each grid point
 and the periods at all of those points.  A draw then only evaluates its
 polynomials against cached values; the bisection midpoints of the phase
 refinement and the steps of root polishing are the only periods evaluated
@@ -49,13 +51,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .abelian import (
-    BASE_POINTS,
-    MIN_CLEARANCE,
-    PathTable,
-    RealPeriodTable,
-    transport_table,
-)
+from .abelian import MIN_CLEARANCE, RealPeriodTable, closed_form
 from .geometry import Annulus
 from .melnikov import (
     MelnikovForm,
@@ -93,7 +89,7 @@ _N_CIRCLE = 256          # polygon edges on the big circle
 _N_PUNCT = 64            # polygon edges around the puncture
 _N_SLIT = 160            # log-spaced samples per cut side
 _INTEGRALITY_TOL = 0.1   # max deviation of the phase sum from an integer turn
-_CLOSURE_TOL = 1e-8      # relative mismatch of the transported loop endpoints
+_CLOSURE_TOL = 1e-8      # relative mismatch of the counting function at the loop ends
 _MAX_REFINE = 40
 _MAX_SAMPLES = 300_000
 _DEGENERATE_TOL = 1e-14
@@ -120,7 +116,9 @@ class ZeroCertificate:
     real_roots holds (location, bracket width) pairs from sign changes on
     the physical interval; suspect_roots are near-tangencies flagged by the
     local-minimum heuristic but not counted.  winding is the certified
-    complex zero count in D_R, to be compared against bound.
+    complex zero count in D_R, to be compared against bound.  closure_error
+    compares the counting function at the two ends of the loop, which are
+    the same level; with closed-form periods it reads 0.
     """
 
     annulus: Annulus
@@ -164,25 +162,37 @@ class ZeroCertificate:
 
 @dataclass
 class ContourTable:
-    """One transported keyhole boundary, reusable across parameter draws.
+    """One keyhole boundary and its periods, reusable across parameter draws.
 
-    init_values caches table.values_at(s_init), the periods at the initial
-    samples, which do not depend on the parameters.  values_at evaluates
-    point by point, so these are the floats a per-draw evaluation would
-    return.  s_init and init_values are read-only: every later draw reads
-    them.
+    The loop polyline is parameterized by s in [0, len(vertices) - 1];
+    segment k covers [k, k+1] linearly.  values_at maps s to its level h on
+    the polyline and evaluates the closed-form periods there, point by
+    point.  init_values caches values_at(s_init), the periods at the initial
+    samples, which do not depend on the parameters; they are the floats a
+    per-draw evaluation would return.  vertices, s_init and init_values are
+    read-only: every later draw reads them.
     """
 
     annulus: Annulus
     R: float
     eta: float
     rho: float
-    rho_arc: float
-    table: PathTable
-    s_loop: tuple        # parameter range of the closed boundary
-    s_circle: tuple      # parameter sub-range of the big-circle portion
-    s_init: np.ndarray   # initial sample parameters over s_loop
-    init_values: tuple   # (h, I_0, I_1, I_2) at s_init
+    vertices: np.ndarray  # closed loop, first == last
+    s_circle: tuple       # parameter sub-range of the big-circle portion
+    s_init: np.ndarray    # initial sample parameters over the whole loop
+    init_values: tuple = dataclasses.field(init=False)  # (h, I_0, I_1, I_2) at s_init
+
+    def __post_init__(self):
+        self.init_values = tuple(_read_only(x) for x in self.values_at(self.s_init))
+
+    def values_at(self, s):
+        """(h, I_0, I_1, I_2) arrays at loop parameters s (ascending or not)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        k = np.minimum(np.floor(s).astype(int), self.vertices.size - 2)
+        t = s - k
+        h = (1.0 - t) * self.vertices[k] + t * self.vertices[k + 1]
+        i0, i1, i2, _, _ = closed_form(h, self.annulus)
+        return h, i0, i1, i2
 
 
 def _validate_contour(R: float, eta: float, rho: float) -> None:
@@ -198,13 +208,12 @@ def _validate_contour(R: float, eta: float, rho: float) -> None:
 
 def keyhole_vertices(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
                      rho: float = 1e-3):
-    """Entry polyline and closed keyhole boundary for the cut disc.
+    """Closed keyhole boundary of the cut disc.
 
-    Returns (entry, loop): entry leads from the annulus base point to the
-    loop's start vertex without approaching the singular levels; loop lists
-    the boundary vertices counterclockwise around D_R, first == last.  The
-    puncture polygon is circumscribed (vertex radius rho/cos(pi/n)), so its
-    chords keep distance >= rho from the origin.
+    Lists the boundary vertices counterclockwise around D_R, first == last,
+    starting on a cut side next to the puncture.  The puncture polygon is
+    circumscribed (vertex radius rho/cos(pi/n)), so its chords keep
+    distance >= rho from the origin.
     """
     _validate_contour(R, eta, rho)
     rho_arc = rho / math.cos(math.pi / _N_PUNCT)
@@ -212,11 +221,9 @@ def keyhole_vertices(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
     x_R = math.sqrt(R ** 2 - eta ** 2)
     th0 = math.asin(eta / rho_arc)
     thR = math.asin(eta / R)
-    base = BASE_POINTS[annulus]
     if annulus is Annulus.EXTERIOR:
         # cut along (-inf, 0]; boundary starts just below the cut near 0
         start = complex(-x_rho, -eta)
-        entry = [complex(base), complex(-x_rho, -3.0 * eta), start]
         circle = np.linspace(-math.pi + thR, math.pi - thR, _N_CIRCLE + 1)
         punct = np.linspace(math.pi - th0, th0 - math.pi, _N_PUNCT + 1)
         loop = [start, complex(-x_R, -eta)]
@@ -226,7 +233,6 @@ def keyhole_vertices(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
     else:
         # cut along [0, inf); boundary starts just above the cut near 0
         start = complex(x_rho, eta)
-        entry = [complex(base), complex(x_rho, 3.0 * eta), start]
         circle = np.linspace(thR, 2.0 * math.pi - thR, _N_CIRCLE + 1)
         punct = np.linspace(-th0, th0 - 2.0 * math.pi, _N_PUNCT + 1)
         loop = [start, complex(x_R, eta)]
@@ -234,20 +240,18 @@ def keyhole_vertices(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
         loop += [complex(x_rho, -eta)]
         loop += [rho_arc * complex(math.cos(t), math.sin(t)) for t in punct[1:]]
     loop[-1] = start
-    return entry, loop
+    return loop
 
 
-def _initial_samples(n_entry: int, loop) -> np.ndarray:
+def _initial_samples(loop) -> np.ndarray:
     """Vertex + midpoint samples, densified log-toward-origin on the cut sides."""
-    s0 = float(n_entry)
     n_loop = len(loop) - 1
-    samples = [s0 + np.arange(n_loop + 1, dtype=float),
-               s0 + np.arange(n_loop) + 0.5]
+    samples = [np.arange(n_loop + 1, dtype=float), np.arange(n_loop) + 0.5]
     for k in (0, 1 + _N_CIRCLE):  # the two cut-side segments
         a, b = loop[k].real, loop[k + 1].real
         x = np.geomspace(abs(a), abs(b), _N_SLIT) * math.copysign(1.0, a)
         t = np.clip((x - a) / (b - a), 0.0, 1.0)
-        samples.append(s0 + k + t)
+        samples.append(k + t)
     return np.unique(np.concatenate(samples))
 
 
@@ -261,24 +265,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
                   rho: float = 1e-3) -> ContourTable:
-    """Transport the period basis along the keyhole boundary (cached)."""
+    """The keyhole loop of the cut disc and its periods at the initial samples (cached)."""
     key = (annulus, float(R), float(eta), float(rho))
     hit = _CONTOUR_CACHE.get(key)
     if hit is not None:
         return hit
-    entry, loop = keyhole_vertices(annulus, R, eta, rho)
-    vertices = entry + loop[1:]
-    table = transport_table(vertices, annulus)
-    n_entry = len(entry) - 1
-    s_loop = (float(n_entry), float(len(vertices) - 1))
-    s_circle = (s_loop[0] + 1.0, s_loop[0] + 1.0 + _N_CIRCLE)
-    s_init = _initial_samples(n_entry, loop)
-    ct = ContourTable(annulus=annulus, R=float(R), eta=float(eta),
-                      rho=float(rho),
-                      rho_arc=rho / math.cos(math.pi / _N_PUNCT),
-                      table=table, s_loop=s_loop, s_circle=s_circle,
-                      s_init=_read_only(s_init),
-                      init_values=tuple(_read_only(x) for x in table.values_at(s_init)))
+    loop = keyhole_vertices(annulus, R, eta, rho)
+    ct = ContourTable(annulus=annulus, R=float(R), eta=float(eta), rho=float(rho),
+                      vertices=_read_only(np.asarray(loop)),
+                      s_circle=(1.0, 1.0 + _N_CIRCLE),
+                      s_init=_read_only(_initial_samples(loop)))
     _CONTOUR_CACHE[key] = ct
     return ct
 
@@ -325,7 +321,7 @@ def _refined_phase(ct: ContourTable, form: MelnikovForm, s: np.ndarray,
         if s.size + idx.size > _MAX_SAMPLES:
             break
         s_new = 0.5 * (s[idx] + s[idx + 1])
-        h, i0, i1, i2 = ct.table.values_at(s_new)
+        h, i0, i1, i2 = ct.values_at(s_new)
         v_new = _counting_values(form, h, i0, i1, i2)
         pos = np.searchsorted(s, s_new)
         s = np.insert(s, pos, s_new)

@@ -1,9 +1,9 @@
 """Tests for the oval integrals, their linear relations, and continuation.
 
-Everything here is cross-checked against direct quadrature: the period
-system, the moment reductions, the transported complex values, the
-boundary values on the cuts, and the asymptotic constants all have an
-independent numerical route, and the tests compare the two.
+Everything here is cross-checked against an independent route: the period
+system, the moment reductions, the closed form, the transported complex
+values and the asymptotic constants against direct quadrature, and the
+closed form at complex levels against Picard-Fuchs transport.
 """
 
 import cmath
@@ -24,6 +24,7 @@ from duffing_melnikov.abelian import (
     RealPeriodTable,
     _check_path,
     asymptotics_check,
+    closed_form,
     continue_complex,
     cut_values,
     derivative_pair,
@@ -332,7 +333,63 @@ def test_wronskian_is_constant_multiple_on_each_interval():
 
 
 # ---------------------------------------------------------------------------
-# dense real tables
+# closed form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_closed_form_matches_quadrature(annulus):
+    # includes a level 1e-6 above the centre, where I_0 and I_2 vanish like
+    # (h + 1/4) and only a cancellation-free formula keeps relative accuracy
+    levels = _levels(annulus)
+    if annulus is not Annulus.EXTERIOR:
+        levels = (-0.25 + 1e-6,) + levels
+    for h in levels:
+        i0, i1, i2, d0, d2 = (float(v) for v in closed_form(h, annulus))
+        pv = period_vector(h, annulus)
+        assert i0 == pytest.approx(pv.i0, rel=1e-12, abs=0.0)
+        assert i1 == pytest.approx(pv.i1, rel=1e-12, abs=1e-13)
+        assert i2 == pytest.approx(pv.i2, rel=1e-12, abs=0.0)
+        assert d0 == pytest.approx(oval_integral_dh(0, h, annulus), rel=1e-12, abs=0.0)
+        assert d2 == pytest.approx(oval_integral_dh(2, h, annulus), rel=1e-12, abs=0.0)
+
+
+def test_closed_form_is_vectorized_and_real_on_real_levels():
+    hs = np.array(EXTERIOR_LEVELS)
+    values = closed_form(hs, Annulus.EXTERIOR)
+    for k, h in enumerate(hs):
+        single = closed_form(h, Annulus.EXTERIOR)
+        for vec, one in zip(values, single):
+            assert vec.dtype == np.float64
+            assert vec[k] == one
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+def test_closed_form_matches_continuation(annulus):
+    # complex levels in both half planes, reached by transport along
+    # straight paths from the base point
+    for h in (0.5 + 2j, -3.0 + 0.5j, -0.1 - 0.3j, 4.0 - 6j):
+        if annulus is not Annulus.EXTERIOR and h.real > 0:
+            h = -h.conjugate()
+        pv = continue_complex(h, annulus=annulus)
+        i0, i1, i2, d0, d2 = closed_form(h, annulus)
+        e0, e2 = derivative_pair(h, pv.i0, pv.i2)
+        for got, ref in ((i0, pv.i0), (i1, pv.i1), (i2, pv.i2), (d0, e0), (d2, e2)):
+            assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_cut_wronskian_constants_are_exact():
+    # W / (h (4h+1)) across the exterior cut is 128 pi/15 i on (-1/4, 0)
+    # and half of that below -1/4
+    for hs, const in (((-0.24, -0.2, -0.1, -0.01, -0.002), 128j * math.pi / 15.0),
+                      ((-0.26, -0.6, -2.0, -8.0, -50.0), 64j * math.pi / 15.0)):
+        for h in hs:
+            w = wronskian_cut(h) / (h * (4.0 * h + 1.0))
+            assert abs(w - const) <= 1e-10 * abs(const)
+
+
+# ---------------------------------------------------------------------------
+# real-axis table of the root scans
 # ---------------------------------------------------------------------------
 
 
@@ -353,7 +410,7 @@ def test_real_table_matches_quadrature(annulus):
 ])
 def test_real_table_matches_quadrature_inside_clearance(annulus, offsets):
     # The root scan reads the table closer to the singular levels than
-    # MIN_CLEARANCE, where no complex path may go; the interpolant must keep
+    # MIN_CLEARANCE, where no complex path may go; the values must keep
     # quadrature accuracy there too.
     table = RealPeriodTable(annulus)
     edge = -0.25 if annulus is not Annulus.EXTERIOR else 0.0
@@ -396,9 +453,6 @@ def test_exterior_growth_exponent():
     slope, amp = exterior_slope()
     assert slope == pytest.approx(0.75, abs=1e-3)
     assert amp > 0.0
-    naive, _ = exterior_slope(corrected=False)
-    # the corrected fit must actually improve on the plain log-log slope
-    assert abs(slope - 0.75) < abs(naive - 0.75)
 
 
 def test_asymptotics_report_clean():

@@ -7,6 +7,10 @@ tolerances; census output is checked for byte-level determinism.
 """
 
 import json
+import pathlib
+import shlex
+
+import pytest
 
 from duffing_melnikov import abelian, checks, cli, zeros
 from duffing_melnikov.geometry import Annulus
@@ -34,6 +38,25 @@ def _crafted():
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
+
+
+def _readme_commands() -> list[str]:
+    """The duffing-melnikov lines of the README's Command line block."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("duffing-melnikov ")]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    # argparse exits 2 on a usage error, which pytest reports as SystemExit
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -7,6 +7,10 @@ listed in the module's __all__.
 No public name is kept for the tests alone: every name in a package module's
 __all__ must be referenced somewhere in src/, scripts/ or bench/ outside its
 own definition and outside the __all__ lists.
+
+No private leftover: every module-level private name in src/ (a _foo
+function, class or constant) must be read somewhere in src/, scripts/ or
+bench/ outside its own definition.
 """
 
 import ast
@@ -121,3 +125,41 @@ def test_every_export_has_a_program_reference():
     assert [name for name in found if name not in EXEMPT] == []
     # an exemption that has gained a caller is stale
     assert set(EXEMPT) <= set(found)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level private functions, classes and assigned constants."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if _is_private(name)]
+
+
+def unread_privates(defining: list[str], readers: list[str]) -> list[str]:
+    refs = set().union(*(references(s) for s in readers))
+    return sorted({name for s in defining for name in private_definitions(s)} - refs)
+
+
+def test_scan_finds_an_unread_private_name():
+    lib = ("_USED = 1\n_LEFT: float = 2.0\n__version__ = '1'\n"
+           "def _helper():\n    return _helper\n"
+           "class _Box:\n    pass\n"
+           "def public():\n    return _USED + _cached()\n"
+           "def _cached():\n    pass\n")
+    user = "from lib import _Box\n"
+    assert unread_privates([lib], [lib, user]) == ["_LEFT", "_helper"]
+
+
+def test_every_private_name_is_read_by_the_program():
+    src = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_privates([p.read_text() for p in src],
+                           [p.read_text() for p in PROGRAM]) == []

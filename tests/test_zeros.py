@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from duffing_melnikov import zeros
-from duffing_melnikov.abelian import cut_values
+from duffing_melnikov import abelian, zeros
+from duffing_melnikov.abelian import BASE_POINTS, cut_values, transport_table
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import (
     MelnikovForm,
@@ -62,7 +62,7 @@ def _single_param(**entries) -> PerturbationParams:
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
 def test_keyhole_is_closed_and_clear_of_poles(annulus):
-    entry, loop = keyhole_vertices(annulus, R=10.0, eta=1e-3, rho=1e-3)
+    loop = keyhole_vertices(annulus, R=10.0, eta=1e-3, rho=1e-3)
     assert loop[0] == loop[-1]
     # every vertex stays at least the puncture radius from both poles
     verts = np.asarray(loop)
@@ -80,6 +80,22 @@ def test_contour_table_is_cached():
     a = contour_table(Annulus.EXTERIOR, 10.0, 1e-3, 1e-3)
     b = contour_table(Annulus.EXTERIOR, 10.0, 1e-3, 1e-3)
     assert a is b
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT,
+                                     Annulus.EXTERIOR])
+def test_loop_values_match_a_transport_of_the_keyhole(annulus):
+    # the closed form on the loop against Picard-Fuchs transport from the
+    # base point: an entry leg to the loop's start, then once around it.
+    # Transport returns to its start only up to its own error, so this is
+    # the independent check that the loop's periods close up.
+    ct = contour_table(annulus)
+    start = complex(ct.vertices[0])
+    entry = [BASE_POINTS[annulus], complex(start.real, 3.0 * start.imag)]
+    table = transport_table(entry + list(ct.vertices), annulus)
+    transported = table.values_at(ct.s_init + len(entry))
+    for got, ref in zip(ct.init_values, transported):
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", [
@@ -227,6 +243,24 @@ def test_census_summary_fields():
     assert counted == 5
 
 
+@pytest.mark.parametrize("order,annulus", [
+    (1, Annulus.INTERIOR_LEFT), (1, Annulus.INTERIOR_RIGHT), (1, Annulus.EXTERIOR),
+    (2, Annulus.INTERIOR_RIGHT), (2, Annulus.EXTERIOR)])
+def test_certificates_run_without_transport(monkeypatch, order, annulus):
+    # every period of a certificate is the closed form: with the transport
+    # segment integrator disabled and the period caches empty, certify and
+    # bound_census (which certifies each draw) still runs from scratch
+    def no_transport(*args):
+        raise AssertionError("Picard-Fuchs transport in a certificate")
+
+    monkeypatch.setattr(abelian, "_transport_segment", no_transport)
+    monkeypatch.setattr(zeros, "_CONTOUR_CACHE", {})
+    _real_table.cache_clear()
+    _scan_values.cache_clear()
+    certs, _ = bound_census(order, annulus, n_draws=3, seed=1)
+    assert all(c.status is not Status.INCONCLUSIVE for c in certs)
+
+
 def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
@@ -352,7 +386,7 @@ def _assert_subset_matches(evaluate, points, seed):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
     ct = contour_table(annulus)
-    _assert_subset_matches(ct.table.values_at, ct.s_init, seed)
+    _assert_subset_matches(ct.values_at, ct.s_init, seed)
 
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
@@ -365,7 +399,7 @@ def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
 @pytest.mark.parametrize("annulus", _CENSUS_ANNULI)
 def test_cached_periods_equal_a_fresh_evaluation(annulus):
     ct = contour_table(annulus)
-    for cached, fresh in zip(ct.init_values, ct.table.values_at(ct.s_init)):
+    for cached, fresh in zip(ct.init_values, ct.values_at(ct.s_init)):
         assert np.array_equal(cached, fresh)
     _, (points, cached) = _scan_cache(annulus)
     for c, fresh in zip(cached, _real_table(annulus).values(points)):
@@ -379,7 +413,7 @@ def test_cached_arrays_are_read_only():
     ct = contour_table(Annulus.EXTERIOR)
     key, (points, periods) = _scan_cache(Annulus.EXTERIOR)
     h, windows = _scan_windows(*key[1:])
-    for arr in (ct.s_init, *ct.init_values, h, windows, points, *periods):
+    for arr in (ct.vertices, ct.s_init, *ct.init_values, h, windows, points, *periods):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
