@@ -76,6 +76,16 @@ def _parse_contour(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
+def _draw_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def _parse_eps_list(text: str) -> tuple[float, ...]:
     eps = tuple(float(p) for p in text.split(","))
     if len(eps) < 4:
@@ -471,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="argument-principle zero certificates")
     common(p)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
-    p.add_argument("--draws", type=int, metavar="N",
+    p.add_argument("--draws", type=_draw_count, metavar="N",
                    help="certify N seeded uniform draws instead of --params")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--contour", default="10,1e-3,1e-3", metavar="R,ETA,RHO")

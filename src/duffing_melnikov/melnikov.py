@@ -51,6 +51,7 @@ __all__ = [
     "enforce_m1_zero",
     "m_eval",
     "pole_cleared_eval",
+    "pole_cleared_rows",
     "m1_quadrature",
     "m2_iliev_quadrature",
     "m2_deviation_report",
@@ -97,12 +98,12 @@ class PerturbationParams:
 
     @classmethod
     def random(cls, rng: np.random.Generator, scale: float = 1.0) -> "PerturbationParams":
-        draw = lambda: tuple(scale * rng.standard_normal(len(MONOMIALS)))
+        draw = lambda: tuple((scale * rng.standard_normal(len(MONOMIALS))).tolist())
         return cls(draw(), draw(), draw(), draw())
 
     @classmethod
     def uniform(cls, rng: np.random.Generator) -> "PerturbationParams":
-        draw = lambda: tuple(rng.uniform(-1.0, 1.0, len(MONOMIALS)))
+        draw = lambda: tuple(rng.uniform(-1.0, 1.0, len(MONOMIALS)).tolist())
         return cls(draw(), draw(), draw(), draw())
 
     @classmethod
@@ -380,16 +381,35 @@ def pole_cleared_eval(form: MelnikovForm, h, periods):
 
     For pole-free forms this equals m_eval; for the exterior order-2 form it
     is (4h+1) M(h), analytic across h = -1/4 and the right object for
-    argument-variation counts.
+    argument-variation counts.  It is the one-row case of pole_cleared_rows.
     """
     if isinstance(periods, PeriodVector):
-        i0, i1, i2 = periods.i0, periods.i1, periods.i2
-    else:
-        i0, i1, i2 = periods
-    h = np.asarray(h)
-    c0, c1, c2 = form.coeff_arrays()
-    return (npoly.polyval(h, c0) * i0 + npoly.polyval(h, c1) * i1
-            + npoly.polyval(h, c2) * i2)
+        periods = (periods.i0, periods.i1, periods.i2)
+    return pole_cleared_rows(form.coeff_arrays(), np.asarray(h), periods)
+
+
+def _horner(c, x):
+    """npoly.polyval(x, c) for every row of c, in polyval's operation order.
+
+    c[..., k] is the coefficient of x^k; the leading axes of c broadcast
+    against x, so one call evaluates one polynomial per row.
+    """
+    v = c[..., -1] + x * 0
+    for k in range(2, c.shape[-1] + 1):
+        v = c[..., -k] + v * x
+    return v
+
+
+def pole_cleared_rows(coeffs, h, periods):
+    """p0 I_0 + p1 I_1 + p2 I_2 for rows of coefficients.
+
+    coeffs holds the three coefficient arrays of the polynomials, powers of h
+    along the last axis and one row per form; the leading axes broadcast
+    against h and the periods.  Each value takes the operations of
+    pole_cleared_eval on its own form and level, so it is the same float.
+    """
+    (c0, c1, c2), (i0, i1, i2) = coeffs, periods
+    return _horner(c0, h) * i0 + _horner(c1, h) * i1 + _horner(c2, h) * i2
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,24 @@ Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
 parameters, and the levels where the periods are read do not depend on the
 parameters.  So the periods are evaluated once and cached: the contour
 table holds the loop and the periods at its initial samples, and the real
-scan holds its grid, the 9-point window around each grid point
-and the periods at all of those points.  A draw then only evaluates its
-polynomials against cached values; the bisection midpoints of the phase
-refinement and the steps of root polishing are the only periods evaluated
-per draw.  Each period value is computed point by point, so a value read
-from the cache is the same float a fresh evaluation at that point returns,
-and the certificates do not depend on the cache.  The cached arrays are
-read-only.
+scan holds its grid, the 9-point window around each grid point and the
+periods at all of those points.
+
+Forms are certified in blocks: bound_census certifies all its draws as one
+block, and certify, winding_count, circle_argument and real_zeros are
+blocks of one.  Per block, the counting functions of all forms are
+evaluated in one broadcast pass at every cached keyhole sample and every
+cached scan level, one coefficient row per form, in numpy's polyval
+operation order.  Phase refinement then runs in lock-step, with one period
+evaluation per round for the bisection midpoints of every form; each
+form's scan points are chosen by masks over the cached levels; and every
+sign change of the block is polished at once by a lock-step copy of
+scipy's brentq iteration, with one period evaluation per step.  Those
+midpoints and steps are the only periods evaluated per block.  Each value
+is computed point by point and form by form, so a value read from the
+cache or computed in a block is the same float a single evaluation
+returns, and a certificate depends neither on the cache nor on the rest of
+its block.  The cached arrays are read-only.
 
 Counting normalizations.  Interior forms are counted as they stand.  On the
 exterior annulus the first-order form is divided by I_0 and the second-order
@@ -49,7 +59,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .abelian import MIN_CLEARANCE, RealPeriodTable, closed_form
 from .geometry import Annulus
@@ -59,7 +68,7 @@ from .melnikov import (
     enforce_m1_zero,
     m1_form,
     m2_form,
-    pole_cleared_eval,
+    pole_cleared_rows,
 )
 
 __all__ = [
@@ -280,53 +289,150 @@ def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
 
 
 # ---------------------------------------------------------------------------
-# counting function evaluation and phase accumulation
+# counting functions of a block of forms and lock-step phase refinement
 # ---------------------------------------------------------------------------
 
 
-def _counting_values(form: MelnikovForm, h, i0, i1, i2):
-    """Normalized counting function: same zeros as the form on D_R."""
-    v = pole_cleared_eval(form, h, (i0, i1, i2))
-    if form.annulus is Annulus.EXTERIOR:
+def _form_of(params: PerturbationParams, order: int, annulus: Annulus) -> MelnikovForm:
+    if order == 1:
+        return m1_form(params, annulus)
+    if order == 2:
+        return m2_form(params, annulus)
+    raise ValueError(f"order must be 1 or 2, got {order}")
+
+
+def _coeff_rows(forms) -> tuple:
+    """MelnikovForm.coeff_arrays of equal-shaped forms, one row per form."""
+    return tuple(np.array(rows) for rows in zip(*(f.coeff_arrays() for f in forms)))
+
+
+def _counting_rows(coeffs, exterior: bool, h, i0, i1, i2):
+    """Normalized counting functions: same zeros as the forms on D_R."""
+    v = pole_cleared_rows(coeffs, h, (i0, i1, i2))
+    if exterior:
         v = v / i0
     return v
 
 
-def _refined_phase(ct: ContourTable, form: MelnikovForm, s: np.ndarray,
-                   values: tuple):
-    """Sample the counting function on s, bisecting until phase steps < pi/2.
+def _degenerate_error(scale: float, n_samples: int) -> DegenerateFormError:
+    return DegenerateFormError(
+        f"counting function is identically zero on the contour "
+        f"(max |value| {scale:.3g} over {n_samples} samples)")
 
-    values holds (h, I_0, I_1, I_2) at s; only the bisection midpoints are
-    evaluated here.  Returns (s, values, converged).  Non-convergence signals
-    a zero on or numerically touching the contour.
+
+@dataclass(frozen=True)
+class _Phases:
+    """Per-form outcome of a lock-step phase refinement, arrays over the block."""
+
+    scale: np.ndarray       # max |counting value| on the initial samples
+    degenerate: np.ndarray  # numerically zero counting functions, not refined
+    converged: np.ndarray
+    total: np.ndarray       # sum of the phase steps over the refined samples
+    closure: np.ndarray     # |v_end - v_start| / max |v|
+    n_samples: np.ndarray
+
+
+def _phase_steps_fail(vl, vr, limit):
+    """Phase steps from vl to vr that need bisection: >= pi/2 or an end below limit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.angle(vr / vl)
+    return steps, (np.abs(steps) >= 0.5 * math.pi) | (np.abs(vr) < limit) | (np.abs(vl) < limit)
+
+
+def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) -> _Phases:
+    """Sample every form's counting function on s, bisecting until phase steps < pi/2.
+
+    coeffs holds the coefficient rows of the forms and values (h, I_0, I_1,
+    I_2) at s.  All forms refine in lock-step: each round bisects the failing
+    steps of every form with one period evaluation.  A step that passes stays
+    passed, since its two values and the scale (fixed by the initial samples)
+    do not change, so each round tests only the halves of the steps it
+    bisected.  Non-convergence signals a zero on or numerically touching the
+    contour.
     """
+    exterior = ct.annulus is Annulus.EXTERIOR
     h, i0, i1, i2 = values
-    v = _counting_values(form, h, i0, i1, i2)
-    scale = float(np.max(np.abs(v)))
-    if scale < _DEGENERATE_TOL * (1.0 + float(np.max(np.abs(i0)))):
-        raise DegenerateFormError(
-            f"counting function is identically zero on the contour "
-            f"(max |value| {scale:.3g} over {s.size} samples)")
-    converged = False
+    v = _counting_rows(tuple(c[:, None, :] for c in coeffs), exterior, h, i0, i1, i2)
+    n = v.shape[0]
+    scale = np.max(np.abs(v), axis=1)
+    degenerate = scale < _DEGENERATE_TOL * (1.0 + float(np.max(np.abs(i0))))
+    limit = 1e-13 * scale
+    steps, fail = _phase_steps_fail(v[:, :-1], v[:, 1:], limit[:, None])
+    fail[degenerate] = False
+    rows, k = np.nonzero(fail)
+    sl, vl, sr, vr = s[k], v[rows, k], s[k + 1], v[rows, k + 1]
+    n_samples = np.full(n, s.size)
+    active = ~degenerate
+    converged = np.zeros(n, dtype=bool)
+    added = []
     for _ in range(_MAX_REFINE):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.angle(v[1:] / v[:-1])
-        bad = np.abs(steps) >= 0.5 * math.pi
-        bad |= np.abs(v[1:]) < 1e-13 * scale
-        bad |= np.abs(v[:-1]) < 1e-13 * scale
-        idx = np.flatnonzero(bad)
-        if idx.size == 0:
-            converged = True
+        count = np.bincount(rows, minlength=n)
+        converged |= active & (count == 0)
+        active &= (count > 0) & (n_samples + count <= _MAX_SAMPLES)
+        keep = active[rows]
+        rows, sl, vl, sr, vr = rows[keep], sl[keep], vl[keep], sr[keep], vr[keep]
+        if rows.size == 0:
             break
-        if s.size + idx.size > _MAX_SAMPLES:
-            break
-        s_new = 0.5 * (s[idx] + s[idx + 1])
-        h, i0, i1, i2 = ct.values_at(s_new)
-        v_new = _counting_values(form, h, i0, i1, i2)
-        pos = np.searchsorted(s, s_new)
-        s = np.insert(s, pos, s_new)
-        v = np.insert(v, pos, v_new)
-    return s, v, converged
+        mid = 0.5 * (sl + sr)
+        hm, j0, j1, j2 = ct.values_at(mid)
+        vm = _counting_rows(tuple(c[rows] for c in coeffs), exterior, hm, j0, j1, j2)
+        n_samples += np.bincount(rows, minlength=n)
+        added.append((rows, mid, vm))
+        # the two halves of every bisected step; the failing ones go on
+        rows = np.concatenate([rows, rows])
+        sl, vl = np.concatenate([sl, mid]), np.concatenate([vl, vm])
+        sr, vr = np.concatenate([mid, sr]), np.concatenate([vm, vr])
+        _, fail = _phase_steps_fail(vl, vr, limit[rows])
+        rows, sl, vl, sr, vr = rows[fail], sl[fail], vl[fail], sr[fail], vr[fail]
+    total = np.sum(steps, axis=1)
+    peak = scale.copy()
+    if added:
+        rows, mid, vm = (np.concatenate(x) for x in zip(*added))
+        for d in np.unique(rows).tolist():
+            mine = rows == d
+            vd = np.concatenate([v[d], vm[mine]])
+            vd = vd[np.argsort(np.concatenate([s, mid[mine]]), kind="stable")]
+            total[d] = np.sum(np.angle(vd[1:] / vd[:-1]))
+            peak[d] = np.max(np.abs(vd))
+    with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
+        closure = np.abs(v[:, -1] - v[:, 0]) / peak
+    return _Phases(scale=scale, degenerate=degenerate, converged=converged,
+                   total=total, closure=closure, n_samples=n_samples)
+
+
+def _winding_block(forms, coeffs: tuple, R: float, eta: float, rho: float) -> list:
+    """Keyhole winding certificates of equal-shaped forms on one annulus.
+
+    A numerically zero counting function gets its DegenerateFormError in
+    place of a certificate.  real_roots are left empty.
+    """
+    order, annulus = forms[0].order, forms[0].annulus
+    ct = contour_table(annulus, R, eta, rho)
+    ph = _phase_block(ct, coeffs, ct.s_init, ct.init_values)
+    bound = BOUNDS[(order, annulus)]
+    contour = (float(R), float(eta), float(rho))
+    out = []
+    for degenerate, scale, converged, total, closure, n_samples in zip(
+            ph.degenerate.tolist(), ph.scale.tolist(), ph.converged.tolist(),
+            ph.total.tolist(), ph.closure.tolist(), ph.n_samples.tolist()):
+        if degenerate:
+            out.append(_degenerate_error(scale, n_samples))
+            continue
+        raw = total / (2.0 * math.pi)
+        winding = int(round(raw))
+        defect = abs(raw - winding)
+        if not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL \
+                or winding < 0:
+            status = Status.INCONCLUSIVE
+        elif winding <= bound:
+            status = Status.WITHIN_BOUND
+        else:
+            status = Status.BOUND_VIOLATED
+        out.append(ZeroCertificate(annulus=annulus, order=order, real_roots=(),
+                                   suspect_roots=(), winding=winding, bound=bound,
+                                   contour=contour, status=status, phase_defect=defect,
+                                   closure_error=closure, n_samples=n_samples))
+    return out
 
 
 def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
@@ -336,26 +442,10 @@ def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
     The certificate's real_roots field is left empty here; certify fills it.
     Raises DegenerateFormError for a numerically zero counting function.
     """
-    ct = contour_table(form.annulus, R, eta, rho)
-    s, v, converged = _refined_phase(ct, form, ct.s_init, ct.init_values)
-    total = float(np.sum(np.angle(v[1:] / v[:-1])))
-    raw = total / (2.0 * math.pi)
-    winding = int(round(raw))
-    defect = abs(raw - winding)
-    closure = float(np.abs(v[-1] - v[0]) / np.max(np.abs(v)))
-    bound = BOUNDS[(form.order, form.annulus)]
-    if not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL \
-            or winding < 0:
-        status = Status.INCONCLUSIVE
-    elif winding <= bound:
-        status = Status.WITHIN_BOUND
-    else:
-        status = Status.BOUND_VIOLATED
-    return ZeroCertificate(annulus=form.annulus, order=form.order,
-                           real_roots=(), suspect_roots=(), winding=winding,
-                           bound=bound, contour=(float(R), float(eta), float(rho)),
-                           status=status, phase_defect=defect,
-                           closure_error=closure, n_samples=int(s.size))
+    (cert,) = _winding_block([form], _coeff_rows([form]), R, eta, rho)
+    if isinstance(cert, DegenerateFormError):
+        raise cert
+    return cert
 
 
 def circle_argument(form: MelnikovForm) -> float:
@@ -369,11 +459,13 @@ def circle_argument(form: MelnikovForm) -> float:
     ct = contour_table(form.annulus)
     lo, hi = ct.s_circle
     on_circle = (ct.s_init >= lo) & (ct.s_init <= hi)
-    s, v, converged = _refined_phase(ct, form, ct.s_init[on_circle],
-                                     tuple(x[on_circle] for x in ct.init_values))
-    if not converged:
+    ph = _phase_block(ct, _coeff_rows([form]), ct.s_init[on_circle],
+                      tuple(x[on_circle] for x in ct.init_values))
+    if ph.degenerate[0]:
+        raise _degenerate_error(float(ph.scale[0]), int(ph.n_samples[0]))
+    if not ph.converged[0]:
         raise DegenerateFormError("phase refinement failed on the circle")
-    return float(np.sum(np.angle(v[1:] / v[:-1])))
+    return float(ph.total[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,48 +486,156 @@ def _scan_windows(a: float, b: float, n_scan: int):
     return _read_only(h), _read_only(windows)
 
 
-def _suspect_roots(h, mag, sign, scale: float) -> list:
-    """Interior local minima of |fn| below 1e-6 scale without a sign change."""
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_levels(a: float, b: float, n_scan: int):
+    """Every level the real scan of [a, b] can sample before root polishing,
+    sorted, and the positions of the grid and of each window among them.
+    Read-only."""
+    h, windows = _scan_windows(a, b, n_scan)
+    points = np.unique(np.concatenate([h, windows.ravel()]))
+    return (_read_only(points), _read_only(np.searchsorted(points, h)),
+            _read_only(np.searchsorted(points, windows)))
+
+
+def _suspect_positions(rows, mag, sign, scale) -> np.ndarray:
+    """Interior local minima of |fn| below 1e-6 scale without a sign change.
+
+    The arrays hold the scans of several functions end to end: rows names
+    the function of each position, and scale[r] is the scan scale of
+    function r.  A minimum needs both neighbours in its own function.
+    """
     m = mag[1:-1]
-    hit = ((m < 1e-6 * scale) & (m <= mag[:-2]) & (m <= mag[2:])
+    hit = ((rows[:-2] == rows[2:]) & (m < 1e-6 * scale[rows[1:-1]])
+           & (m <= mag[:-2]) & (m <= mag[2:])
            & (sign[:-2] == sign[2:]) & (sign[1:-1] == sign[:-2]))
-    return [float(x) for x in h[1:-1][hit]]
+    return np.flatnonzero(hit) + 1
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.brentq's default and least rtol
+_BRENT_MAXITER = 100                      # scipy.optimize.brentq's default
+
+
+def _nan_check(x, fx) -> None:
+    bad = np.flatnonzero(np.isnan(fx))
+    if bad.size:
+        raise ValueError(f"The function value at x={float(x[bad[0]])} is NaN; "
+                         "solver cannot continue.")
+
+
+def _brentq(f, a, b, fa, fb, xtol: float = _ROOT_XTOL) -> np.ndarray:
+    """Roots of many brackets at once by scipy.optimize.brentq's iteration.
+
+    f(x, k) returns the values at x of the functions of brackets k; fa and
+    fb are the values at the bracket ends a and b.  Every bracket takes, in
+    lock-step with the others, the steps scipy's brentq takes on it (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4): the same
+    xtol, rtol = 4 eps, branch tests and 100-iteration limit, so each root is
+    the float brentq returns.  Raises brentq's errors: ValueError for a NaN
+    value or a bracket without a sign change, RuntimeError for a bracket
+    that does not converge.
+    """
+    a, b, fa, fb = (np.asarray(z, dtype=float) for z in (a, b, fa, fb))
+    _nan_check(a, fa)
+    _nan_check(b, fb)
+    root = np.where(fa == 0, a, b)
+    live = np.flatnonzero((fa != 0) & (fb != 0))
+    xpre, xcur, fpre, fcur = a[live], b[live], fa[live], fb[live]
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.zeros(live.size)
+    for _ in range(_BRENT_MAXITER):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[live[done]] = xcur[done]
+        go = ~done
+        live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            z[go] for z in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                            delta, sbis))
+        if live.size == 0:
+            return root
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # inverse quadratic extrapolation, or the secant step where xpre == xblk
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+        lim = 3 * np.abs(sbis) - delta
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.where(np.abs(spre) < lim, np.abs(spre), lim)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = np.asarray(f(xcur, live), dtype=float)
+        _nan_check(xcur, fcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
+def _scan_block(values: np.ndarray, interval: tuple, n_scan: int, evaluate) -> list:
+    """Bracketing root scans of several real functions at once.
+
+    values[r] holds function r at every level of _scan_levels(*interval,
+    n_scan).  Each scan reads the grid, densifies 4x around its small grid
+    samples by choosing their windows, and polishes every sign change with
+    _brentq to width 1e-12; evaluate(x, r) returns functions r at levels x.
+    Returns one (roots, suspects) pair per function, as real_zeros does.
+    """
+    points, grid, windows = _scan_levels(*interval, n_scan)
+    on_grid = np.abs(values[:, grid])
+    scale = np.max(on_grid, axis=1)
+    pick = np.zeros(values.shape, dtype=bool)
+    pick[:, grid] = True
+    r, i = np.nonzero(on_grid < 0.05 * scale[:, None])
+    pick[r[:, None], windows[i]] = True
+    pick[scale == 0.0] = False  # nothing to scan
+    rows, cols = np.nonzero(pick)
+    h, v = points[cols], values[rows, cols]
+    sign = np.sign(v)
+    cross = np.flatnonzero((rows[1:] == rows[:-1]) & (sign[:-1] * sign[1:] < 0))
+    owner = rows[cross]
+    found = _brentq(lambda x, k: evaluate(x, owner[k]), h[cross], h[cross + 1],
+                    v[cross], v[cross + 1])
+    out = [([], []) for _ in range(values.shape[0])]
+    for r, x in zip(owner.tolist(), found.tolist()):
+        out[r][0].append((x, _ROOT_XTOL))
+    zero = np.flatnonzero(sign == 0)
+    for r, x in zip(rows[zero].tolist(), h[zero].tolist()):
+        out[r][0].append((x, 0.0))
+    sus = _suspect_positions(rows, np.abs(v), sign, scale)
+    for r, x in zip(rows[sus].tolist(), h[sus].tolist()):
+        out[r][1].append(x)
+    return out
 
 
 def real_zeros(fn, interval, n_scan: int = _N_SCAN):
     """Bracketing root scan on a real interval.
 
     fn must accept a float ndarray and return values; sign changes of the
-    real part are polished by bisection to width 1e-12 and returned as
+    real part are polished by Brent's method to width 1e-12 and returned as
     (location, width) pairs.  Local minima of |fn| below 1e-6 of the scan
     scale without a sign change are returned separately as suspects (the
-    even-multiplicity heuristic); they are flagged, never counted.
+    even-multiplicity heuristic); they are flagged, never counted.  This is
+    the block scan of certify with one function: fn is evaluated once at
+    every level the scan can sample, then at the polishing steps.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
-    h, windows = _scan_windows(a, b, n_scan)
-    v = np.real(np.asarray(fn(h)))
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return [], []
-    # densify 4x around small-magnitude samples to catch close root pairs
-    small = np.flatnonzero(np.abs(v) < 0.05 * scale)
-    if small.size:
-        h = np.unique(np.concatenate([h, windows[small].ravel()]))
-        v = np.real(np.asarray(fn(h)))
-
-    def scalar(x):
-        return float(np.real(np.asarray(fn(np.array([x]))))[0])
-
-    roots = []
-    sign = np.sign(v)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        r = brentq(scalar, h[i], h[i + 1], xtol=_ROOT_XTOL)
-        roots.append((float(r), _ROOT_XTOL))
-    for i in np.flatnonzero(sign == 0):
-        roots.append((float(h[i]), 0.0))
-    return roots, _suspect_roots(h, np.abs(v), sign, scale)
+    points = _scan_levels(a, b, n_scan)[0]
+    ((roots, suspects),) = _scan_block(np.real(np.asarray(fn(points)))[None, :],
+                                       (a, b), n_scan,
+                                       lambda x, r: np.real(np.asarray(fn(x))))
+    return roots, suspects
 
 
 @lru_cache(maxsize=None)
@@ -451,10 +651,9 @@ def _scan_values(annulus: Annulus, a: float, b: float, n_scan: int):
     RealPeriodTable.values evaluates point by point, so these are the floats
     a per-draw evaluation of the same levels returns.
     """
-    h, windows = _scan_windows(a, b, n_scan)
-    points = np.unique(np.concatenate([h, windows.ravel()]))
+    points = _scan_levels(a, b, n_scan)[0]
     periods = _real_table(annulus).values(points)
-    return _read_only(points), tuple(_read_only(x) for x in periods)
+    return points, tuple(_read_only(x) for x in periods)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +670,59 @@ def _degenerate_certificate(form: MelnikovForm, R, eta, rho) -> ZeroCertificate:
                            closure_error=0.0, n_samples=0)
 
 
+def _scan_interval(annulus: Annulus, R: float, rho: float) -> tuple:
+    """The physical real interval clipped to D_R, offset from the critical
+    levels and the puncture."""
+    rho_arc = rho / math.cos(math.pi / _N_PUNCT)
+    if annulus is Annulus.EXTERIOR:
+        return (1.01 * rho_arc, min(R, _real_table(annulus).h_max) * (1.0 - 1e-9))
+    return (-0.25 + 1e-6, -1.01 * rho_arc)
+
+
+def _certify_block(forms, R: float, eta: float, rho: float) -> list:
+    """Certificates of equal-shaped forms on one annulus, computed together.
+
+    The counting functions of all forms are evaluated in one broadcast pass
+    at the cached keyhole samples and at the cached real-scan levels; phase
+    refinement, the real scan and root polishing then run in lock-step over
+    the block.  Each certificate is the one the form gets alone.
+    """
+    if not forms:
+        return []
+    annulus = forms[0].annulus
+    coeffs = _coeff_rows(forms)
+    windings = _winding_block(forms, coeffs, R, eta, rho)
+    live = [k for k, c in enumerate(windings) if isinstance(c, ZeroCertificate)]
+    scans = {}
+    if live:
+        interval = _scan_interval(annulus, R, rho)
+        points, periods = _scan_values(annulus, *interval, _N_SCAN)
+        coeffs = tuple(c[live] for c in coeffs)
+        exterior = annulus is Annulus.EXTERIOR
+        table = _real_table(annulus)
+
+        def polish(x, r):
+            # root polishing evaluates the periods afresh at its steps
+            rows = tuple(c[r] for c in coeffs)
+            return np.real(_counting_rows(rows, exterior, x, *table.values(x)))
+
+        values = np.real(_counting_rows(tuple(c[:, None, :] for c in coeffs), exterior,
+                                        points, *periods))
+        scans = dict(zip(live, _scan_block(values, interval, _N_SCAN, polish)))
+    certs = []
+    for k, (form, cert) in enumerate(zip(forms, windings)):
+        if k not in scans:
+            certs.append(_degenerate_certificate(form, R, eta, rho))
+            continue
+        roots, suspects = scans[k]
+        status = cert.status
+        if status is Status.WITHIN_BOUND and len(roots) > cert.winding:
+            status = Status.INCONCLUSIVE
+        certs.append(dataclasses.replace(cert, real_roots=tuple(roots),
+                                         suspect_roots=tuple(suspects), status=status))
+    return certs
+
+
 def certify(params: PerturbationParams, order: int, annulus: Annulus,
             R: float = 10.0, eta: float = 1e-3, rho: float = 1e-3) -> ZeroCertificate:
     """Full zero-count certificate for one parameter draw.
@@ -478,42 +730,10 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
     Combines the keyhole winding with a real-root scan over the physical
     interval clipped to D_R (endpoints offset from the critical levels and
     the puncture).  An identically-zero form yields a degenerate-status
-    certificate rather than an error.
+    certificate rather than an error.  A block of one: bound_census gives
+    every draw the certificate certify gives it.
     """
-    if order == 1:
-        form = m1_form(params, annulus)
-    elif order == 2:
-        form = m2_form(params, annulus)
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    try:
-        cert = winding_count(form, R, eta, rho)
-    except DegenerateFormError:
-        return _degenerate_certificate(form, R, eta, rho)
-    table = _real_table(annulus)
-    rho_arc = rho / math.cos(math.pi / _N_PUNCT)
-    if annulus is Annulus.EXTERIOR:
-        interval = (1.01 * rho_arc, min(R, table.h_max) * (1.0 - 1e-9))
-    else:
-        interval = (-0.25 + 1e-6, -1.01 * rho_arc)
-    points, cached = _scan_values(annulus, *interval, _N_SCAN)
-
-    def fn(arr):
-        # cached scan levels are looked up; root polishing evaluates afresh
-        idx = np.minimum(np.searchsorted(points, arr), points.size - 1)
-        i0, i1, i2 = (c[idx] for c in cached)
-        miss = points[idx] != arr
-        if miss.any():
-            for out, fresh in zip((i0, i1, i2), table.values(arr[miss])):
-                out[miss] = fresh
-        return _counting_values(form, arr, i0, i1, i2)
-
-    roots, suspects = real_zeros(fn, interval)
-    status = cert.status
-    if status is Status.WITHIN_BOUND and len(roots) > cert.winding:
-        status = Status.INCONCLUSIVE
-    return dataclasses.replace(cert, real_roots=tuple(roots),
-                               suspect_roots=tuple(suspects), status=status)
+    return _certify_block([_form_of(params, order, annulus)], R, eta, rho)[0]
 
 
 def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
@@ -524,15 +744,15 @@ def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
     Coefficients are drawn uniform on [-1, 1].  Second-order draws pass
     through the first-order vanishing constraints before certification,
     mirroring how the second-order function becomes the leading
-    displacement term.
+    displacement term.  All draws are certified as one block.
     """
+    if n_draws < 0:
+        raise ValueError(f"number of draws must be non-negative, got {n_draws}")
     rng = np.random.default_rng(seed)
-    certs = []
-    for _ in range(n_draws):
-        p = PerturbationParams.uniform(rng)
-        if order == 2:
-            p = enforce_m1_zero(p, annulus)
-        certs.append(certify(p, order, annulus, R, eta, rho))
+    draws = [PerturbationParams.uniform(rng) for _ in range(n_draws)]
+    if order == 2:
+        draws = [enforce_m1_zero(p, annulus) for p in draws]
+    certs = _certify_block([_form_of(p, order, annulus) for p in draws], R, eta, rho)
     windings = [c.winding for c in certs if c.status is not Status.DEGENERATE]
     summary = {
         "order": order,

@@ -83,6 +83,28 @@ def test_bad_contour_spec(capsys):
     assert cli.main(["zeros", "--draws", "1", "--contour", "1,2"]) == 2
 
 
+def test_negative_draw_count_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "neg.jsonl"
+    assert cli.main(["zeros", "--draws", "-3", "--out", str(out)]) == 2
+    assert "--draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_draws_write_the_summary_only(capsys, tmp_path):
+    out = tmp_path / "none.jsonl"
+    assert cli.main(["zeros", "--draws", "0", "--annulus", "exterior",
+                     "--out", str(out)]) == 0
+    assert "0 draws" in capsys.readouterr().out
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records == [{
+        "record": "census-summary", "order": 1, "annulus": "exterior", "draws": 0,
+        "seed": 0, "bound": 2, "contour": {"R": 10.0, "eta": 0.001, "rho": 0.001},
+        "max_winding": 0, "max_real_roots": 0,
+        "status_counts": {"bound-violated": 0, "degenerate": 0, "inconclusive": 0,
+                          "within-bound": 0},
+        "violations": []}]
+
+
 def test_zeros_source_flag_is_gone(capsys):
     assert cli.main(["zeros", "--draws", "1", "--source", "legacy"]) == 2
 
@@ -268,6 +290,7 @@ def test_zeros_census_is_byte_identical(capsys, tmp_path):
     zeros._CONTOUR_CACHE.clear()
     zeros._real_table.cache_clear()
     zeros._scan_windows.cache_clear()
+    zeros._scan_levels.cache_clear()
     zeros._scan_values.cache_clear()
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (out1, out2):
@@ -280,3 +303,23 @@ def test_zeros_census_is_byte_identical(capsys, tmp_path):
     assert records[-1]["record"] == "census-summary"
     assert not {"dist", "scale", "source"} & records[-1].keys()
     assert len(records) == 5
+
+
+_PIN = pathlib.Path(__file__).resolve().parent / "data" / "census_pin.jsonl"
+_PIN_CLASSES = ((1, "interior-left"), (1, "interior-right"), (1, "exterior"),
+                (2, "interior-right"), (2, "exterior"))
+
+
+def test_census_output_matches_the_byte_pin(capsys, tmp_path):
+    # census_pin.jsonl holds the --out files of these six commands, in this
+    # order; a change that moves any digit of a certificate fails here
+    runs = [["zeros", "--order", str(order), "--annulus", annulus,
+             "--draws", "10", "--seed", "0"] for order, annulus in _PIN_CLASSES]
+    runs.append(["zeros", "--params", _write_params(tmp_path / "p.json", _crafted()),
+                 "--annulus", "exterior"])
+    produced = b""
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"run{k}.jsonl"
+        assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+        produced += out.read_bytes()
+    assert produced == _PIN.read_bytes()

@@ -6,6 +6,7 @@ exactly; random draws then exercise the certification pipeline end to end
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from duffing_melnikov.zeros import (
     _real_table,
     _scan_values,
     _scan_windows,
-    _suspect_roots,
+    _suspect_positions,
     bound_census,
     certify,
     circle_argument,
@@ -143,6 +144,18 @@ def test_winding_exterior_nonvanishing_form():
     cert = winding_count(_form(Annulus.EXTERIOR, (1.0,)))
     assert cert.winding == 0
     assert cert.phase_defect < 1e-12
+
+
+@pytest.mark.parametrize("annulus,zero,n_samples", [
+    (Annulus.INTERIOR_RIGHT, -10.0, 1077), (Annulus.EXTERIOR, 10.0, 1071)])
+def test_zero_on_the_contour_is_inconclusive(annulus, zero, n_samples):
+    # the big circle meets the real axis at a vertex: a zero there keeps the
+    # adjacent phase steps failing until refinement runs out; the sample
+    # count is the one the form-by-form refinement reached
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cert = winding_count(_form(annulus, (-zero, 1.0)))
+    assert cert.status is Status.INCONCLUSIVE
+    assert cert.n_samples == n_samples
 
 
 def test_degenerate_form_raises():
@@ -261,6 +274,41 @@ def test_certificates_run_without_transport(monkeypatch, order, annulus):
     assert all(c.status is not Status.INCONCLUSIVE for c in certs)
 
 
+def test_census_rejects_a_negative_draw_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        bound_census(1, Annulus.EXTERIOR, n_draws=-3)
+    certs, summary = bound_census(1, Annulus.EXTERIOR, n_draws=0)
+    assert certs == [] and summary["draws"] == 0
+
+
+@pytest.mark.parametrize("order,annulus", [
+    (1, Annulus.INTERIOR_LEFT), (1, Annulus.EXTERIOR), (2, Annulus.INTERIOR_RIGHT),
+    (2, Annulus.EXTERIOR)])
+def test_census_certificates_equal_certify_alone(order, annulus):
+    # the block engine gives every draw the certificate it gets in a block of one
+    certs, _ = bound_census(order, annulus, n_draws=12, seed=4)
+    rng = np.random.default_rng(4)
+    for cert in certs:
+        params = PerturbationParams.uniform(rng)
+        if order == 2:
+            params = enforce_m1_zero(params, annulus)
+        assert cert.to_json() == certify(params, order, annulus).to_json()
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+def test_block_mixing_degenerate_and_live_draws(annulus):
+    rng = np.random.default_rng(8)
+    zero = PerturbationParams.zero()
+    draws = [zero, PerturbationParams.uniform(rng), zero, zero,
+             PerturbationParams.uniform(rng), PerturbationParams.uniform(rng), zero]
+    block = zeros._certify_block([m1_form(p, annulus) for p in draws], 10.0, 1e-3, 1e-3)
+    assert [c.status is Status.DEGENERATE for c in block] == [p == zero for p in draws]
+    for cert, params in zip(block, draws):
+        assert cert.to_json() == certify(params, 1, annulus).to_json()
+    all_zero = zeros._certify_block([m1_form(zero, annulus)] * 3, 10.0, 1e-3, 1e-3)
+    assert all(c.status is Status.DEGENERATE for c in all_zero)
+
+
 def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
@@ -315,6 +363,94 @@ def test_real_zeros_rejects_empty_interval():
         real_zeros(lambda h: h, (1.0, 1.0))
 
 
+def _cubics(coeffs):
+    """f(x, k): the cubic of bracket k at x, by Horner in float arithmetic."""
+    c = np.array(coeffs, dtype=float).reshape(-1, 4)
+
+    def f(x, k):
+        ck = c[k]
+        return ((ck[:, 3] * x + ck[:, 2]) * x + ck[:, 1]) * x + ck[:, 0]
+
+    return f
+
+
+def _one(f, i):
+    # bracket i alone, as a scalar function for scipy and a block of one
+    return (lambda x: float(f(np.array([x]), np.array([i]))[0]),
+            lambda x, k: f(x, np.full(len(k), i)))
+
+
+_SIGNED = st.sampled_from([0.0, -0.0])
+_ENDS = st.floats(-4.0, 4.0) | _SIGNED
+_WIDTHS = st.floats(1e-9, 8.0) | st.sampled_from([1e-13, 4e-13, 1e-12, 3e-12])
+
+
+@st.composite
+def _brackets(draw):
+    """A cubic with a root r in [a, b]: (x - r)(x^2 + p x + q) scaled, expanded."""
+    a = draw(_ENDS)
+    b = a + draw(_WIDTHS)
+    r = draw(st.floats(a, b) | st.sampled_from([a, b]))
+    p, q, s = draw(st.floats(-3, 3)), draw(st.floats(0, 3)), draw(st.floats(0.1, 10))
+    coeffs = (-q * r * s, (q - p * r) * s, (p - r) * s, s)
+    c0 = draw(st.sampled_from([coeffs[0], 0.0, -0.0]))
+    return (c0,) + coeffs[1:], a, b
+
+
+@given(st.lists(_brackets(), min_size=1, max_size=10))
+def test_block_brentq_matches_scipy(brackets):
+    # every bracket scipy solves gets the same float (to the sign of zero)
+    # in one lock-step call; every bracket scipy rejects raises the same error
+    from scipy.optimize import brentq
+
+    f = _cubics([c for c, _, _ in brackets])
+    a = np.array([x for _, x, _ in brackets])
+    b = np.array([x for _, _, x in brackets])
+    k = np.arange(len(brackets))
+    fa, fb = f(a, k), f(b, k)
+    solved, expected = [], []
+    for i in range(len(brackets)):
+        scalar, block = _one(f, i)
+        try:
+            expected.append(brentq(scalar, a[i], b[i], xtol=1e-12).hex())
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                zeros._brentq(block, a[i:i + 1], b[i:i + 1], fa[i:i + 1], fb[i:i + 1])
+        else:
+            solved.append(i)
+    idx = np.array(solved, dtype=int)
+    got = zeros._brentq(lambda x, j: f(x, idx[j]), a[idx], b[idx], fa[idx], fb[idx])
+    assert [x.hex() for x in got.tolist()] == expected
+
+
+def test_block_brentq_edge_brackets():
+    from scipy.optimize import brentq
+
+    # f(a) = -0.0, f(b) = 0.0, a bracket narrower than xtol, a plain root
+    f = _cubics([(-0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (-0.3, 1.0, 0.0, 0.0), (-2.0, 0.0, 1.0, 0.0)])
+    a = np.array([-0.0, -1.0, 0.3 - 2e-13, 0.0])
+    b = np.array([1.0, 0.0, 0.3 + 2e-13, 2.0])
+    k = np.arange(4)
+    got = zeros._brentq(f, a, b, f(a, k), f(b, k))
+    expected = [brentq(_one(f, i)[0], a[i], b[i], xtol=1e-12) for i in k]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+    assert got[0].hex() == (-0.0).hex()
+    # no sign change, a NaN value, and a step across a bracket too wide for
+    # 100 iterations: scipy's errors
+    with pytest.raises(ValueError, match="must have different signs"):
+        zeros._brentq(f, np.array([1.0]), np.array([2.0]), np.array([1.0]), np.array([2.0]))
+    with pytest.raises(ValueError, match="is NaN"):
+        zeros._brentq(lambda x, j: np.full(x.shape, np.nan), np.array([-1.0]),
+                      np.array([2.0]), np.array([-1.0]), np.array([2.0]))
+    step = lambda x, j: np.where(x < 0.3, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        brentq(lambda x: float(step(x, 0)), -1e300, 1e300)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        zeros._brentq(step, np.array([-1e300]), np.array([1e300]), np.array([-1.0]),
+                      np.array([1.0]))
+
+
 def _reference_suspects(h, mag, sign, scale):
     # reference: the suspect conditions checked one index at a time
     out = []
@@ -329,13 +465,20 @@ def _reference_suspects(h, mag, sign, scale):
 _SCAN_VALUES = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 3e-8, -3e-8, 2e-7, 0.4, -0.4, 1.0])
 
 
-@given(st.lists(_SCAN_VALUES, min_size=0, max_size=40))
-def test_suspect_scan_matches_reference_loop(values):
-    v = np.array(values)
-    h = np.linspace(0.0, 1.0, v.size)
+@given(st.lists(st.lists(_SCAN_VALUES, min_size=0, max_size=40), min_size=1, max_size=4))
+def test_suspect_scan_matches_reference_loop(scans):
+    # several scans end to end: each finds the suspects of the reference
+    # loop on its own values, none across a boundary between scans
+    rows = np.concatenate([np.full(len(v), r) for r, v in enumerate(scans)]).astype(int)
+    v = np.concatenate([np.array(v, dtype=float) for v in scans])
+    h = np.concatenate([np.linspace(0.0, 1.0, len(v)) for v in scans])
     mag, sign = np.abs(v), np.sign(v)
-    scale = float(np.max(mag, initial=0.0)) or 1.0
-    assert _suspect_roots(h, mag, sign, scale) == _reference_suspects(h, mag, sign, scale)
+    scale = np.array([float(np.max(np.abs(s), initial=0.0)) or 1.0 for s in scans])
+    found = _suspect_positions(rows, mag, sign, scale)
+    for r, values in enumerate(scans):
+        part = rows == r
+        expected = _reference_suspects(h[part], mag[part], sign[part], scale[r])
+        assert h[found[rows[found] == r]].tolist() == expected
 
 
 def test_scan_windows_match_per_sample_linspace():
@@ -407,13 +550,19 @@ def test_cached_periods_equal_a_fresh_evaluation(annulus):
     # the cache holds the whole grid and every densification window
     h, windows = _scan_windows(*_default_scan_key(annulus)[1:])
     assert np.array_equal(points, np.unique(np.concatenate([h, windows.ravel()])))
+    # and the scan finds the grid and every window among those levels
+    _, on_grid, in_windows = zeros._scan_levels(*_default_scan_key(annulus)[1:])
+    assert np.array_equal(points[on_grid], h)
+    assert np.array_equal(points[in_windows], windows)
 
 
 def test_cached_arrays_are_read_only():
     ct = contour_table(Annulus.EXTERIOR)
     key, (points, periods) = _scan_cache(Annulus.EXTERIOR)
     h, windows = _scan_windows(*key[1:])
-    for arr in (ct.vertices, ct.s_init, *ct.init_values, h, windows, points, *periods):
+    _, on_grid, in_windows = zeros._scan_levels(*key[1:])
+    for arr in (ct.vertices, ct.s_init, *ct.init_values, h, windows, on_grid, in_windows,
+                points, *periods):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -425,7 +574,8 @@ def test_caches_do_not_grow_over_a_census():
 
     def sizes():
         return (len(zeros._CONTOUR_CACHE), _real_table.cache_info().currsize,
-                _scan_windows.cache_info().currsize, _scan_values.cache_info().currsize)
+                _scan_windows.cache_info().currsize, zeros._scan_levels.cache_info().currsize,
+                _scan_values.cache_info().currsize)
 
     before = sizes()
     bound_census(2, Annulus.EXTERIOR, n_draws=20, seed=5)
