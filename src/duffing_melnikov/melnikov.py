@@ -66,13 +66,6 @@ class ConstraintError(ValueError):
     """A computation that presumes M1 = 0 was handed parameters violating it."""
 
 
-def _as_coeff_tuple(values, name: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
-    if len(vals) != len(MONOMIALS):
-        raise ValueError(f"{name} needs {len(MONOMIALS)} coefficients, got {len(vals)}")
-    return vals
-
-
 @dataclass(frozen=True)
 class PerturbationParams:
     """Coefficient tables of the perturbation.
@@ -89,7 +82,10 @@ class PerturbationParams:
 
     def __post_init__(self):
         for name in ("lambda1", "gamma1", "lambda2", "gamma2"):
-            object.__setattr__(self, name, _as_coeff_tuple(getattr(self, name), name))
+            vals = tuple(map(float, getattr(self, name)))
+            if len(vals) != len(MONOMIALS):
+                raise ValueError(f"{name} needs {len(MONOMIALS)} coefficients, got {len(vals)}")
+            object.__setattr__(self, name, vals)
 
     @classmethod
     def zero(cls) -> "PerturbationParams":

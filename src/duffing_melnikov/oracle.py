@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .abelian import orbit_period, period_vector
 from .geometry import Annulus, hamiltonian, section_point
@@ -52,6 +53,8 @@ __all__ = [
 _FLOW_RTOL = 1e-12
 _FLOW_ATOL = 1e-14
 _TIME_BUDGET = 1.0e3
+# solve_ivp's tolerance for locating an event on the dense interpolant
+_CROSSING_TOL = 4 * np.finfo(float).eps
 
 # Geometric ladder of perturbation strengths for the expansion fit.  Smaller
 # floors push eps**2 * d-resolution toward the integrator noise (d ~ 1e-10
@@ -135,29 +138,36 @@ def _perturbed_rhs(params: PerturbationParams, epsilon: float):
 
 def flow(state, params: PerturbationParams, epsilon: float, section: Section,
          t_min: float = 0.0, t_max: float = _TIME_BUDGET):
-    """Integrate the perturbed system until the section-crossing event.
+    """Integrate the perturbed system up to its first qualifying section return.
 
     Returns (state, time) at the first flow-direction crossing with
-    time > t_min that lands near the section anchor.  Crossing times come
-    from root-polishing the event function on the dense interpolant, so
-    their accuracy tracks the integration tolerance rather than the step
-    size.  Raises EscapeError when no qualifying crossing occurs before
-    t_max.
+    time > t_min that lands near the section anchor, and stops integrating
+    there: t_max is only a time budget.  The stepper, its step sequence and
+    the crossing search are those of solve_ivp with a direction-1 event on
+    (0, t_max), so the return point and time are the same floats.  Crossing
+    times come from root-polishing the crossing function on the step's
+    dense interpolant, so their accuracy tracks the integration tolerance
+    rather than the step size.  Raises EscapeError when a step fails or no
+    qualifying crossing occurs before t_max.
     """
-    def event(t, z):
-        return section.crossing(t, z)
-
-    event.direction = 1.0
-    event.terminal = False
-    sol = solve_ivp(_perturbed_rhs(params, epsilon), (0.0, t_max), state,
-                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=[event])
-    if not sol.success:
-        raise EscapeError(f"integration failed: {sol.message}")
+    solver = DOP853(_perturbed_rhs(params, epsilon), 0.0, state, float(t_max),
+                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
     anchor = np.asarray(section.point)
     guard = 0.5 * (1.0 + math.hypot(*section.point))
-    for t, z in zip(sol.t_events[0], sol.y_events[0]):
-        if t > t_min and np.hypot(*(z - anchor)) < guard:
-            return np.asarray(z, dtype=float), float(t)
+    g = section.crossing(solver.t, solver.y)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise EscapeError(f"integration failed: {message}")
+        g_new = section.crossing(solver.t, solver.y)
+        if g <= 0 and g_new >= 0:
+            sol = solver.dense_output()
+            t = brentq(lambda s: section.crossing(s, sol(s)), solver.t_old, solver.t,
+                       xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
+            z = sol(t)
+            if t > t_min and np.hypot(*(z - anchor)) < guard:
+                return z, float(t)
+        g = g_new
     raise EscapeError(
         f"no section return in ({t_min:g}, {t_max:g}] at eps={epsilon:g}")
 

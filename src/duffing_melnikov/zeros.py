@@ -293,12 +293,14 @@ def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+
+
 def _form_of(params: PerturbationParams, order: int, annulus: Annulus) -> MelnikovForm:
-    if order == 1:
-        return m1_form(params, annulus)
-    if order == 2:
-        return m2_form(params, annulus)
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    _check_order(order)
+    return m1_form(params, annulus) if order == 1 else m2_form(params, annulus)
 
 
 def _coeff_rows(forms) -> tuple:
@@ -746,6 +748,7 @@ def bound_census(order: int, annulus: Annulus, n_draws: int = 200,
     mirroring how the second-order function becomes the leading
     displacement term.  All draws are certified as one block.
     """
+    _check_order(order)
     if n_draws < 0:
         raise ValueError(f"number of draws must be non-negative, got {n_draws}")
     rng = np.random.default_rng(seed)

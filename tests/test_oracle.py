@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
+from duffing_melnikov import oracle
 from duffing_melnikov.abelian import orbit_period, period_vector
 from duffing_melnikov.geometry import Annulus, hamiltonian
 from duffing_melnikov.melnikov import PerturbationParams, m1_form, m_eval
@@ -23,6 +24,7 @@ from duffing_melnikov.oracle import (
     EscapeError,
     _FLOW_ATOL,
     _FLOW_RTOL,
+    _TIME_BUDGET,
     _cubic,
     _fit_core,
     _perturbed_rhs,
@@ -188,3 +190,35 @@ def test_flow_end_state_equals_a_polyval2d_integration(annulus, h):
                         if t > t_min and np.hypot(*(z - anchor)) < guard)
     assert t_ret == t_ref
     assert end.tolist() == z_ref.tolist()
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_RIGHT, -0.125),
+    (Annulus.EXTERIOR, 1.0),
+])
+def test_flow_stops_at_the_return_whatever_the_time_budget(monkeypatch, annulus, h):
+    # t_max is only a budget: the same return, and no right-hand-side call
+    # past the step that holds it
+    calls = []
+
+    def counted(params, epsilon):
+        rhs = _perturbed_rhs(params, epsilon)
+
+        def wrapped(t, z):
+            calls.append(t)
+            return rhs(t, z)
+
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_perturbed_rhs", counted)
+    params = PerturbationParams.random(np.random.default_rng(7), scale=0.5)
+    epsilon = DEFAULT_EPS_LIST[0]
+    sec = oval_section(h, annulus)
+    T0 = orbit_period(h, annulus)
+    runs = []
+    for t_max in (3.0 * T0 + 10.0, _TIME_BUDGET):
+        calls.clear()
+        end, t_ret = flow(sec.point, params, epsilon, sec, t_min=0.5 * T0, t_max=t_max)
+        runs.append((end.tolist(), t_ret, len(calls)))
+    assert runs[0] == runs[1]
+    assert max(calls) < 2.0 * T0

@@ -281,6 +281,13 @@ def test_census_rejects_a_negative_draw_count():
     assert certs == [] and summary["draws"] == 0
 
 
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_census_rejects_an_unknown_order(n_draws):
+    # with or without draws, before the bound lookup
+    with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+        bound_census(3, Annulus.EXTERIOR, n_draws=n_draws)
+
+
 @pytest.mark.parametrize("order,annulus", [
     (1, Annulus.INTERIOR_LEFT), (1, Annulus.EXTERIOR), (2, Annulus.INTERIOR_RIGHT),
     (2, Annulus.EXTERIOR)])
