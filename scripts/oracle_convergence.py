@@ -21,7 +21,7 @@ from duffing_melnikov.melnikov import (
     m2_form,
     m_eval,
 )
-from duffing_melnikov.oracle import displacement, melnikov_fit
+from duffing_melnikov.oracle import melnikov_fit
 
 
 def main() -> int:
@@ -53,11 +53,11 @@ def main() -> int:
     print(f"closed forms: M1 = {m1:+.12e}" + (f",  M2 = {m2:+.12e}" if m2 is not None else ""))
 
     eps_list = [args.eps_max / 2 ** k for k in range(args.rungs)]
+    fit = melnikov_fit(args.h, params, annulus, eps_list=tuple(eps_list))
     print(f"\n{'eps':>10s} {'d(eps)/eps':>22s} {'d/eps - M1':>14s} {'(d/eps-M1)/eps':>16s}")
     resid = []
-    for eps in eps_list:
-        d = displacement(args.h, eps, params, annulus).d
-        first = d / eps
+    for sample in fit.samples:
+        eps, first = sample.epsilon, sample.d / sample.epsilon
         resid.append(abs(first - m1))
         print(f"{eps:10.2e} {first:22.14e} {first - m1:14.4e} {(first - m1) / eps:16.8e}")
 
@@ -68,7 +68,6 @@ def main() -> int:
         order = np.polyfit(np.log(np.array(eps_list)[good]), np.log(resid[good]), 1)[0]
         print(f"\nempirical order of d/eps - M1: {order:.3f} (expect 1.0)")
 
-    fit = melnikov_fit(args.h, params, annulus, eps_list=tuple(eps_list))
     print(f"cubic fit: M1 = {fit.m1:+.12e} +- {fit.m1_err:.2e}")
     print(f"           M2 = {fit.m2:+.12e} +- {fit.m2_err:.2e}"
           + ("" if m2 is None else f"   (closed {m2:+.12e})"))

@@ -16,6 +16,16 @@ first- and second-order coefficients with error bars.  Because the only
 inputs are the vector field and an ODE solver, the fit is an independent
 check on every formula the rest of the package produces.
 
+The solver is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5) run in
+lock-step over the eps ladder of a fit, one lane per eps: each round makes
+one attempt (11 stages, the final evaluation, the error norm, accept or
+reject) for every lane still integrating, and each lane's attempts and
+floats are those of scipy's DOP853 at its eps alone.  That holds because
+stage and error sums are np.matmul calls over each lane's own (2, s) slice,
+the same BLAS gemv as DOP853's np.dot; squared norms are per-lane dots as in
+np.linalg.norm; step factors use scalar pow, never array **; and the
+right-hand side runs per lane in Python floats.
+
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
 other once per process (see displacement_sign) and the measured factor is
@@ -126,50 +136,142 @@ def _cubic(c: np.ndarray):
 
 
 def _perturbed_rhs(params: PerturbationParams, epsilon: float):
+    """The flow's right-hand side at one eps; z is any pair of floats."""
     f = _cubic(params.coeff_grid("lambda1") + epsilon * params.coeff_grid("lambda2"))
     g = _cubic(params.coeff_grid("gamma1") + epsilon * params.coeff_grid("gamma2"))
 
     def rhs(t, z):
-        x, y = z.tolist()
+        x, y = z
         return (y + epsilon * f(x, y), x - x * x * x + epsilon * g(x, y))
 
     return rhs
 
 
-def flow(state, params: PerturbationParams, epsilon: float, section: Section,
-         t_min: float = 0.0, t_max: float = _TIME_BUDGET):
-    """Integrate the perturbed system up to its first qualifying section return.
+# DOP853's tableau and step-size control, as scipy's DOP853 applies them
+_STAGES, _C = DOP853.n_stages, DOP853.C.tolist()
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
-    Returns (state, time) at the first flow-direction crossing with
-    time > t_min that lands near the section anchor, and stops integrating
-    there: t_max is only a time budget.  The stepper, its step sequence and
-    the crossing search are those of solve_ivp with a direction-1 event on
-    (0, t_max), so the return point and time are the same floats.  Crossing
-    times come from root-polishing the crossing function on the step's
-    dense interpolant, so their accuracy tracks the integration tolerance
-    rather than the step size.  Raises EscapeError when a step fails or no
-    qualifying crossing occurs before t_max.
+
+class _Lane:
+    """One eps of a lock-step flow: the scalars a DOP853 solver keeps for it."""
+
+    def __init__(self, epsilon, params, state, t_max, g):
+        self.epsilon, self.rhs = epsilon, _perturbed_rhs(params, epsilon)
+        # scipy's DOP853 evaluates f0 and selects the first step
+        start = DOP853(self.rhs, 0.0, state, t_max, rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
+        self.t, self.h_abs, self.f0, self.retry, self.g = 0.0, start.h_abs, start.f, False, g
+        self.end = None  # (state, time) of the return, or the EscapeError
+
+    def size(self, t_max: float) -> bool:
+        """Set the attempt's step h as DOP853 does; False when it is too small."""
+        if not self.retry:
+            self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
+            self.h_abs = max(self.h_abs, self.min_step)
+        if self.h_abs < self.min_step:
+            self.end = EscapeError(f"integration failed at eps={self.epsilon:g}: "
+                                   f"{DOP853.TOO_SMALL_STEP}")
+            return False
+        self.t_new = min(self.t + self.h_abs, t_max)
+        self.h = self.t_new - self.t
+        self.h_abs = abs(self.h)
+        return True
+
+    def judge(self, error_norm: float) -> bool:
+        """Accept or reject the attempt and rescale the step as DOP853 does."""
+        accept = error_norm < 1
+        factor = _SAFETY * error_norm ** _EXPONENT if error_norm else _MAX_FACTOR
+        if accept:
+            factor = min(1 if self.retry else _MAX_FACTOR, factor)
+        else:
+            factor = max(_MIN_FACTOR, factor)
+        self.h_abs, self.retry = self.h_abs * factor, not accept
+        return accept
+
+
+def _attempt(lanes, y, K):
+    """One DOP853 attempt of every lane from y, in scipy's rk_step order.
+
+    K[:, 0] holds each lane's f at y.  Returns the new points and the error norms.
     """
-    solver = DOP853(_perturbed_rhs(params, epsilon), 0.0, state, float(t_max),
-                    rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-    anchor = np.asarray(section.point)
-    guard = 0.5 * (1.0 + math.hypot(*section.point))
-    g = section.crossing(solver.t, solver.y)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise EscapeError(f"integration failed: {message}")
-        g_new = section.crossing(solver.t, solver.y)
-        if g <= 0 and g_new >= 0:
-            sol = solver.dense_output()
-            t = brentq(lambda s: section.crossing(s, sol(s)), solver.t_old, solver.t,
-                       xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
-            z = sol(t)
-            if t > t_min and np.hypot(*(z - anchor)) < guard:
-                return z, float(t)
-        g = g_new
-    raise EscapeError(
-        f"no section return in ({t_min:g}, {t_max:g}] at eps={epsilon:g}")
+    h = np.array([lane.h for lane in lanes])[:, None]
+    for s in range(1, _STAGES):
+        z = (y + np.matmul(K[:, :s].transpose(0, 2, 1), DOP853.A[s, :s]) * h).tolist()
+        K[:, s] = [lane.rhs(lane.t + _C[s] * lane.h, zk) for lane, zk in zip(lanes, z)]
+    y_new = y + h * np.matmul(K[:, :_STAGES].transpose(0, 2, 1), DOP853.B)
+    K[:, _STAGES] = [lane.rhs(lane.t + lane.h, zk) for lane, zk in zip(lanes, y_new.tolist())]
+    scale = _FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _FLOW_RTOL
+    squares = []  # np.linalg.norm(err) ** 2 for E5 and E3: the root of a dot, squared by pow
+    for e in (DOP853.E5, DOP853.E3):
+        err = np.matmul(K[:, :_STAGES + 1].transpose(0, 2, 1), e) / scale
+        dots = np.matmul(err[:, None], err[:, :, None]).ravel().tolist()
+        squares.append([math.sqrt(q) ** 2 for q in dots])
+    return y_new, [abs(lane.h) * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
+                   for lane, n5, n3 in zip(lanes, *squares)]
+
+
+def _interpolant(rhs, K, t_old, t, h, y_old, y):
+    """DOP853's dense output over one accepted step, in its operation order."""
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES + 1):
+        K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
+    dy = y - y_old
+    F = [dy, h * K[0] - dy, 2 * dy - h * (K[_STAGES] + K[0]), *(h * np.dot(DOP853.D, K))]
+
+    def at(s):
+        x, z = (s - t_old) / (t - t_old), np.zeros(2)
+        for i, row in enumerate(reversed(F)):
+            z = (z + row) * (x if i % 2 == 0 else 1 - x)
+        return z + y_old
+
+    return at
+
+
+def flow(state, params: PerturbationParams, epsilons, section: Section,
+         t_min: float = 0.0, t_max: float = _TIME_BUDGET) -> list:
+    """Integrate the perturbed system at each eps up to its first qualifying section return.
+
+    Returns one (state, time) per eps: the first flow-direction crossing
+    with time > t_min that lands near the section anchor, where that lane
+    stops; t_max is only a time budget.  The eps run in lock-step (see the
+    module docstring), each with the floats of solve_ivp's DOP853 and a
+    direction-1 event on (0, t_max) at that eps alone; crossing times are
+    root-polished on the step's dense interpolant.  Raises EscapeError for
+    the first eps, in order, whose step fails or that does not return.
+    """
+    t_max, g = float(t_max), section.crossing(0.0, state)
+    lanes = every = [_Lane(e, params, state, t_max, g) for e in epsilons]
+    y = np.array([state] * len(lanes), dtype=float)
+    K = np.empty((len(lanes), _STAGES + 1 + len(DOP853.C_EXTRA), 2))
+    K[:, 0] = [lane.f0 for lane in lanes]
+    anchor, guard = np.asarray(section.point), 0.5 * (1.0 + math.hypot(*section.point))
+    while True:
+        keep = [lane.end is None and lane.size(t_max) for lane in lanes]
+        lanes, y, K = [lane for lane, k in zip(lanes, keep) if k], y[keep], K[keep]
+        if not lanes:
+            break
+        y_new, norms = _attempt(lanes, y, K)
+        accepted = [lane.judge(e) for lane, e in zip(lanes, norms)]
+        for i, lane in enumerate(lanes):
+            if not accepted[i]:
+                continue
+            t_old, lane.t, g = lane.t, lane.t_new, lane.g
+            lane.g = section.crossing(lane.t, y_new[i])
+            if g <= 0 and lane.g >= 0:
+                at = _interpolant(lane.rhs, K[i], t_old, lane.t, lane.h, y[i], y_new[i])
+                t = brentq(lambda s: section.crossing(s, at(s)), t_old, lane.t,
+                           xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
+                z = at(t)
+                if t > t_min and np.hypot(*(z - anchor)) < guard:
+                    lane.end = (z, float(t))
+                    continue
+            if lane.t >= t_max:
+                lane.end = EscapeError(f"no section return in ({t_min:g}, {t_max:g}] "
+                                       f"at eps={lane.epsilon:g}")
+        y[accepted], K[accepted, 0] = y_new[accepted], K[accepted, _STAGES]
+    for lane in every:
+        if isinstance(lane.end, EscapeError):
+            raise lane.end
+    return [lane.end for lane in every]
 
 
 @dataclass(frozen=True)
@@ -183,22 +285,30 @@ class DisplacementSample:
     return_time: float
 
 
-def displacement(h: float, epsilon: float, params: PerturbationParams,
-                 annulus: Annulus, phase: float = 0.0) -> DisplacementSample:
-    """First-return displacement d = H(end) - h at one perturbation strength.
-
-    At epsilon = 0 the orbit closes and |d| sits at the integrator noise
-    floor, a few multiples of the integration tolerance 1e-12.
-    """
+def _ladder(h: float, params: PerturbationParams, annulus: Annulus, eps_list,
+            phase: float) -> tuple[DisplacementSample, ...]:
+    """First-return displacements at every eps of a ladder, from one lock-step flow."""
     annulus.require(h)
     sec = oval_section(h, annulus, phase)
     T0 = orbit_period(h, annulus)
     t_max = min(_TIME_BUDGET, 3.0 * T0 + 10.0)
-    end, t_ret = flow(sec.point, params, epsilon, sec,
-                      t_min=0.5 * T0, t_max=t_max)
-    d = hamiltonian(end[0], end[1]) - h
-    return DisplacementSample(h=float(h), epsilon=float(epsilon), d=float(d),
-                              integration_tol=_FLOW_RTOL, return_time=t_ret)
+    ends = flow(sec.point, params, eps_list, sec, t_min=0.5 * T0, t_max=t_max)
+    return tuple(DisplacementSample(h=float(h), epsilon=float(e),
+                                    d=float(hamiltonian(end[0], end[1]) - h),
+                                    integration_tol=_FLOW_RTOL, return_time=t_ret)
+                 for e, (end, t_ret) in zip(eps_list, ends))
+
+
+def displacement(h: float, epsilon: float, params: PerturbationParams,
+                 annulus: Annulus, phase: float = 0.0) -> DisplacementSample:
+    """First-return displacement d = H(end) - h at one perturbation strength.
+
+    A one-lane flow: the same float as the eps's sample in a melnikov_fit
+    over any ladder that holds it.  At epsilon = 0 the orbit closes and |d|
+    sits at the integrator noise floor, a few multiples of the integration
+    tolerance 1e-12.
+    """
+    return _ladder(h, params, annulus, (epsilon,), phase)[0]
 
 
 def _fit_core(samples):
@@ -246,7 +356,7 @@ def displacement_sign() -> int:
     lam[1] = 1.0
     probe = PerturbationParams(tuple(lam), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10)
     h, annulus = -0.125, Annulus.INTERIOR_RIGHT
-    samples = [displacement(h, e, probe, annulus) for e in DEFAULT_EPS_LIST]
+    samples = _ladder(h, probe, annulus, DEFAULT_EPS_LIST, 0.0)
     slope = _fit_core(samples)[0][0]
     area = period_vector(h, annulus).i0.real
     return 1 if slope * area > 0 else -1
@@ -279,12 +389,14 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     """Fit d(eps) = a1 eps + a2 eps^2 + a3 eps^3 from direct integrations.
 
     Needs at least four strengths so the cubic fit has a residual degree of
-    freedom for the error bars.
+    freedom for the error bars.  The section and the period are computed
+    once and the whole ladder is integrated by one lock-step flow; each
+    sample is the float displacement gives at its eps.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 4:
         raise ValueError("need at least 4 eps values for the cubic fit")
-    samples = tuple(displacement(h, e, params, annulus, phase) for e in eps_list)
+    samples = _ladder(h, params, annulus, eps_list, phase)
     coef, err, cond = _fit_core(samples)
     sign = displacement_sign()
     return MelnikovFit(h=float(h), annulus=annulus,

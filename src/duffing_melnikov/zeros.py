@@ -22,11 +22,11 @@ periods at all of those points.
 Forms are certified in blocks: bound_census certifies all its draws as one
 block, and certify, winding_count, circle_argument and real_zeros are
 blocks of one.  Per block, the counting functions of all forms are
-evaluated in one broadcast pass at every cached keyhole sample and every
-cached scan level, one coefficient row per form, in numpy's polyval
-operation order.  Phase refinement then runs in lock-step, with one period
-evaluation per round for the bisection midpoints of every form; each
-form's scan points are chosen by masks over the cached levels; and every
+evaluated in one broadcast pass at every cached keyhole sample and scan grid
+level, then at the cached windows each form's scan picks, one coefficient
+row per form, in numpy's polyval operation order.  Phase refinement then
+runs in lock-step, with one period evaluation per round for the bisection
+midpoints of every form; and every
 sign change of the block is polished at once by a lock-step copy of
 scipy's brentq iteration, with one period evaluation per step.  Those
 midpoints and steps are the only periods evaluated per block.  Each value
@@ -583,22 +583,26 @@ def _brentq(f, a, b, fa, fb, xtol: float = _ROOT_XTOL) -> np.ndarray:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _scan_block(values: np.ndarray, interval: tuple, n_scan: int, evaluate) -> list:
-    """Bracketing root scans of several real functions at once.
+def _scan_block(n_fns: int, interval: tuple, n_scan: int, at_levels, evaluate) -> list:
+    """Bracketing root scans of n_fns real functions at once.
 
-    values[r] holds function r at every level of _scan_levels(*interval,
-    n_scan).  Each scan reads the grid, densifies 4x around its small grid
-    samples by choosing their windows, and polishes every sign change with
+    at_levels(r, i) returns functions r at levels i of _scan_levels(*interval,
+    n_scan).  Each scan evaluates the grid, densifies 4x around its small grid
+    samples by evaluating their windows, and polishes every sign change with
     _brentq to width 1e-12; evaluate(x, r) returns functions r at levels x.
     Returns one (roots, suspects) pair per function, as real_zeros does.
     """
     points, grid, windows = _scan_levels(*interval, n_scan)
+    values = np.zeros((n_fns, points.size))
+    values[:, grid] = at_levels(np.arange(n_fns)[:, None], grid)
     on_grid = np.abs(values[:, grid])
     scale = np.max(on_grid, axis=1)
     pick = np.zeros(values.shape, dtype=bool)
-    pick[:, grid] = True
     r, i = np.nonzero(on_grid < 0.05 * scale[:, None])
     pick[r[:, None], windows[i]] = True
+    pick[:, grid] = False  # window levels that are grid levels are in already
+    values[pick] = at_levels(*np.nonzero(pick))
+    pick[:, grid] = True
     pick[scale == 0.0] = False  # nothing to scan
     rows, cols = np.nonzero(pick)
     h, v = points[cols], values[rows, cols]
@@ -633,9 +637,8 @@ def real_zeros(fn, interval, n_scan: int = _N_SCAN):
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
-    points = _scan_levels(a, b, n_scan)[0]
-    ((roots, suspects),) = _scan_block(np.real(np.asarray(fn(points)))[None, :],
-                                       (a, b), n_scan,
+    values = np.real(np.asarray(fn(_scan_levels(a, b, n_scan)[0])))
+    ((roots, suspects),) = _scan_block(1, (a, b), n_scan, lambda r, i: values[i],
                                        lambda x, r: np.real(np.asarray(fn(x))))
     return roots, suspects
 
@@ -684,10 +687,11 @@ def _scan_interval(annulus: Annulus, R: float, rho: float) -> tuple:
 def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     """Certificates of equal-shaped forms on one annulus, computed together.
 
-    The counting functions of all forms are evaluated in one broadcast pass
-    at the cached keyhole samples and at the cached real-scan levels; phase
-    refinement, the real scan and root polishing then run in lock-step over
-    the block.  Each certificate is the one the form gets alone.
+    The counting functions of all forms are evaluated in broadcast passes
+    at the cached keyhole samples and real-scan levels, the latter only where
+    the scan reads; phase refinement, the real scan and root polishing then
+    run in lock-step over the block.  Each certificate is the one the form
+    gets alone.
     """
     if not forms:
         return []
@@ -708,9 +712,11 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
             rows = tuple(c[r] for c in coeffs)
             return np.real(_counting_rows(rows, exterior, x, *table.values(x)))
 
-        values = np.real(_counting_rows(tuple(c[:, None, :] for c in coeffs), exterior,
-                                        points, *periods))
-        scans = dict(zip(live, _scan_block(values, interval, _N_SCAN, polish)))
+        def at_levels(r, i):
+            return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],
+                                          *(p[i] for p in periods)))
+
+        scans = dict(zip(live, _scan_block(len(live), interval, _N_SCAN, at_levels, polish)))
     certs = []
     for k, (form, cert) in enumerate(zip(forms, windings)):
         if k not in scans:

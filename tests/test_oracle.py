@@ -6,7 +6,9 @@ agreement with the closed-form first-order coefficient on a random draw.
 The heavier closed-form comparisons live in the acceptance suite.
 """
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -102,11 +104,17 @@ def test_fit_requires_four_strengths():
 
 
 def test_flow_raises_when_no_return_in_window():
+    # the error names the first eps in ladder order that fails
     h, annulus = -0.125, Annulus.INTERIOR_RIGHT
+    params = PerturbationParams.random(np.random.default_rng(7), scale=0.5)
     sec = oval_section(h, annulus)
-    with pytest.raises(EscapeError):
-        flow(sec.point, PerturbationParams.zero(), 0.0, sec,
-             t_min=0.2, t_max=0.3)
+    T0 = orbit_period(h, annulus)
+    # every lane runs out of time
+    with pytest.raises(EscapeError, match=r"no section return .* at eps=0$"):
+        flow(sec.point, params, (0.0, 1e-2, -1e-2, 5e-3), sec, t_min=0.2, t_max=0.3)
+    # 0.1 returns; the 1.0 lane blows up before the 0.5 lane does
+    with pytest.raises(EscapeError, match=r"integration failed at eps=0.5:"):
+        flow(sec.point, params, (0.1, 0.5, 1.0), sec, t_min=0.5 * T0, t_max=3.0 * T0 + 10.0)
 
 
 def test_fit_core_recovers_synthetic_cubic():
@@ -164,32 +172,41 @@ def test_cubic_equals_polyval2d_exactly(seed, epsilon, points):
         assert fast(0.0, z) == reference(0.0, z)
 
 
+_SYMMETRIC_LADDER = tuple(2.5e-3 / 2 ** k * s for k in range(4) for s in (1.0, -1.0))
+
+
 @pytest.mark.parametrize("annulus,h", [
     (Annulus.INTERIOR_RIGHT, -0.125),
     (Annulus.EXTERIOR, 1.0),
 ])
 def test_flow_end_state_equals_a_polyval2d_integration(annulus, h):
-    # the oracle's return point and time are the floats a polyval2d
-    # right-hand side gives under the same solver, tolerances and event
+    # every lane's return point and time are the floats a polyval2d
+    # right-hand side gives at its eps alone under the same solver,
+    # tolerances and event, on one lane and on the two ladders of the
+    # acceptance-6 fits
     params = PerturbationParams.random(np.random.default_rng(7), scale=0.5)
-    epsilon = DEFAULT_EPS_LIST[0]
     sec = oval_section(h, annulus)
     T0 = orbit_period(h, annulus)
     t_min, t_max = 0.5 * T0, 3.0 * T0 + 10.0
-    end, t_ret = flow(sec.point, params, epsilon, sec, t_min=t_min, t_max=t_max)
 
     def event(t, z):
         return sec.crossing(t, z)
 
     event.direction = 1.0
-    sol = solve_ivp(_polyval_rhs(params, epsilon), (0.0, t_max), sec.point,
-                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL, events=[event])
+    event.terminal = 2  # the start on the section, then the return
     anchor = np.asarray(sec.point)
     guard = 0.5 * (1.0 + math.hypot(*sec.point))
-    t_ref, z_ref = next((t, z) for t, z in zip(sol.t_events[0], sol.y_events[0])
-                        if t > t_min and np.hypot(*(z - anchor)) < guard)
-    assert t_ret == t_ref
-    assert end.tolist() == z_ref.tolist()
+    for ladder in (DEFAULT_EPS_LIST[:1], DEFAULT_EPS_LIST, _SYMMETRIC_LADDER):
+        ends = flow(sec.point, params, ladder, sec, t_min=t_min, t_max=t_max)
+        assert len(ends) == len(ladder)
+        for epsilon, (end, t_ret) in zip(ladder, ends):
+            sol = solve_ivp(_polyval_rhs(params, epsilon), (0.0, t_max), sec.point,
+                            method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL,
+                            events=[event])
+            t_ref, z_ref = next((t, z) for t, z in zip(sol.t_events[0], sol.y_events[0])
+                                if t > t_min and np.hypot(*(z - anchor)) < guard)
+            assert t_ret == t_ref
+            assert end.tolist() == z_ref.tolist()
 
 
 @pytest.mark.parametrize("annulus,h", [
@@ -218,7 +235,23 @@ def test_flow_stops_at_the_return_whatever_the_time_budget(monkeypatch, annulus,
     runs = []
     for t_max in (3.0 * T0 + 10.0, _TIME_BUDGET):
         calls.clear()
-        end, t_ret = flow(sec.point, params, epsilon, sec, t_min=0.5 * T0, t_max=t_max)
+        ((end, t_ret),) = flow(sec.point, params, (epsilon,), sec, t_min=0.5 * T0,
+                               t_max=t_max)
         runs.append((end.tolist(), t_ret, len(calls)))
     assert runs[0] == runs[1]
     assert max(calls) < 2.0 * T0
+
+
+def test_convergence_script_prints_one_row_per_rung(monkeypatch, capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_convergence.py"
+    spec = importlib.util.spec_from_file_location("oracle_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", ["oracle_convergence.py", "--rungs", "4"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(k for k, line in enumerate(lines) if line.split()[:1] == ["eps"])
+    rows = lines[header + 1:lines.index("", header)]
+    assert len(rows) == 4
+    assert all(len(row.split()) == 4 for row in rows)
+    assert sum(line.startswith("cubic fit: M1 = ") for line in lines) == 1
