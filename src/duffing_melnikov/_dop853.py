@@ -1,0 +1,117 @@
+"""DOP853 in lock-step: independent initial value problems stepped side by side.
+
+Each round makes one attempt for every lane still integrating, and each
+lane's attempts and floats are scipy's DOP853 on its problem alone: stage
+and error sums are np.matmul over the lane's own (n, s) slice, the gemv of
+DOP853's np.dot; squared norms are per-lane dots as in np.linalg.norm; step
+factors use scalar pow, never array **; and each rhs runs on Python floats.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import DOP853
+
+_STAGES, _C = DOP853.n_stages, DOP853.C.tolist()
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+class Lane:
+    """One problem z' = rhs(t, z) on (0, t_end): the scalars a DOP853 solver keeps for it.
+
+    end is None while the lane runs; a step below DOP853's minimum sets it
+    to the message "label: " + DOP853.TOO_SMALL_STEP.
+    """
+
+    def __init__(self, rhs, state, t_end: float, rtol: float, atol: float, label: str):
+        # scipy's DOP853 evaluates f0 and selects the first step
+        start = DOP853(rhs, 0.0, state, t_end, rtol=rtol, atol=atol)
+        self.rhs, self.t_end, self.label, self.y0, self.f0 = rhs, t_end, label, start.y, start.f
+        self.t, self.h_abs, self.retry, self.end = 0.0, start.h_abs, False, None
+
+    def size(self) -> bool:
+        """Set the attempt's step h as DOP853 does; False when it is too small."""
+        if not self.retry:
+            self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
+            self.h_abs = max(self.h_abs, self.min_step)
+        if self.h_abs < self.min_step:
+            self.end = f"{self.label}: {DOP853.TOO_SMALL_STEP}"
+            return False
+        self.t_new = min(self.t + self.h_abs, self.t_end)
+        self.h = self.t_new - self.t
+        self.h_abs = abs(self.h)
+        return True
+
+    def judge(self, error_norm: float) -> bool:
+        """Accept or reject the attempt and rescale the step as DOP853 does."""
+        accept = error_norm < 1
+        factor = _SAFETY * error_norm ** _EXPONENT if error_norm else _MAX_FACTOR
+        if accept:
+            factor = min(1 if self.retry else _MAX_FACTOR, factor)
+        else:
+            factor = max(_MIN_FACTOR, factor)
+        self.h_abs, self.retry = self.h_abs * factor, not accept
+        return accept
+
+
+def _attempt(lanes, y, K, rtol, atol):
+    """One DOP853 attempt of every lane from y, in scipy's rk_step order.
+
+    K[:, 0] holds each lane's f at y.  Returns the new points and the error norms.
+    """
+    h = np.array([lane.h for lane in lanes])[:, None]
+    for s in range(1, _STAGES):
+        z = (y + np.matmul(K[:, :s].transpose(0, 2, 1), DOP853.A[s, :s]) * h).tolist()
+        K[:, s] = [lane.rhs(lane.t + _C[s] * lane.h, zk) for lane, zk in zip(lanes, z)]
+    y_new = y + h * np.matmul(K[:, :_STAGES].transpose(0, 2, 1), DOP853.B)
+    K[:, _STAGES] = [lane.rhs(lane.t + lane.h, zk) for lane, zk in zip(lanes, y_new.tolist())]
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    squares = []  # np.linalg.norm(err) ** 2 for E5 and E3: the root of a dot, squared by pow
+    for e in (DOP853.E5, DOP853.E3):
+        err = np.matmul(K[:, :_STAGES + 1].transpose(0, 2, 1), e) / scale
+        dots = np.matmul(err[:, None], err[:, :, None]).ravel().tolist()
+        squares.append([math.sqrt(q) ** 2 for q in dots])
+    return y_new, [abs(lane.h) * n5 / math.sqrt((n5 + 0.01 * n3) * y.shape[1]) if n5 or n3
+                   else 0.0 for lane, n5, n3 in zip(lanes, *squares)]
+
+
+def run(lanes, rtol: float, atol: float, accept) -> None:
+    """Step every lane, one attempt per lane and round, until each has an end.
+
+    accept(lane, t_old, y_old, y_new, K) follows each accepted step (lane.t
+    advanced, K the lane's stages) and finishes the lane by setting lane.end.
+    """
+    y = np.array([lane.y0 for lane in lanes])
+    K = np.empty((len(lanes), _STAGES + 1 + len(DOP853.C_EXTRA), y.shape[1]))
+    K[:, 0] = [lane.f0 for lane in lanes]
+    while True:
+        keep = [lane.end is None and lane.size() for lane in lanes]
+        lanes, y, K = [lane for lane, k in zip(lanes, keep) if k], y[keep], K[keep]
+        if not lanes:
+            return
+        y_new, norms = _attempt(lanes, y, K, rtol, atol)
+        accepted = [lane.judge(e) for lane, e in zip(lanes, norms)]
+        for i, lane in enumerate(lanes):
+            if accepted[i]:
+                t_old, lane.t = lane.t, lane.t_new
+                accept(lane, t_old, y[i], y_new[i], K[i])
+        y[accepted], K[accepted, 0] = y_new[accepted], K[accepted, _STAGES]
+
+
+def interpolant(rhs, K, t_old, t, h, y_old, y):
+    """DOP853's dense output over one accepted step, in its operation order."""
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES + 1):
+        K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
+    dy = y - y_old
+    F = [dy, h * K[0] - dy, 2 * dy - h * (K[_STAGES] + K[0]), *(h * np.dot(DOP853.D, K))]
+
+    def at(s):
+        x, z = (s - t_old) / (t - t_old), np.zeros(len(y))
+        for i, row in enumerate(reversed(F)):
+            z = (z + row) * (x if i % 2 == 0 else 1 - x)
+        return z + y_old
+
+    return at

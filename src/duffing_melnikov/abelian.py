@@ -29,9 +29,10 @@ whose inverted form
     I_0' = ((12h + 4) I_0 - 5 I_2) / (4h (4h + 1))
     I_2' = (5 I_2 - I_0) / (4h + 1)
 
-is regular except at h = 0 and h = -1/4.  transport_table and
-continue_complex integrate it along polylines from quadrature values at a
-real base point; they serve as the independent check of the closed form.
+is regular except at h = 0 and h = -1/4.  continue_paths transports it
+along polylines from quadrature values at a real base point, each path a
+lane of one lock-step DOP853, as the independent check of the closed form;
+transport_table is the dense solve_ivp route the tests compare it with.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 
@@ -51,6 +52,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import elliprd, elliprf
 
+from ._dop853 import Lane, run
 from .geometry import Annulus, DomainError, branch_points, oval_smooth_factor
 from .quadrature import integrate_endpoint_sqrt, integrate_smooth
 
@@ -69,6 +71,7 @@ __all__ = [
     "reduce_moment",
     "closed_form",
     "continue_complex",
+    "continue_paths",
     "transport_table",
     "PathTable",
     "RealPeriodTable",
@@ -306,20 +309,35 @@ def reduce_moment(k: int, h, pv: PeriodVector):
 # ---------------------------------------------------------------------------
 
 
-def _pf_entries(h):
-    """Entries (a00, a01, a10, a11) of the system matrix, vectorized over h."""
-    h = np.asarray(h, dtype=complex)
-    den = 4.0 * h * (4.0 * h + 1.0)
-    a00 = (12.0 * h + 4.0) / den
-    a01 = -5.0 / den
-    a10 = -1.0 / (4.0 * h + 1.0)
-    a11 = 5.0 / (4.0 * h + 1.0)
-    return a00, a01, a10, a11
+def _smith(a: float, b: float, c: float, d: float, br: float, bi: float):
+    """(a + i b) / z and (c + i d) / z for z = br + i bi, as numpy divides (Smith's rule)."""
+    if abs(br) >= abs(bi):
+        r = bi / br
+        s = 1.0 / (br + bi * r)
+        return ((a + b * r) * s, (b - a * r) * s), ((c + d * r) * s, (d - c * r) * s)
+    r = br / bi
+    s = 1.0 / (bi + br * r)
+    return ((a * r + b) * s, (b * r - a) * s), ((c * r + d) * s, (d * r - c) * s)
+
+
+def _pf_entries(hr: float, hi: float):
+    """Entries a00, a01, a10, a11 of the system matrix at h = hr + i hi, as (re, im) pairs.
+
+    numpy's floats on 0-d complex arrays, signed zeros included: a real operand
+    has imaginary part 0, a product is (ac - bd, ad + bc), and a quotient
+    multiplies by Smith's reciprocal scale (CPython's complex division divides).
+    """
+    fr, fi = 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr    # 4h
+    gr, gi = fr + 1.0, fi + 0.0                          # 4h + 1
+    return (*_smith(12.0 * hr - 0.0 * hi + 4.0, 12.0 * hi + 0.0 * hr + 0.0, -5.0, 0.0,
+                    fr * gr - fi * gi, fr * gi + fi * gr),
+            *_smith(-1.0, 0.0, 5.0, 0.0, gr, gi))
 
 
 def derivative_pair(h, i0, i2):
-    """(I_0', I_2') from (I_0, I_2) via the inverted period system."""
-    a00, a01, a10, a11 = _pf_entries(h)
+    """(I_0', I_2') from (I_0, I_2) via the inverted period system, at one level h."""
+    h = complex(h)
+    a00, a01, a10, a11 = (complex(*a) for a in _pf_entries(h.real, h.imag))
     return a00 * i0 + a01 * i2, a10 * i0 + a11 * i2
 
 
@@ -344,48 +362,32 @@ def _check_path(vertices: list[complex]) -> None:
                 )
 
 
-def _pf_rhs(t, u, z0, dz):
-    h = z0 + t * dz
-    i0 = u[0] + 1j * u[1]
-    i2 = u[2] + 1j * u[3]
-    a00, a01, a10, a11 = _pf_entries(h)
-    d0 = dz * (a00 * i0 + a01 * i2)
-    d2 = dz * (a10 * i0 + a11 * i2)
-    return (d0.real, d0.imag, d2.real, d2.imag)
+def _pf_rhs(z0: complex, dz: complex):
+    """The transport right-hand side on h = z0 + t dz, in numpy's floats (see _pf_entries).
 
+    The state u is (Re I_0, Im I_0, Re I_2, Im I_2); the result is dz A(h) (I_0, I_2).
+    """
+    z0r, z0i, dzr, dzi = z0.real, z0.imag, dz.real, dz.imag
 
-def _transport_segment(z0: complex, z1: complex, i0: complex, i2: complex):
-    dz = z1 - z0
-    sol = solve_ivp(
-        _pf_rhs, (0.0, 1.0),
-        (i0.real, i0.imag, i2.real, i2.imag),
-        args=(z0, dz),
-        method="DOP853", rtol=_TRANSPORT_RTOL, atol=_TRANSPORT_ATOL, dense_output=True,
-    )
-    if not sol.success:
-        raise PathError(f"transport failed on segment {z0} -> {z1}: {sol.message}")
-    end = sol.y[:, -1]
-    return (end[0] + 1j * end[1], end[2] + 1j * end[3]), sol
+    def rhs(t, u):
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = _pf_entries(
+            z0r + (t * dzr - 0.0 * dzi), z0i + (t * dzi + 0.0 * dzr))
+        pr, pi, qr, qi = u[0] + 0.0 * u[1], 0.0 + u[1], u[2] + 0.0 * u[3], 0.0 + u[3]
+        sr, si = ar * pr - ai * pi + (br * qr - bi * qi), ar * pi + ai * pr + (br * qi + bi * qr)
+        wr, wi = cr * pr - ci * pi + (dr * qr - di * qi), cr * pi + ci * pr + (dr * qi + di * qr)
+        return dzr * sr - dzi * si, dzr * si + dzi * sr, dzr * wr - dzi * wi, dzr * wi + dzi * wr
+
+    return rhs
 
 
 @dataclass
 class PathTable:
-    """Dense record of a transport run along a polyline.
-
-    The polyline is parameterized by s in [0, n_segments]; segment k covers
-    [k, k+1] linearly.  values_at(s) evaluates (h, I_0, I_1, I_2) anywhere on
-    the polyline from the stored dense ODE solutions, so one transport can
-    be compared with the closed form at any number of points.
-    """
+    """Dense record of a transport run; segment k covers the parameters s in [k, k+1]."""
 
     annulus: Annulus
     vertices: list[complex]
     solutions: list
     i1_coef: float
-
-    @property
-    def s_max(self) -> float:
-        return float(len(self.solutions))
 
     def values_at(self, s):
         """(h, I_0, I_1, I_2) arrays at polyline parameters s (ascending or not)."""
@@ -405,17 +407,12 @@ class PathTable:
         i1 = self.i1_coef * (4.0 * h + 1.0)
         return h, i0, i1, i2
 
-    def end_values(self):
-        h, i0, i1, i2 = self.values_at(self.s_max)
-        return h[0], i0[0], i1[0], i2[0]
 
+def _polyline(path, annulus: Annulus):
+    """A path's vertices without repeats, and its start state (I_0, I_2) by quadrature.
 
-def transport_table(path, annulus: Annulus) -> PathTable:
-    """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
-
-    The starting vertex must be a real level inside the annulus interval; the
-    initial values come from quadrature there.  Every segment must keep
-    MIN_CLEARANCE from the singular levels.  Returns the dense PathTable.
+    The first vertex must be a real level inside the annulus interval, and
+    every segment must keep MIN_CLEARANCE from the singular levels.
     """
     vertices = [complex(z) for z in path]
     if len(vertices) < 2:
@@ -425,20 +422,54 @@ def transport_table(path, annulus: Annulus) -> PathTable:
         raise PathError(f"path must start at a real level inside the annulus, got {start}")
     _check_path(vertices)
     base = period_vector(start.real, annulus)
-    i0, i2 = complex(base.i0), complex(base.i2)
+    vertices = [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
+    return vertices, (base.i0, 0.0, base.i2, 0.0)
+
+
+def transport_table(path, annulus: Annulus) -> PathTable:
+    """Transport (I_0, I_2) along a polyline starting at a real point of the annulus.
+
+    The dense reference route: one solve_ivp run per segment (see _polyline
+    for the path's requirements), each starting where the last one ended.
+    """
+    vertices, u = _polyline(path, annulus)
     solutions = []
-    cleaned = []
-    z_prev = start
-    for z in vertices[1:]:
-        if z == z_prev:
-            continue
-        (i0, i2), sol = _transport_segment(z_prev, z, i0, i2)
+    for z0, z1 in zip(vertices, vertices[1:]):
+        sol = solve_ivp(_pf_rhs(z0, z1 - z0), (0.0, 1.0), u, method="DOP853",
+                        rtol=_TRANSPORT_RTOL, atol=_TRANSPORT_ATOL, dense_output=True)
+        if not sol.success:
+            raise PathError(f"transport failed on segment {z0} -> {z1}: {sol.message}")
         solutions.append(sol)
-        cleaned.append(z_prev)
-        z_prev = z
-    cleaned.append(z_prev)
-    return PathTable(annulus=annulus, vertices=cleaned, solutions=solutions,
+        u = sol.y[:, -1]
+    return PathTable(annulus=annulus, vertices=vertices, solutions=solutions,
                      i1_coef=i1_slope(annulus))
+
+
+def _segment_end(lane, t_old, y_old, y_new, K):
+    # the next start is y_new; the end value is the dense output at t = 1 (as values_at reads it)
+    if lane.t >= lane.t_end:
+        lane.end = y_new.tolist(), (y_old + (y_new - y_old)).tolist()
+
+
+def continue_paths(paths, annuli) -> list[PeriodVector]:
+    """Analytic continuation along many polylines (see _polyline), as one lock-step transport.
+
+    Segment j of every path is a lane of one lock-step DOP853 run, then segment
+    j + 1, each lane with the floats of solve_ivp on its segment alone.
+    """
+    runs = [_polyline(path, annulus) for path, annulus in zip(paths, annuli, strict=True)]
+    at = [[v[0], u, u] for v, u in runs]  # level, next start and end value of each path
+    for j in range(max((len(v) for v, _ in runs), default=1) - 1):
+        legs = [(a, v[j], v[j + 1]) for a, (v, _) in zip(at, runs) if j + 1 < len(v)]
+        lanes = [Lane(_pf_rhs(z0, z1 - z0), a[1], 1.0, _TRANSPORT_RTOL, _TRANSPORT_ATOL,
+                      f"transport failed on segment {z0} -> {z1}") for a, z0, z1 in legs]
+        run(lanes, _TRANSPORT_RTOL, _TRANSPORT_ATOL, _segment_end)
+        for (a, z0, z1), lane in zip(legs, lanes):
+            if isinstance(lane.end, str):
+                raise PathError(lane.end)
+            a[:] = z0 + 1.0 * (z1 - z0), *lane.end
+    return [PeriodVector(h, annulus, complex(*u[:2]), i1_slope(annulus) * (4.0 * h + 1.0),
+                         complex(*u[2:])) for (h, _, u), annulus in zip(at, annuli)]
 
 
 def continue_complex(h_target: complex, path=None,
@@ -446,24 +477,21 @@ def continue_complex(h_target: complex, path=None,
     """Analytic continuation of (I_0, I_1, I_2) to a complex level.
 
     path, when given, is a polyline whose first vertex is a real level inside
-    the annulus; by default the straight segment from the base point is used.
-    The result depends only on the homotopy class of the path in the cut
-    plane.
+    the annulus; by default the straight segment from the base point is used,
+    and at the base point itself the quadrature values are returned.  The
+    result, the one-lane case of continue_paths, depends only on the
+    homotopy class of the path in the cut plane.
     """
-    if path is None:
-        path = [BASE_POINTS[annulus], h_target]
-    else:
-        path = list(path)
-        if abs(complex(path[-1]) - complex(h_target)) > 1e-12:
-            raise ValueError("path must end at h_target")
     h_target = complex(h_target)
-    start = complex(path[0])
-    if abs(h_target - start) < 1e-15:
-        base = period_vector(start.real, annulus)
-        return PeriodVector(h_target, annulus, base.i0, base.i1, base.i2)
-    table = transport_table(path, annulus)
-    h, i0, i1, i2 = table.end_values()
-    return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
+    if path is None:
+        start = BASE_POINTS[annulus]
+        if abs(h_target - start) < 1e-15:
+            base = period_vector(start, annulus)
+            return PeriodVector(h_target, annulus, base.i0, base.i1, base.i2)
+        path = [start, h_target]
+    elif abs(complex(path[-1]) - h_target) > 1e-12:
+        raise ValueError("path must end at h_target")
+    return continue_paths([path], [annulus])[0]
 
 
 # ---------------------------------------------------------------------------

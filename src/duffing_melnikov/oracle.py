@@ -16,15 +16,11 @@ first- and second-order coefficients with error bars.  Because the only
 inputs are the vector field and an ODE solver, the fit is an independent
 check on every formula the rest of the package produces.
 
-The solver is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5) run in
-lock-step over the eps ladder of a fit, one lane per eps: each round makes
-one attempt (11 stages, the final evaluation, the error norm, accept or
-reject) for every lane still integrating, and each lane's attempts and
-floats are those of scipy's DOP853 at its eps alone.  That holds because
-stage and error sums are np.matmul calls over each lane's own (2, s) slice,
-the same BLAS gemv as DOP853's np.dot; squared norms are per-lane dots as in
-np.linalg.norm; step factors use scalar pow, never array **; and the
-right-hand side runs per lane in Python floats.
+The solver is DOP853 run in lock-step over the eps ladder of a fit, one
+lane per eps, by the engine in _dop853 that the Picard-Fuchs transport
+shares: each round makes one attempt for every lane still integrating, and
+each lane's attempts and floats are those of scipy's DOP853 at its eps
+alone.  The right-hand side runs per lane in Python floats.
 
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
@@ -39,9 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from ._dop853 import Lane, interpolant, run
 from .abelian import orbit_period, period_vector
 from .geometry import Annulus, hamiltonian, section_point
 from .melnikov import PerturbationParams
@@ -147,85 +144,6 @@ def _perturbed_rhs(params: PerturbationParams, epsilon: float):
     return rhs
 
 
-# DOP853's tableau and step-size control, as scipy's DOP853 applies them
-_STAGES, _C = DOP853.n_stages, DOP853.C.tolist()
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-
-
-class _Lane:
-    """One eps of a lock-step flow: the scalars a DOP853 solver keeps for it."""
-
-    def __init__(self, epsilon, params, state, t_max, g):
-        self.epsilon, self.rhs = epsilon, _perturbed_rhs(params, epsilon)
-        # scipy's DOP853 evaluates f0 and selects the first step
-        start = DOP853(self.rhs, 0.0, state, t_max, rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-        self.t, self.h_abs, self.f0, self.retry, self.g = 0.0, start.h_abs, start.f, False, g
-        self.end = None  # (state, time) of the return, or the EscapeError
-
-    def size(self, t_max: float) -> bool:
-        """Set the attempt's step h as DOP853 does; False when it is too small."""
-        if not self.retry:
-            self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
-            self.h_abs = max(self.h_abs, self.min_step)
-        if self.h_abs < self.min_step:
-            self.end = EscapeError(f"integration failed at eps={self.epsilon:g}: "
-                                   f"{DOP853.TOO_SMALL_STEP}")
-            return False
-        self.t_new = min(self.t + self.h_abs, t_max)
-        self.h = self.t_new - self.t
-        self.h_abs = abs(self.h)
-        return True
-
-    def judge(self, error_norm: float) -> bool:
-        """Accept or reject the attempt and rescale the step as DOP853 does."""
-        accept = error_norm < 1
-        factor = _SAFETY * error_norm ** _EXPONENT if error_norm else _MAX_FACTOR
-        if accept:
-            factor = min(1 if self.retry else _MAX_FACTOR, factor)
-        else:
-            factor = max(_MIN_FACTOR, factor)
-        self.h_abs, self.retry = self.h_abs * factor, not accept
-        return accept
-
-
-def _attempt(lanes, y, K):
-    """One DOP853 attempt of every lane from y, in scipy's rk_step order.
-
-    K[:, 0] holds each lane's f at y.  Returns the new points and the error norms.
-    """
-    h = np.array([lane.h for lane in lanes])[:, None]
-    for s in range(1, _STAGES):
-        z = (y + np.matmul(K[:, :s].transpose(0, 2, 1), DOP853.A[s, :s]) * h).tolist()
-        K[:, s] = [lane.rhs(lane.t + _C[s] * lane.h, zk) for lane, zk in zip(lanes, z)]
-    y_new = y + h * np.matmul(K[:, :_STAGES].transpose(0, 2, 1), DOP853.B)
-    K[:, _STAGES] = [lane.rhs(lane.t + lane.h, zk) for lane, zk in zip(lanes, y_new.tolist())]
-    scale = _FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _FLOW_RTOL
-    squares = []  # np.linalg.norm(err) ** 2 for E5 and E3: the root of a dot, squared by pow
-    for e in (DOP853.E5, DOP853.E3):
-        err = np.matmul(K[:, :_STAGES + 1].transpose(0, 2, 1), e) / scale
-        dots = np.matmul(err[:, None], err[:, :, None]).ravel().tolist()
-        squares.append([math.sqrt(q) ** 2 for q in dots])
-    return y_new, [abs(lane.h) * n5 / math.sqrt((n5 + 0.01 * n3) * 2) if n5 or n3 else 0.0
-                   for lane, n5, n3 in zip(lanes, *squares)]
-
-
-def _interpolant(rhs, K, t_old, t, h, y_old, y):
-    """DOP853's dense output over one accepted step, in its operation order."""
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=_STAGES + 1):
-        K[s] = rhs(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
-    dy = y - y_old
-    F = [dy, h * K[0] - dy, 2 * dy - h * (K[_STAGES] + K[0]), *(h * np.dot(DOP853.D, K))]
-
-    def at(s):
-        x, z = (s - t_old) / (t - t_old), np.zeros(2)
-        for i, row in enumerate(reversed(F)):
-            z = (z + row) * (x if i % 2 == 0 else 1 - x)
-        return z + y_old
-
-    return at
-
-
 def flow(state, params: PerturbationParams, epsilons, section: Section,
          t_min: float = 0.0, t_max: float = _TIME_BUDGET) -> list:
     """Integrate the perturbed system at each eps up to its first qualifying section return.
@@ -239,39 +157,30 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
     the first eps, in order, whose step fails or that does not return.
     """
     t_max, g = float(t_max), section.crossing(0.0, state)
-    lanes = every = [_Lane(e, params, state, t_max, g) for e in epsilons]
-    y = np.array([state] * len(lanes), dtype=float)
-    K = np.empty((len(lanes), _STAGES + 1 + len(DOP853.C_EXTRA), 2))
-    K[:, 0] = [lane.f0 for lane in lanes]
+    lanes = [Lane(_perturbed_rhs(params, e), state, t_max, _FLOW_RTOL, _FLOW_ATOL,
+                  f"integration failed at eps={e:g}") for e in epsilons]
+    for lane, e in zip(lanes, epsilons):
+        lane.epsilon, lane.g = e, g
     anchor, guard = np.asarray(section.point), 0.5 * (1.0 + math.hypot(*section.point))
-    while True:
-        keep = [lane.end is None and lane.size(t_max) for lane in lanes]
-        lanes, y, K = [lane for lane, k in zip(lanes, keep) if k], y[keep], K[keep]
-        if not lanes:
-            break
-        y_new, norms = _attempt(lanes, y, K)
-        accepted = [lane.judge(e) for lane, e in zip(lanes, norms)]
-        for i, lane in enumerate(lanes):
-            if not accepted[i]:
-                continue
-            t_old, lane.t, g = lane.t, lane.t_new, lane.g
-            lane.g = section.crossing(lane.t, y_new[i])
-            if g <= 0 and lane.g >= 0:
-                at = _interpolant(lane.rhs, K[i], t_old, lane.t, lane.h, y[i], y_new[i])
-                t = brentq(lambda s: section.crossing(s, at(s)), t_old, lane.t,
-                           xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
-                z = at(t)
-                if t > t_min and np.hypot(*(z - anchor)) < guard:
-                    lane.end = (z, float(t))
-                    continue
-            if lane.t >= t_max:
-                lane.end = EscapeError(f"no section return in ({t_min:g}, {t_max:g}] "
-                                       f"at eps={lane.epsilon:g}")
-        y[accepted], K[accepted, 0] = y_new[accepted], K[accepted, _STAGES]
-    for lane in every:
-        if isinstance(lane.end, EscapeError):
-            raise lane.end
-    return [lane.end for lane in every]
+
+    def accept(lane, t_old, y_old, y_new, K):
+        g, lane.g = lane.g, section.crossing(lane.t, y_new)
+        if g <= 0 and lane.g >= 0:
+            at = interpolant(lane.rhs, K, t_old, lane.t, lane.h, y_old, y_new)
+            t = brentq(lambda s: section.crossing(s, at(s)), t_old, lane.t,
+                       xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
+            z = at(t)
+            if t > t_min and np.hypot(*(z - anchor)) < guard:
+                lane.end = (z, float(t))
+                return
+        if lane.t >= t_max:
+            lane.end = f"no section return in ({t_min:g}, {t_max:g}] at eps={lane.epsilon:g}"
+
+    run(lanes, _FLOW_RTOL, _FLOW_ATOL, accept)
+    for lane in lanes:
+        if isinstance(lane.end, str):
+            raise EscapeError(lane.end)
+    return [lane.end for lane in lanes]
 
 
 @dataclass(frozen=True)

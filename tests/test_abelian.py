@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duffing_melnikov import abelian
 from duffing_melnikov.abelian import (
     BASE_POINTS,
     MIN_CLEARANCE,
@@ -26,6 +27,7 @@ from duffing_melnikov.abelian import (
     asymptotics_check,
     closed_form,
     continue_complex,
+    continue_paths,
     cut_values,
     derivative_pair,
     exterior_slope,
@@ -161,6 +163,25 @@ def test_moment_reduction_property_interior(h):
 # ---------------------------------------------------------------------------
 
 
+def _numpy_pf(t, z0, dz, u=None):
+    """The system matrix at h = z0 + t dz, on numpy 0-d complex arrays.
+
+    Returns h and the entries as (re, im) pairs, and given a state u also
+    the transport right-hand side.
+    """
+    h = np.asarray(z0 + t * dz, dtype=complex)
+    den = 4.0 * h * (4.0 * h + 1.0)
+    a = ((12.0 * h + 4.0) / den, -5.0 / den, -1.0 / (4.0 * h + 1.0), 5.0 / (4.0 * h + 1.0))
+    out = h, [(x.real, x.imag) for x in a]
+    if u is None:
+        return out
+    i0 = u[0] + 1j * u[1]
+    i2 = u[2] + 1j * u[3]
+    d0 = dz * (a[0] * i0 + a[1] * i2)
+    d2 = dz * (a[2] * i0 + a[3] * i2)
+    return *out, (d0.real, d0.imag, d2.real, d2.imag)
+
+
 def test_system_matrix_entries():
     # the columns of the system matrix at h = 1 act on the unit vectors
     a00, a10 = derivative_pair(1.0, 1.0, 0.0)
@@ -169,6 +190,37 @@ def test_system_matrix_entries():
     assert a01 == pytest.approx(-5.0 / 20.0)
     assert a10 == pytest.approx(-1.0 / 5.0)
     assert a11 == pytest.approx(1.0)
+    # the scalar entries are numpy's 0-d complex arithmetic bit for bit,
+    # signed zeros included, at levels h = z0 + t dz on three scales with
+    # the edges Im dz = 0 (real h), Re h = 0 and Im dz = -0.0; every tenth
+    # input also checks the transport right-hand side
+    rng = np.random.default_rng(20260815)
+    n = 100_000
+    z = rng.normal(size=(n, 4)) * rng.choice([0.01, 0.3, 3.0], size=(n, 1))
+    kind = rng.integers(0, 4, n)
+    z[kind == 1, 1] = z[kind == 1, 3] = 0.0
+    z[kind == 2, 0] = z[kind == 2, 2] = 0.0
+    z[kind == 3, 3] = -0.0
+    ts, us = rng.uniform(0.0, 1.0, n).tolist(), rng.normal(size=(n, 4))
+    got, ref, hs = ([], []), ([], []), []
+    for k, (t, (z0r, z0i, dzr, dzi), u) in enumerate(zip(ts, z.tolist(), us)):
+        z0, dz = complex(z0r, z0i), complex(dzr, dzi)
+        if k % 10:
+            h, entries = _numpy_pf(t, z0, dz)
+        else:
+            h, entries, rhs = _numpy_pf(t, z0, dz, u)
+            got[1].append(abelian._pf_rhs(z0, dz)(t, u.tolist()))
+            ref[1].append(rhs)
+        hs.append(complex(h))
+        got[0].append(abelian._pf_entries(hs[-1].real, hs[-1].imag))
+        ref[0].append(entries)
+    hs = np.array(hs)
+    assert np.count_nonzero(hs.real == 0.0) > 20_000
+    for den in (4.0 * hs + 1.0, 4.0 * hs * (4.0 * hs + 1.0)):  # both Smith branches
+        assert 0 < np.count_nonzero(np.abs(den.real) >= np.abs(den.imag)) < n
+    for a, b in zip(got, ref):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        assert np.count_nonzero(a.view(np.int64) != b.view(np.int64)) == 0
 
 
 def test_path_through_pole_rejected():
@@ -211,15 +263,25 @@ def test_continuation_at_base_point_is_quadrature():
 
 def test_continuation_reaches_real_levels():
     # Transporting along the real axis must agree with direct quadrature.
+    singles, paths = [], []
     for h in (0.3, 2.0, 8.0):
         pv = continue_complex(h, annulus=Annulus.EXTERIOR)
         ref = period_vector(h, Annulus.EXTERIOR)
         assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
         assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
+        singles.append(pv)
+        paths.append([BASE_POINTS[Annulus.EXTERIOR], h])
     for h in (-0.2, -0.05):
         pv = continue_complex(h, annulus=Annulus.INTERIOR_RIGHT)
         ref = period_vector(h, Annulus.INTERIOR_RIGHT)
         assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
+        singles.append(pv)
+        paths.append([BASE_POINTS[Annulus.INTERIOR_RIGHT], h])
+    # one lock-step batch that mixes annuli and path lengths gives every
+    # lane the floats of its one-lane run
+    paths.append([1.0, 3.0, 3.0 + 2.0j, 2.0 + 1.0j])
+    singles.append(continue_complex(paths[-1][-1], path=paths[-1], annulus=Annulus.EXTERIOR))
+    assert continue_paths(paths, [pv.annulus for pv in singles]) == singles
 
 
 def test_continuation_is_path_independent():
@@ -231,16 +293,28 @@ def test_continuation_is_path_independent():
     assert abs(direct.i2 - detour.i2) < 1e-9 * abs(direct.i2)
 
 
-def test_continuation_round_trip_without_poles():
-    # A closed loop that encloses neither singular level is trivial.
-    base = BASE_POINTS[Annulus.EXTERIOR]
-    loop = [base, 2.0 + 0.5j, 3.0, 2.0 - 0.5j, base]
-    table = transport_table(loop, Annulus.EXTERIOR)
-    h_end, i0, _, i2 = table.end_values()
-    ref = period_vector(base, Annulus.EXTERIOR)
-    assert abs(h_end - base) < 1e-14
-    assert abs(i0 - ref.i0) < 1e-9 * abs(ref.i0)
-    assert abs(i2 - ref.i2) < 1e-9 * abs(ref.i2)
+_SADDLE_LOOP = ([-0.125] + [0.125 * cmath.exp(1j * (math.pi + 2.0 * math.pi * j / 64))
+                            for j in range(1, 64)] + [-0.125])
+
+
+@pytest.mark.parametrize("annulus,loop,gain", [
+    # encloses neither singular level: the loop is trivial
+    (Annulus.EXTERIOR, [1.0, 2.0 + 0.5j, 3.0, 2.0 - 0.5j, 1.0], 0.0),
+    # once around the saddle level h = 0: I_0 gains 2 pi i times its log series
+    (Annulus.INTERIOR_RIGHT, _SADDLE_LOOP,
+     sum(c * (-0.125) ** k for k, c in enumerate(SADDLE_LOG_I0))),
+], ids=["no-pole", "saddle"])
+def test_continuation_round_trip(annulus, loop, gain):
+    base = loop[0]
+    pv = continue_complex(base, path=loop, annulus=annulus)
+    table = transport_table(loop, annulus)
+    assert [pv.h, pv.i0, pv.i1, pv.i2] == [x[0] for x in table.values_at(len(table.solutions))]
+    ref = period_vector(base, annulus)
+    assert abs(pv.h - base) < 1e-14
+    assert abs(pv.i0 - ref.i0 - 2j * math.pi * gain) < 1e-3 * abs(ref.i0)
+    if not gain:
+        assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
+        assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
 
 
 def test_continuation_path_must_end_at_target():
@@ -249,14 +323,18 @@ def test_continuation_path_must_end_at_target():
 
 
 def test_transport_table_dense_values():
-    table = transport_table([1.0, 2.0 + 1.0j], Annulus.EXTERIOR)
-    h, i0, i1, i2 = table.values_at([0.0, 0.5, 1.0])
-    assert h[0] == pytest.approx(1.0)
-    assert h[-1] == pytest.approx(2.0 + 1.0j)
+    # the dense table at every vertex against continuation to that vertex;
+    # the vertices are dyadic, so each level z0 + (z1 - z0) is exact
+    path = [1.0, 3.0, 3.0 + 2.0j, 2.0 + 1.0j]
+    table = transport_table(path, Annulus.EXTERIOR)
+    h, i0, i1, i2 = table.values_at(np.arange(len(path)))
+    assert np.all(h == path)
     assert np.all(i1 == 0.0)  # exterior first moment
-    end = continue_complex(2.0 + 1.0j, annulus=Annulus.EXTERIOR)
-    assert abs(i0[-1] - end.i0) < 1e-10 * abs(end.i0)
-    assert abs(i2[-1] - end.i2) < 1e-10 * abs(end.i2)
+    start = period_vector(path[0], Annulus.EXTERIOR)
+    assert (i0[0], i2[0]) == (start.i0, start.i2)
+    for k in range(1, len(path)):
+        end = continue_complex(path[k], path=path[:k + 1], annulus=Annulus.EXTERIOR)
+        assert (end.h, end.i0, end.i1, end.i2) == (h[k], i0[k], i1[k], i2[k])
 
 
 # ---------------------------------------------------------------------------

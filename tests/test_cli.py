@@ -247,9 +247,9 @@ def test_verify_single_annulus_passes(capsys):
 def test_verify_detects_corrupted_period_system(capsys, monkeypatch):
     clean = abelian._pf_entries
 
-    def corrupted(h):
-        a00, a01, a10, a11 = clean(h)
-        return a00 + 1e-3, a01, a10, a11
+    def corrupted(hr, hi):
+        (a00r, a00i), a01, a10, a11 = clean(hr, hi)
+        return (a00r + 1e-3, a00i), a01, a10, a11
 
     with monkeypatch.context() as patch:
         patch.setattr(abelian, "_pf_entries", corrupted)
@@ -257,7 +257,8 @@ def test_verify_detects_corrupted_period_system(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 3
     failed = next(line for line in out.splitlines() if "check(s) failed" in line)
-    assert "picard-fuchs-residual" in failed
+    # the derivative pair and the transport read the one matrix
+    assert "picard-fuchs-residual" in failed and "picard-fuchs-matrix" in failed
     # the corruption must not leak into later runs
     assert cli.main(["verify", "--annulus", "interior-right"]) == 0
 
@@ -323,3 +324,17 @@ def test_census_output_matches_the_byte_pin(capsys, tmp_path):
         assert cli.main(argv + ["--out", str(out)]) in (0, 3)
         produced += out.read_bytes()
     assert produced == _PIN.read_bytes()
+
+
+_VERIFY_PIN = _PIN.with_name("verify_pin.jsonl")
+
+
+def test_verify_output_matches_the_byte_pin(capsys, tmp_path):
+    # verify_pin.jsonl holds the --out files of the default run and of the
+    # interior-left run, in this order
+    produced = b""
+    for k, extra in enumerate(([], ["--annulus", "interior-left"])):
+        out = tmp_path / f"verify{k}.jsonl"
+        assert cli.main(["verify", *extra, "--out", str(out)]) == 0
+        produced += out.read_bytes()
+    assert produced == _VERIFY_PIN.read_bytes()

@@ -261,12 +261,12 @@ def test_census_summary_fields():
     (2, Annulus.INTERIOR_RIGHT), (2, Annulus.EXTERIOR)])
 def test_certificates_run_without_transport(monkeypatch, order, annulus):
     # every period of a certificate is the closed form: with the transport
-    # segment integrator disabled and the period caches empty, certify and
+    # right-hand side disabled and the period caches empty, certify and
     # bound_census (which certifies each draw) still runs from scratch
     def no_transport(*args):
         raise AssertionError("Picard-Fuchs transport in a certificate")
 
-    monkeypatch.setattr(abelian, "_transport_segment", no_transport)
+    monkeypatch.setattr(abelian, "_pf_rhs", no_transport)
     monkeypatch.setattr(zeros, "_CONTOUR_CACHE", {})
     _real_table.cache_clear()
     _scan_values.cache_clear()
