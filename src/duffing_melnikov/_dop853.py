@@ -22,8 +22,8 @@ _EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 class Lane:
     """One problem z' = rhs(t, z) on (0, t_end): the scalars a DOP853 solver keeps for it.
 
-    end is None while the lane runs; a step below DOP853's minimum sets it
-    to the message "label: " + DOP853.TOO_SMALL_STEP.
+    end is None while the lane runs; a step below DOP853's minimum, or a NaN
+    step, sets it to the message "label: " + DOP853.TOO_SMALL_STEP.
     """
 
     def __init__(self, rhs, state, t_end: float, rtol: float, atol: float, label: str):
@@ -37,7 +37,7 @@ class Lane:
         if not self.retry:
             self.min_step = 10 * abs(math.nextafter(self.t, math.inf) - self.t)
             self.h_abs = max(self.h_abs, self.min_step)
-        if self.h_abs < self.min_step:
+        if not self.h_abs >= self.min_step:  # a NaN step ends the lane too
             self.end = f"{self.label}: {DOP853.TOO_SMALL_STEP}"
             return False
         self.t_new = min(self.t + self.h_abs, self.t_end)

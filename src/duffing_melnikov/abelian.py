@@ -29,7 +29,9 @@ whose inverted form
     I_0' = ((12h + 4) I_0 - 5 I_2) / (4h (4h + 1))
     I_2' = (5 I_2 - I_0) / (4h + 1)
 
-is regular except at h = 0 and h = -1/4.  continue_paths transports it
+is regular except at h = 0 and h = -1/4.  _pf_matrix is this matrix in
+plain complex arithmetic, the one definition that derivative_pair and the
+transport right-hand side both apply.  continue_paths transports it
 along polylines from quadrature values at a real base point, each path a
 lane of one lock-step DOP853, as the independent check of the closed form;
 transport_table is the dense solve_ivp route the tests compare it with.
@@ -309,35 +311,16 @@ def reduce_moment(k: int, h, pv: PeriodVector):
 # ---------------------------------------------------------------------------
 
 
-def _smith(a: float, b: float, c: float, d: float, br: float, bi: float):
-    """(a + i b) / z and (c + i d) / z for z = br + i bi, as numpy divides (Smith's rule)."""
-    if abs(br) >= abs(bi):
-        r = bi / br
-        s = 1.0 / (br + bi * r)
-        return ((a + b * r) * s, (b - a * r) * s), ((c + d * r) * s, (d - c * r) * s)
-    r = br / bi
-    s = 1.0 / (bi + br * r)
-    return ((a * r + b) * s, (b * r - a) * s), ((c * r + d) * s, (d * r - c) * s)
-
-
-def _pf_entries(hr: float, hi: float):
-    """Entries a00, a01, a10, a11 of the system matrix at h = hr + i hi, as (re, im) pairs.
-
-    numpy's floats on 0-d complex arrays, signed zeros included: a real operand
-    has imaginary part 0, a product is (ac - bd, ad + bc), and a quotient
-    multiplies by Smith's reciprocal scale (CPython's complex division divides).
-    """
-    fr, fi = 4.0 * hr - 0.0 * hi, 4.0 * hi + 0.0 * hr    # 4h
-    gr, gi = fr + 1.0, fi + 0.0                          # 4h + 1
-    return (*_smith(12.0 * hr - 0.0 * hi + 4.0, 12.0 * hi + 0.0 * hr + 0.0, -5.0, 0.0,
-                    fr * gr - fi * gi, fr * gi + fi * gr),
-            *_smith(-1.0, 0.0, 5.0, 0.0, gr, gi))
+def _pf_matrix(h: complex):
+    """Entries a00, a01, a10, a11 of the inverted period system at a complex level h."""
+    g = 4.0 * h + 1.0
+    f = 4.0 * h * g
+    return (12.0 * h + 4.0) / f, -5.0 / f, -1.0 / g, 5.0 / g
 
 
 def derivative_pair(h, i0, i2):
-    """(I_0', I_2') from (I_0, I_2) via the inverted period system, at one level h."""
-    h = complex(h)
-    a00, a01, a10, a11 = (complex(*a) for a in _pf_entries(h.real, h.imag))
+    """(I_0', I_2') from (I_0, I_2) at one level h: _pf_matrix applied to the pair."""
+    a00, a01, a10, a11 = _pf_matrix(complex(h))
     return a00 * i0 + a01 * i2, a10 * i0 + a11 * i2
 
 
@@ -363,19 +346,16 @@ def _check_path(vertices: list[complex]) -> None:
 
 
 def _pf_rhs(z0: complex, dz: complex):
-    """The transport right-hand side on h = z0 + t dz, in numpy's floats (see _pf_entries).
+    """The transport right-hand side on h = z0 + t dz, in plain complex arithmetic.
 
-    The state u is (Re I_0, Im I_0, Re I_2, Im I_2); the result is dz A(h) (I_0, I_2).
+    The state u is (Re I_0, Im I_0, Re I_2, Im I_2); the result is dz A(h) (I_0, I_2)
+    as four floats, with A the matrix of _pf_matrix.
     """
-    z0r, z0i, dzr, dzi = z0.real, z0.imag, dz.real, dz.imag
-
     def rhs(t, u):
-        (ar, ai), (br, bi), (cr, ci), (dr, di) = _pf_entries(
-            z0r + (t * dzr - 0.0 * dzi), z0i + (t * dzi + 0.0 * dzr))
-        pr, pi, qr, qi = u[0] + 0.0 * u[1], 0.0 + u[1], u[2] + 0.0 * u[3], 0.0 + u[3]
-        sr, si = ar * pr - ai * pi + (br * qr - bi * qi), ar * pi + ai * pr + (br * qi + bi * qr)
-        wr, wi = cr * pr - ci * pi + (dr * qr - di * qi), cr * pi + ci * pr + (dr * qi + di * qr)
-        return dzr * sr - dzi * si, dzr * si + dzi * sr, dzr * wr - dzi * wi, dzr * wi + dzi * wr
+        a00, a01, a10, a11 = _pf_matrix(z0 + t * dz)
+        i0, i2 = complex(u[0], u[1]), complex(u[2], u[3])
+        d0, d2 = dz * (a00 * i0 + a01 * i2), dz * (a10 * i0 + a11 * i2)
+        return d0.real, d0.imag, d2.real, d2.imag
 
     return rhs
 
@@ -408,8 +388,8 @@ class PathTable:
         return h, i0, i1, i2
 
 
-def _polyline(path, annulus: Annulus):
-    """A path's vertices without repeats, and its start state (I_0, I_2) by quadrature.
+def _polyline(path, annulus: Annulus) -> list[complex]:
+    """A path's vertices without repeats.
 
     The first vertex must be a real level inside the annulus interval, and
     every segment must keep MIN_CLEARANCE from the singular levels.
@@ -421,9 +401,12 @@ def _polyline(path, annulus: Annulus):
     if abs(start.imag) > 1e-14 or not annulus.contains(start.real):
         raise PathError(f"path must start at a real level inside the annulus, got {start}")
     _check_path(vertices)
-    base = period_vector(start.real, annulus)
-    vertices = [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
-    return vertices, (base.i0, 0.0, base.i2, 0.0)
+    return [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
+
+
+def _start_state(h: float, annulus: Annulus):
+    """The transport state (I_0, I_2) at a real level, by quadrature."""
+    return oval_integral(0, h, annulus), 0.0, oval_integral(2, h, annulus), 0.0
 
 
 def transport_table(path, annulus: Annulus) -> PathTable:
@@ -432,7 +415,8 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     The dense reference route: one solve_ivp run per segment (see _polyline
     for the path's requirements), each starting where the last one ended.
     """
-    vertices, u = _polyline(path, annulus)
+    vertices = _polyline(path, annulus)
+    u = _start_state(vertices[0].real, annulus)
     solutions = []
     for z0, z1 in zip(vertices, vertices[1:]):
         sol = solve_ivp(_pf_rhs(z0, z1 - z0), (0.0, 1.0), u, method="DOP853",
@@ -458,9 +442,11 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
     j + 1, each lane with the floats of solve_ivp on its segment alone.
     """
     runs = [_polyline(path, annulus) for path, annulus in zip(paths, annuli, strict=True)]
-    at = [[v[0], u, u] for v, u in runs]  # level, next start and end value of each path
-    for j in range(max((len(v) for v, _ in runs), default=1) - 1):
-        legs = [(a, v[j], v[j + 1]) for a, (v, _) in zip(at, runs) if j + 1 < len(v)]
+    keys = [(v[0].real, annulus) for v, annulus in zip(runs, annuli)]
+    starts = {key: _start_state(*key) for key in dict.fromkeys(keys)}  # one quadrature each
+    at = [[v[0], starts[key], starts[key]] for v, key in zip(runs, keys)]  # level, next start, end
+    for j in range(max(map(len, runs), default=1) - 1):
+        legs = [(a, v[j], v[j + 1]) for a, v in zip(at, runs) if j + 1 < len(v)]
         lanes = [Lane(_pf_rhs(z0, z1 - z0), a[1], 1.0, _TRANSPORT_RTOL, _TRANSPORT_ATOL,
                       f"transport failed on segment {z0} -> {z1}") for a, z0, z1 in legs]
         run(lanes, _TRANSPORT_RTOL, _TRANSPORT_ATOL, _segment_end)

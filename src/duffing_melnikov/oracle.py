@@ -297,14 +297,16 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
                  eps_list=DEFAULT_EPS_LIST, phase: float = 0.0) -> MelnikovFit:
     """Fit d(eps) = a1 eps + a2 eps^2 + a3 eps^3 from direct integrations.
 
-    Needs at least four strengths so the cubic fit has a residual degree of
-    freedom for the error bars.  The section and the period are computed
-    once and the whole ladder is integrated by one lock-step flow; each
-    sample is the float displacement gives at its eps.
+    Needs at least four strengths, each finite and nonzero, so the cubic fit
+    has a residual degree of freedom for the error bars.  The section and the
+    period are computed once and the whole ladder is integrated by one
+    lock-step flow; each sample is the float displacement gives at its eps.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 4:
         raise ValueError("need at least 4 eps values for the cubic fit")
+    if not all(math.isfinite(e) and e != 0.0 for e in eps_list):
+        raise ValueError(f"every eps must be finite and nonzero, got {list(eps_list)}")
     samples = _ladder(h, params, annulus, eps_list, phase)
     coef, err, cond = _fit_core(samples)
     sign = displacement_sign()

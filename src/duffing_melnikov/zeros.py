@@ -205,8 +205,8 @@ class ContourTable:
 
 
 def _validate_contour(R: float, eta: float, rho: float) -> None:
-    if not R > 1.0:
-        raise ValueError("contour radius R must exceed 1")
+    if not (math.isfinite(R) and R > 1.0):
+        raise ValueError(f"contour radius R must be finite and exceed 1, got {R}")
     if not (MIN_CLEARANCE <= rho <= 1e-2):
         raise ValueError(f"puncture radius rho must lie in [{MIN_CLEARANCE}, 1e-2]")
     if not (MIN_CLEARANCE <= eta <= 1e-2):

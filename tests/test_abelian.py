@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duffing_melnikov import abelian
 from duffing_melnikov.abelian import (
     BASE_POINTS,
     MIN_CLEARANCE,
@@ -44,6 +43,7 @@ from duffing_melnikov.abelian import (
     wronskian_cut,
 )
 from duffing_melnikov.geometry import Annulus, DomainError
+from duffing_melnikov.zeros import contour_table
 
 INTERIOR_LEVELS = (-0.23, -0.18, -0.125, -0.07, -0.02)
 EXTERIOR_LEVELS = (0.02, 0.2, 1.0, 3.0, 9.0)
@@ -158,30 +158,6 @@ def test_moment_reduction_property_interior(h):
     assert complex(reduce_moment(4, h, pv)).real == pytest.approx(direct, rel=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# poles and path validation
-# ---------------------------------------------------------------------------
-
-
-def _numpy_pf(t, z0, dz, u=None):
-    """The system matrix at h = z0 + t dz, on numpy 0-d complex arrays.
-
-    Returns h and the entries as (re, im) pairs, and given a state u also
-    the transport right-hand side.
-    """
-    h = np.asarray(z0 + t * dz, dtype=complex)
-    den = 4.0 * h * (4.0 * h + 1.0)
-    a = ((12.0 * h + 4.0) / den, -5.0 / den, -1.0 / (4.0 * h + 1.0), 5.0 / (4.0 * h + 1.0))
-    out = h, [(x.real, x.imag) for x in a]
-    if u is None:
-        return out
-    i0 = u[0] + 1j * u[1]
-    i2 = u[2] + 1j * u[3]
-    d0 = dz * (a[0] * i0 + a[1] * i2)
-    d2 = dz * (a[2] * i0 + a[3] * i2)
-    return *out, (d0.real, d0.imag, d2.real, d2.imag)
-
-
 def test_system_matrix_entries():
     # the columns of the system matrix at h = 1 act on the unit vectors
     a00, a10 = derivative_pair(1.0, 1.0, 0.0)
@@ -190,37 +166,24 @@ def test_system_matrix_entries():
     assert a01 == pytest.approx(-5.0 / 20.0)
     assert a10 == pytest.approx(-1.0 / 5.0)
     assert a11 == pytest.approx(1.0)
-    # the scalar entries are numpy's 0-d complex arithmetic bit for bit,
-    # signed zeros included, at levels h = z0 + t dz on three scales with
-    # the edges Im dz = 0 (real h), Re h = 0 and Im dz = -0.0; every tenth
-    # input also checks the transport right-hand side
-    rng = np.random.default_rng(20260815)
-    n = 100_000
-    z = rng.normal(size=(n, 4)) * rng.choice([0.01, 0.3, 3.0], size=(n, 1))
-    kind = rng.integers(0, 4, n)
-    z[kind == 1, 1] = z[kind == 1, 3] = 0.0
-    z[kind == 2, 0] = z[kind == 2, 2] = 0.0
-    z[kind == 3, 3] = -0.0
-    ts, us = rng.uniform(0.0, 1.0, n).tolist(), rng.normal(size=(n, 4))
-    got, ref, hs = ([], []), ([], []), []
-    for k, (t, (z0r, z0i, dzr, dzi), u) in enumerate(zip(ts, z.tolist(), us)):
-        z0, dz = complex(z0r, z0i), complex(dzr, dzi)
-        if k % 10:
-            h, entries = _numpy_pf(t, z0, dz)
-        else:
-            h, entries, rhs = _numpy_pf(t, z0, dz, u)
-            got[1].append(abelian._pf_rhs(z0, dz)(t, u.tolist()))
-            ref[1].append(rhs)
-        hs.append(complex(h))
-        got[0].append(abelian._pf_entries(hs[-1].real, hs[-1].imag))
-        ref[0].append(entries)
-    hs = np.array(hs)
-    assert np.count_nonzero(hs.real == 0.0) > 20_000
-    for den in (4.0 * hs + 1.0, 4.0 * hs * (4.0 * hs + 1.0)):  # both Smith branches
-        assert 0 < np.count_nonzero(np.abs(den.real) >= np.abs(den.imag)) < n
-    for a, b in zip(got, ref):
-        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        assert np.count_nonzero(a.view(np.int64) != b.view(np.int64)) == 0
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_system_matrix_matches_closed_form_on_the_keyhole(annulus):
+    # two independent routes to (I_0', I_2'): the matrix on the closed form's
+    # (I_0, I_2), and the closed form's own derivatives; at the keyhole loop's
+    # vertices and seeded levels between them, down to the puncture |h| = 1e-3
+    v = contour_table(annulus).vertices
+    s = np.random.default_rng(20261018).uniform(0.0, len(v) - 1, 200)
+    hs = np.concatenate([v, np.interp(s, np.arange(len(v)), v)])
+    i0, _, i2, d0, d2 = closed_form(hs, annulus)
+    got = np.array([derivative_pair(*x) for x in zip(hs.tolist(), i0.tolist(), i2.tolist())])
+    assert np.all(np.abs(got - np.column_stack([d0, d2])) <= 1e-12 * np.abs([d0, d2]).T)
+
+
+# ---------------------------------------------------------------------------
+# poles and path validation
+# ---------------------------------------------------------------------------
 
 
 def test_path_through_pole_rejected():
@@ -394,22 +357,6 @@ def test_cut_values_reject_off_cut_levels():
         cut_values(0.5, Annulus.EXTERIOR)
 
 
-def test_wronskian_is_constant_multiple_on_each_interval():
-    # W / (h (4h+1)) is locally constant on the exterior cut and purely
-    # imaginary; crossing h = -1/4 doubles it.
-    def scaled(h):
-        return wronskian_cut(h) / (h * (4.0 * h + 1.0))
-
-    outer = [scaled(h) for h in (-1.5, -0.8, -0.4)]
-    inner = [scaled(h) for h in (-0.2, -0.1, -0.06)]
-    for w in outer + inner:
-        assert abs(w.real) < 1e-6 * abs(w)
-    assert abs(outer[0] - outer[-1]) < 1e-6 * abs(outer[0])
-    assert abs(inner[0] - inner[-1]) < 1e-6 * abs(inner[0])
-    ratio = inner[0].imag / outer[0].imag
-    assert ratio == pytest.approx(2.0, abs=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
@@ -458,9 +405,11 @@ def test_closed_form_matches_continuation(annulus):
 
 def test_cut_wronskian_constants_are_exact():
     # W / (h (4h+1)) across the exterior cut is 128 pi/15 i on (-1/4, 0)
-    # and half of that below -1/4
-    for hs, const in (((-0.24, -0.2, -0.1, -0.01, -0.002), 128j * math.pi / 15.0),
-                      ((-0.26, -0.6, -2.0, -8.0, -50.0), 64j * math.pi / 15.0)):
+    # and half of that below -1/4: constant on each interval, purely
+    # imaginary, and doubling when h crosses -1/4
+    for hs, const in (((-0.24, -0.2, -0.1, -0.06, -0.01, -0.002), 128j * math.pi / 15.0),
+                      ((-0.26, -0.4, -0.6, -0.8, -1.5, -2.0, -8.0, -50.0),
+                       64j * math.pi / 15.0)):
         for h in hs:
             w = wronskian_cut(h) / (h * (4.0 * h + 1.0))
             assert abs(w - const) <= 1e-10 * abs(const)

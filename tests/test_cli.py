@@ -12,7 +12,7 @@ import shlex
 
 import pytest
 
-from duffing_melnikov import abelian, checks, cli, zeros
+from duffing_melnikov import abelian, checks, cli, oracle, zeros
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
 from duffing_melnikov.quadrature import AccuracyError
@@ -79,8 +79,20 @@ def test_short_eps_ladder_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_zero_or_nonfinite_eps_rejected(capsys, monkeypatch):
+    # before any flow is integrated; a NaN strength once hung the run
+    monkeypatch.setattr(oracle, "_ladder", None)  # a call would raise TypeError
+    for bad in ("nan", "0"):
+        assert cli.main(["oracle", "--seed", "0", f"--eps-list={bad},1e-3,2e-3,3e-3"]) == 2
+        assert "every eps must be finite and nonzero" in capsys.readouterr().err
+
+
 def test_bad_contour_spec(capsys):
     assert cli.main(["zeros", "--draws", "1", "--contour", "1,2"]) == 2
+    for radius in ("inf", "nan"):
+        assert cli.main(["zeros", "--draws", "2", "--annulus", "exterior",
+                         "--contour", f"{radius},1e-3,1e-3"]) == 2
+        assert "contour radius R must be finite" in capsys.readouterr().err
 
 
 def test_negative_draw_count_is_usage_error(capsys, tmp_path):
@@ -245,14 +257,9 @@ def test_verify_single_annulus_passes(capsys):
 
 
 def test_verify_detects_corrupted_period_system(capsys, monkeypatch):
-    clean = abelian._pf_entries
-
-    def corrupted(hr, hi):
-        (a00r, a00i), a01, a10, a11 = clean(hr, hi)
-        return (a00r + 1e-3, a00i), a01, a10, a11
-
+    clean = abelian._pf_matrix
     with monkeypatch.context() as patch:
-        patch.setattr(abelian, "_pf_entries", corrupted)
+        patch.setattr(abelian, "_pf_matrix", lambda h: (clean(h)[0] + 1e-3, *clean(h)[1:]))
         code = cli.main(["verify", "--annulus", "interior-right"])
     out = capsys.readouterr().out
     assert code == 3
@@ -311,30 +318,59 @@ _PIN_CLASSES = ((1, "interior-left"), (1, "interior-right"), (1, "exterior"),
                 (2, "interior-right"), (2, "exterior"))
 
 
-def test_census_output_matches_the_byte_pin(capsys, tmp_path):
-    # census_pin.jsonl holds the --out files of these six commands, in this
-    # order; a change that moves any digit of a certificate fails here
-    runs = [["zeros", "--order", str(order), "--annulus", annulus,
-             "--draws", "10", "--seed", "0"] for order, annulus in _PIN_CLASSES]
-    runs.append(["zeros", "--params", _write_params(tmp_path / "p.json", _crafted()),
-                 "--annulus", "exterior"])
+def _assert_runs_match_pin(tmp_path, runs, pin: pathlib.Path) -> None:
+    """The runs' --out files against the pin, naming the first differing record and key."""
     produced = b""
     for k, argv in enumerate(runs):
         out = tmp_path / f"run{k}.jsonl"
         assert cli.main(argv + ["--out", str(out)]) in (0, 3)
         produced += out.read_bytes()
-    assert produced == _PIN.read_bytes()
+    got, want = produced.decode().splitlines(), pin.read_text().splitlines()
+    for line, (g, w) in enumerate(zip(got, want), start=1):
+        if g != w:
+            rec, ref = json.loads(g), json.loads(w)
+            key = next((k for k in [*ref, *rec] if rec.get(k) != ref.get(k)), "(text only)")
+            pytest.fail(f"{pin.name} line {line}, {ref.get('check') or ref['record']} "
+                        f"draw {ref.get('draw')}: first differing key {key}: "
+                        f"got {rec.get(key)!r}, pinned {ref.get(key)!r}")
+    assert len(got) == len(want), f"{len(got)} records, {pin.name} has {len(want)}"
+    assert produced == pin.read_bytes()
 
 
-_VERIFY_PIN = _PIN.with_name("verify_pin.jsonl")
+def test_census_output_matches_the_byte_pin(capsys, tmp_path):
+    r"""census_pin.jsonl holds the --out files of these six commands, in this order.
+
+    A change that moves any digit of a certificate fails here.  To re-record
+    the pin, from the repository root:
+
+        d=$(mktemp -d); export PYTHONPATH=src
+        for c in "1 interior-left" "1 interior-right" "1 exterior" \
+                 "2 interior-right" "2 exterior"; do set -- $c
+          python -m duffing_melnikov.cli zeros --order $1 --annulus $2 \
+              --draws 10 --seed 0 --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        done
+        echo '{"lambda1": [0, -2, 0, 0, 0, 0, 0, 0, 0, 0],
+               "gamma1": [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]}' > $d/p.json
+        python -m duffing_melnikov.cli zeros --params $d/p.json --annulus exterior \
+            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        cp $d/pin.jsonl tests/data/census_pin.jsonl
+    """
+    runs = [["zeros", "--order", str(order), "--annulus", annulus,
+             "--draws", "10", "--seed", "0"] for order, annulus in _PIN_CLASSES]
+    runs.append(["zeros", "--params", _write_params(tmp_path / "p.json", _crafted()),
+                 "--annulus", "exterior"])
+    _assert_runs_match_pin(tmp_path, runs, _PIN)
 
 
 def test_verify_output_matches_the_byte_pin(capsys, tmp_path):
-    # verify_pin.jsonl holds the --out files of the default run and of the
-    # interior-left run, in this order
-    produced = b""
-    for k, extra in enumerate(([], ["--annulus", "interior-left"])):
-        out = tmp_path / f"verify{k}.jsonl"
-        assert cli.main(["verify", *extra, "--out", str(out)]) == 0
-        produced += out.read_bytes()
-    assert produced == _VERIFY_PIN.read_bytes()
+    r"""verify_pin.jsonl holds the --out files of the default run and the interior-left run.
+
+    To re-record the pin, from the repository root:
+
+        d=$(mktemp -d); export PYTHONPATH=src
+        python -m duffing_melnikov.cli verify --out $d/v0.jsonl
+        python -m duffing_melnikov.cli verify --annulus interior-left --out $d/v1.jsonl
+        cat $d/v0.jsonl $d/v1.jsonl > tests/data/verify_pin.jsonl
+    """
+    runs = [["verify"], ["verify", "--annulus", "interior-left"]]
+    _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("verify_pin.jsonl"))

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from duffing_melnikov import oracle
+from duffing_melnikov._dop853 import Lane, run
 from duffing_melnikov.abelian import orbit_period, period_vector
 from duffing_melnikov.geometry import Annulus, hamiltonian
 from duffing_melnikov.melnikov import PerturbationParams, m1_form, m_eval
@@ -101,6 +102,16 @@ def test_fit_requires_four_strengths():
     with pytest.raises(ValueError):
         melnikov_fit(-0.125, PerturbationParams.zero(), Annulus.INTERIOR_RIGHT,
                      eps_list=(1e-2, 5e-3))
+
+
+def test_a_nan_step_ends_the_lane():
+    # a NaN first step ends with DOP853's message, not endless retries; the
+    # rhs raises after 10^4 calls, so a regression fails rather than hangs
+    calls = iter(range(10_000))
+    lane = Lane(lambda t, z: [math.nan + next(calls), 0.0], [1.0, 0.0], 1.0,
+                _FLOW_RTOL, _FLOW_ATOL, "nan lane")
+    run([lane], _FLOW_RTOL, _FLOW_ATOL, lambda *args: None)
+    assert lane.end == f"nan lane: {DOP853.TOO_SMALL_STEP}"
 
 
 def test_flow_raises_when_no_return_in_window():
