@@ -11,7 +11,7 @@ x^k / y dx; in particular I_0'(h) is the period of the orbit.
 There are three routes to these values, and the tests compare them.
 
 Quadrature: on the real annuli, endpoint-singular quadrature of the oval
-integrals themselves (period_vector and friends).
+integrals themselves, whole level grids at once (oval_integrals, period_vector).
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
 Carlson's symmetric form (closed_form).  It is the evaluator of the zero
@@ -55,8 +55,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import elliprd, elliprf
 
 from ._dop853 import Lane, run
-from .geometry import Annulus, DomainError, branch_points, oval_smooth_factor
-from .quadrature import integrate_endpoint_sqrt, integrate_smooth
+from .geometry import Annulus, DomainError, branch_points
+from .quadrature import DEFAULT_SPEC, _doubling, _sines
 
 __all__ = [
     "BASE_POINTS",
@@ -65,6 +65,7 @@ __all__ = [
     "PoleError",
     "PathError",
     "AsymptoticsReport",
+    "oval_integrals",
     "oval_integral",
     "oval_integral_dh",
     "orbit_period",
@@ -142,61 +143,87 @@ class PeriodVector:
 _PINCH_SPLIT_H = 0.05
 
 
-def _oval_moment(k: int, h: float, annulus: Annulus, power: int) -> float:
-    """Upper-branch integral of x^k y^power dx, power in {+1, -1}."""
-    geom = branch_points(h, annulus)
+def _piece_moments(pairs, geoms, annulus: Annulus, piece: str) -> list[float]:
+    """Upper-branch integrals of x^k y^power dx over one piece of each oval.
 
-    def integrand(x, t):
-        y = np.sqrt(t * oval_smooth_factor(x, h, annulus))
-        if power == 1:
-            return x ** k * y
-        return x ** k / np.maximum(y, 1e-300)
+    piece is "whole" or, on pinched exterior levels, "left", "neck" or "right".
+    Row j * len(geoms) + i of the doubling loop is pairs[j] at geoms[i], with the
+    operations of that level alone; y is computed once per level and round.
+    Returns the values row by row.
+    """
+    size, cut, scale = len(geoms), 0.5, 1.0 if piece == "neck" else 0.5 * np.pi
+    ends = ([(-u, u) for u in (math.asinh(cut / math.sqrt(2.0 * g.h)) for g in geoms)]
+            if piece == "neck" else [(cut if piece == "right" else g.x_lo,
+                                      -cut if piece == "left" else g.x_hi) for g in geoms])
+    table = [(g.h, g.x_lo, g.x_hi, math.sqrt(1.0 + 4.0 * g.h), 0.5 * (a + b), 0.5 * (b - a))
+             for g, (a, b) in zip(geoms, ends)]
+    # one level keeps plain floats and 1-D arrays, as in its own rule
+    cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], [r[5] for r in table]
 
-    if annulus is Annulus.EXTERIOR and h < _PINCH_SPLIT_H:
-        cut = 0.5
-        c = math.sqrt(2.0 * h)
-        u_max = math.asinh(cut / c)
+    def rule(live, nodes, weights):
+        at = sorted({r % size for r in live}) if size > 1 else [0]
+        h, lo, hi, s, mid, rad = cols if len(at) == size else cols[:, at]
+        if piece == "neck":
+            u, c = mid + rad * nodes, np.sqrt(2.0 * h)
+            x, ch = c * np.sinh(u), np.cosh(u)
+            y, jac = c * ch * np.sqrt(1.0 - x ** 4 / (4.0 * h * ch * ch)), c * ch
+        else:
+            jac, sin_t = _sines(len(nodes))
+            x, t = mid + rad * sin_t, (rad * jac) ** 2  # the endpoint substitution
+            # oval_smooth_factor, from the level's constants
+            sigma = (0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR
+                     else 0.5 * (x + lo) * (x + hi))
+            # On each outer piece only one endpoint is a branch point; recover its
+            # stable distance factor from the sub-interval product t (the other
+            # factor of t is O(1) there, so the division is benign).
+            y = np.sqrt(t * sigma if piece == "whole"
+                        else (t / (-cut - x)) * (hi - x) * sigma if piece == "left"
+                        else (x - lo) * (t / (x - cut)) * sigma)
+        out, by_pair = [], {}
+        for r in live:
+            by_pair.setdefault(r // size, []).append(r % size)
+        for j, levels in by_pair.items():
+            k, power = pairs[j]
+            q = [at.index(i) for i in levels] if levels != at else None
+            xs, ys = (x, y) if q is None else (x[q], y[q])
+            xk = xs ** int(k)
+            fx = (xk * ys ** int(power) * (jac if q is None else jac[q]) if piece == "neck"
+                  else (xk * ys if power == 1 else xk / np.maximum(ys, 1e-300)) * jac)
+            # each row its own ddot, then the rule's scale (d * 0.5 * pi is d * (0.5 * pi))
+            out += [float(np.dot(weights, f) * scale * rads[i])
+                    for f, i in zip(fx if size > 1 else [fx], levels)]
+        return out
 
-        def neck(u):
-            x = c * np.sinh(u)
-            ch = np.cosh(u)
-            w = 1.0 - x ** 4 / (4.0 * h * ch * ch)
-            return x ** k * (c * ch * np.sqrt(w)) ** power * (c * ch)
+    rows = _doubling(rule, len(pairs) * size, DEFAULT_SPEC,
+                     lambda r: "[{}, {}]".format(*ends[r % size]))
+    return [value for value, _ in rows]
 
-        # On each outer piece only one endpoint is a branch point; recover its
-        # stable distance factor from the sub-interval product t (the other
-        # factor of t is O(1) there, so the division is benign).
-        def right_piece(x, t):
-            y = np.sqrt((x - geom.x_lo) * (t / (x - cut))
-                        * oval_smooth_factor(x, h, annulus))
-            return x ** k * y if power == 1 else x ** k / np.maximum(y, 1e-300)
 
-        def left_piece(x, t):
-            y = np.sqrt((t / (-cut - x)) * (geom.x_hi - x)
-                        * oval_smooth_factor(x, h, annulus))
-            return x ** k * y if power == 1 else x ** k / np.maximum(y, 1e-300)
+def oval_integrals(pairs, hs, annulus: Annulus) -> np.ndarray:
+    """I_k (power 1) or I_k' (power -1) for each (k, power) in pairs, one row each, at levels hs.
 
-        left, _ = integrate_endpoint_sqrt(left_piece, geom.x_lo, -cut)
-        mid, _ = integrate_smooth(neck, -u_max, u_max)
-        right, _ = integrate_endpoint_sqrt(right_piece, cut, geom.x_hi)
-        return left + mid + right
-
-    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi)
-    return value
+    I_k is the contour integral of x^k y dx, flow orientation (I_0 = area > 0):
+    twice the upper-branch integral; I_k' has 1/y.  Each is its level's own float.
+    """
+    geoms = [branch_points(float(h), annulus) for h in hs]
+    necks = [annulus is Annulus.EXTERIOR and g.h < _PINCH_SPLIT_H for g in geoms]
+    whole = iter(_piece_moments(pairs, [g for g, n in zip(geoms, necks) if not n], annulus,
+                                "whole") if not all(necks) else [])
+    pieces = (_piece_moments(pairs, [g for g, n in zip(geoms, necks) if n], annulus, p)
+              for p in ("left", "neck", "right")) if any(necks) else ()
+    split = iter([left + neck + right for left, neck, right in zip(*pieces)])
+    return np.array([2.0 * (next(split) if n else next(whole)) for _ in pairs for n in necks],
+                    dtype=float).reshape(len(pairs), len(geoms))
 
 
 def oval_integral(k: int, h: float, annulus: Annulus) -> float:
-    """I_k(h) = contour integral of x^k y dx, flow orientation (I_0 = area > 0).
-
-    Equals twice the integral of x^k y(x) over the upper branch between the
-    oval's branch points.
-    """
-    return 2.0 * _oval_moment(k, h, annulus, 1)
+    """I_k(h) = contour integral of x^k y dx at one level (see oval_integrals)."""
+    return float(oval_integrals([(k, 1)], [h], annulus)[0, 0])
 
 
 def oval_integral_dh(k: int, h: float, annulus: Annulus) -> float:
     """I_k'(h) = contour integral of x^k / y dx (the h-derivative of I_k)."""
-    return 2.0 * _oval_moment(k, h, annulus, -1)
+    return float(oval_integrals([(k, -1)], [h], annulus)[0, 0])
 
 
 def orbit_period(h: float, annulus: Annulus) -> float:
@@ -206,13 +233,8 @@ def orbit_period(h: float, annulus: Annulus) -> float:
 
 def period_vector(h: float, annulus: Annulus) -> PeriodVector:
     """(I_0, I_1, I_2) at a real level, by direct quadrature."""
-    return PeriodVector(
-        h=h,
-        annulus=annulus,
-        i0=oval_integral(0, h, annulus),
-        i1=oval_integral(1, h, annulus),
-        i2=oval_integral(2, h, annulus),
-    )
+    i0, i1, i2 = oval_integrals([(0, 1), (1, 1), (2, 1)], [h], annulus)[:, 0].tolist()
+    return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
 
 
 @lru_cache(maxsize=None)
@@ -404,9 +426,12 @@ def _polyline(path, annulus: Annulus) -> list[complex]:
     return [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
 
 
-def _start_state(h: float, annulus: Annulus):
-    """The transport state (I_0, I_2) at a real level, by quadrature."""
-    return oval_integral(0, h, annulus), 0.0, oval_integral(2, h, annulus), 0.0
+def _start_states(keys) -> dict:
+    """States (I_0, 0, I_2, 0) at real (level, annulus) keys, one quadrature per annulus."""
+    unique = dict.fromkeys(keys)
+    grids = {a: [h for h, b in unique if b is a] for a in dict.fromkeys(a for _, a in unique)}
+    return {(h, a): (i0, 0.0, i2, 0.0) for a, hs in grids.items()
+            for h, i0, i2 in zip(hs, *oval_integrals([(0, 1), (2, 1)], hs, a).tolist())}
 
 
 def transport_table(path, annulus: Annulus) -> PathTable:
@@ -416,7 +441,8 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     for the path's requirements), each starting where the last one ended.
     """
     vertices = _polyline(path, annulus)
-    u = _start_state(vertices[0].real, annulus)
+    key = (vertices[0].real, annulus)
+    u = _start_states([key])[key]
     solutions = []
     for z0, z1 in zip(vertices, vertices[1:]):
         sol = solve_ivp(_pf_rhs(z0, z1 - z0), (0.0, 1.0), u, method="DOP853",
@@ -443,7 +469,7 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
     """
     runs = [_polyline(path, annulus) for path, annulus in zip(paths, annuli, strict=True)]
     keys = [(v[0].real, annulus) for v, annulus in zip(runs, annuli)]
-    starts = {key: _start_state(*key) for key in dict.fromkeys(keys)}  # one quadrature each
+    starts = _start_states(keys)
     at = [[v[0], starts[key], starts[key]] for v, key in zip(runs, keys)]  # level, next start, end
     for j in range(max(map(len, runs), default=1) - 1):
         legs = [(a, v[j], v[j + 1]) for a, v in zip(at, runs) if j + 1 < len(v)]
@@ -604,8 +630,8 @@ def saddle_constants() -> tuple[float, float]:
     logs = np.log(-hs)
     vand = np.vander(hs, 3, increasing=True)
     out = []
-    for k, series in ((0, SADDLE_LOG_I0), (2, SADDLE_LOG_I2)):
-        vals = np.array([oval_integral(k, h, Annulus.INTERIOR_RIGHT) for h in hs])
+    grid = oval_integrals([(0, 1), (2, 1)], hs, Annulus.INTERIOR_RIGHT)
+    for vals, series in zip(grid, (SADDLE_LOG_I0, SADDLE_LOG_I2)):
         vals -= np.array([_log_series(series, h) for h in hs]) * logs
         coef = np.linalg.solve(vand, vals)
         out.append(float(coef[0]))
@@ -623,7 +649,7 @@ def saddle_log_fit() -> tuple[float, float]:
     """
     hs = -0.02 * np.power(2.0, -np.arange(12, dtype=float))
     logs = np.log(-hs)
-    vals = np.array([oval_integral(0, h, Annulus.INTERIOR_RIGHT) for h in hs])
+    vals = oval_integrals([(0, 1)], hs, Annulus.INTERIOR_RIGHT)[0]
     tail = np.array([_log_series(SADDLE_LOG_I0[3:], h) * h ** 3 for h in hs])
     vals -= tail * logs
     cols = np.column_stack([hs ** j for j in range(5)] + [hs * logs, hs ** 2 * logs])
@@ -641,7 +667,7 @@ def exterior_slope() -> tuple[float, float]:
     levels.
     """
     hs = np.logspace(2.0, 6.0, 17)
-    vals = np.array([oval_integral(0, h, Annulus.EXTERIOR) for h in hs])
+    vals = oval_integrals([(0, 1)], hs, Annulus.EXTERIOR)[0]
     lh, lv = np.log(hs), np.log(vals)
     cols = np.column_stack([lh, np.ones_like(lh), 1.0 / np.sqrt(hs)])
     coef, *_ = np.linalg.lstsq(cols, lv, rcond=None)

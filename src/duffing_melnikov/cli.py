@@ -98,6 +98,8 @@ def _parse_h_grid(text: str) -> list[float]:
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise ValueError(f"--h-grid expects LO:HI:N or LO:HI:N:log, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    for end in (end for end in parts[:2] if not np.isfinite(float(end))):
+        raise ValueError(f"--h-grid endpoint {end!r} is not finite")
     if n < 1:
         raise ValueError("--h-grid needs at least one point")
     if len(parts) == 4:

@@ -303,8 +303,8 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     lock-step flow; each sample is the float displacement gives at its eps.
     """
     eps_list = tuple(float(e) for e in eps_list)
-    if len(eps_list) < 4:
-        raise ValueError("need at least 4 eps values for the cubic fit")
+    if len(set(eps_list)) < 4:
+        raise ValueError(f"the cubic fit needs 4 distinct eps values, got {list(eps_list)}")
     if not all(math.isfinite(e) and e != 0.0 for e in eps_list):
         raise ValueError(f"every eps must be finite and nonzero, got {list(eps_list)}")
     samples = _ladder(h, params, annulus, eps_list, phase)

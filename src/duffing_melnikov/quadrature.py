@@ -13,6 +13,12 @@ endpoint behavior become analytic in theta and Gauss-Legendre converges
 spectrally.  Node counts are doubled until the last two estimates agree to
 tolerance.
 
+One loop, _doubling, doubles the nodes over rows: each row stops at its own
+node count and only running rows are evaluated again.  The integrators below
+are its one-row case; abelian.oval_integrals runs level grids through it.
+Each row is summed by its own 1-D np.dot (ddot), so it does not depend on the
+other rows; a matrix product F @ w (gemv) sums in another order.
+
 Integrands must be vectorized (accept an ndarray of abscissae).
 """
 
@@ -64,27 +70,38 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(n)
 
 
-def _doubling(rule, spec: QuadratureSpec, where: str):
-    """Evaluate rule(nodes, weights) on 16, 32, ... Gauss-Legendre nodes.
+def _doubling(rule, rows: int, spec: QuadratureSpec, where):
+    """Evaluate rule(live, nodes, weights) on 16, 32, ... Gauss-Legendre nodes.
 
-    Stops when the last two estimates agree to tolerance and returns
-    (value, err_est), err_est being their difference.  Raises AccuracyError
-    (with .value and .err_est set) if max_nodes is reached first.
+    live lists the running rows, ascending; rule returns their values in that
+    order.  A row stops when its last two estimates agree to tolerance.
+    Returns one (value, err_est) per row, err_est being that difference.  The
+    first row still running at max_nodes raises AccuracyError naming where(row).
     """
-    value, err = None, np.inf
-    n = 16
-    while n <= spec.max_nodes:
-        prev, value = value, rule(*_gl_rule(n))
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return value, err
-        n *= 2
-    raise AccuracyError(
-        f"no convergence with {spec.max_nodes} nodes on {where} (err~{err:.3g})",
-        value=value,
-        err_est=err,
-    )
+    values, errs = [None] * rows, [np.inf] * rows
+    live, n = list(range(rows)), 16
+    while live and n <= spec.max_nodes:
+        running = []
+        for i, value in zip(live, rule(live, *_gl_rule(n))):
+            prev, values[i] = values[i], value
+            if prev is not None:
+                errs[i] = abs(value - prev)
+                if errs[i] <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                    continue
+            running.append(i)
+        live, n = running, 2 * n
+    if live:
+        i = live[0]
+        raise AccuracyError(f"no convergence with {spec.max_nodes} nodes on {where(i)} "
+                            f"(err~{errs[i]:.3g})", value=values[i], err_est=errs[i])
+    return list(zip(values, errs))
+
+
+@lru_cache(maxsize=None)
+def _sines(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and sin(theta) of the endpoint substitution at n Gauss-Legendre nodes."""
+    theta = 0.5 * np.pi * _gl_rule(n)[0]
+    return np.cos(theta), np.sin(theta)
 
 
 def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -103,13 +120,12 @@ def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAUL
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(nodes, weights):
-        theta = 0.5 * np.pi * nodes
-        cos_t = np.cos(theta)
-        fx = np.asarray(f(mid + rad * np.sin(theta), (rad * cos_t) ** 2), dtype=float)
-        return float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad)
+    def rule(live, nodes, weights):
+        cos_t, sin_t = _sines(len(nodes))
+        fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float)
+        return [float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad)]
 
-    return _doubling(rule, spec, f"[{a}, {b}]")
+    return _doubling(rule, 1, spec, lambda i: f"[{a}, {b}]")[0]
 
 
 def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -123,11 +139,11 @@ def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(nodes, weights):
+    def rule(live, nodes, weights):
         fx = np.asarray(f(mid + rad * nodes), dtype=float)
-        return float(np.dot(weights, fx) * rad)
+        return [float(np.dot(weights, fx) * rad)]
 
-    return _doubling(rule, spec, f"[{a}, {b}]")
+    return _doubling(rule, 1, spec, lambda i: f"[{a}, {b}]")[0]
 
 
 def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
@@ -145,10 +161,10 @@ def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
             continue
         dz = z1 - z0
 
-        def rule(nodes, weights):
+        def rule(live, nodes, weights):
             fz = np.asarray(f(z0 + 0.5 * (nodes + 1.0) * dz), dtype=complex)
-            return complex(np.dot(weights, fz) * 0.5 * dz)
+            return [complex(np.dot(weights, fz) * 0.5 * dz)]
 
-        value, _ = _doubling(rule, spec, f"segment {z0} -> {z1}")
+        value, _ = _doubling(rule, 1, spec, lambda i: f"segment {z0} -> {z1}")[0]
         total += value
     return total

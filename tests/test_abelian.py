@@ -35,6 +35,7 @@ from duffing_melnikov.abelian import (
     orbit_period,
     oval_integral,
     oval_integral_dh,
+    oval_integrals,
     period_vector,
     reduce_moment,
     saddle_constants,
@@ -43,6 +44,7 @@ from duffing_melnikov.abelian import (
     wronskian_cut,
 )
 from duffing_melnikov.geometry import Annulus, DomainError
+from duffing_melnikov.quadrature import AccuracyError
 from duffing_melnikov.zeros import contour_table
 
 INTERIOR_LEVELS = (-0.23, -0.18, -0.125, -0.07, -0.02)
@@ -89,6 +91,35 @@ def test_first_moment_vanishes_on_exterior():
     assert i1_slope(Annulus.EXTERIOR) == 0.0
     for h in EXTERIOR_LEVELS:
         assert abs(oval_integral(1, h, Annulus.EXTERIOR)) < 1e-13
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_level_grid_is_bit_for_bit_the_one_level_calls(annulus):
+    # Each (moment, level) row of the batch stops at its own node count and is
+    # summed by its own ddot, so it is the float of the level's own call.
+    rng = np.random.default_rng(14)
+    if annulus is Annulus.EXTERIOR:  # pinched (neck) levels below h = 0.05, then the rest
+        hs = np.concatenate([rng.uniform(1e-3, 0.05, 8), rng.uniform(0.05, 50.0, 12)])
+    else:
+        hs = rng.uniform(-0.2499, -1e-3, 16)
+    pairs = [(k, power) for k in range(7) for power in (1, -1)]
+    grid = oval_integrals(pairs, hs, annulus)
+    one = np.array([[(oval_integral if power == 1 else oval_integral_dh)(k, h, annulus)
+                     for h in hs] for k, power in pairs])
+    assert grid.shape == (len(pairs), len(hs))
+    assert np.array_equal(grid.view(np.int64), one.view(np.int64))
+
+
+def test_level_grid_fails_on_a_level_as_that_level_alone():
+    # I_3 vanishes on the exterior annulus; at h = 1e4 its rounding noise stays
+    # above the absolute tolerance, so its row never stops.
+    with pytest.raises(AccuracyError) as alone:
+        oval_integral(3, 1e4, Annulus.EXTERIOR)
+    with pytest.raises(AccuracyError) as batch:
+        oval_integrals([(0, 1), (3, 1), (2, -1)], [0.02, 1.0, 1e4, 3.0], Annulus.EXTERIOR)
+    assert "no convergence with 4096 nodes" in str(alone.value)
+    assert str(batch.value) == str(alone.value)
+    assert (batch.value.value, batch.value.err_est) == (alone.value.value, alone.value.err_est)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ tolerances; census output is checked for byte-level determinism.
 import json
 import pathlib
 import shlex
+import warnings
 
 import pytest
 
-from duffing_melnikov import abelian, checks, cli, oracle, zeros
+from duffing_melnikov import abelian, checks, cli, oracle, quadrature, zeros
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
 from duffing_melnikov.quadrature import AccuracyError
@@ -70,6 +71,15 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_bad_h_grid_spec(capsys):
     assert cli.main(["eval", "--h-grid", "1:2"]) == 2
     assert cli.main(["eval", "--annulus", "exterior", "--h-grid", "-1:2:5:log"]) == 2
+    capsys.readouterr()
+    # a non-finite endpoint is named, not turned into a nan level by linspace
+    for grid, end in (("1:inf:3", "'inf'"), ("nan:2:3", "'nan'"), ("1:inf:3:log", "'inf'"),
+                      ("-inf:-0.1:3:log", "'-inf'")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--annulus", "exterior", f"--h-grid={grid}"]) == 2
+        err = capsys.readouterr().err
+        assert f"--h-grid endpoint {end} is not finite" in err and "h=nan" not in err
 
 
 def test_short_eps_ladder_rejected(capsys, tmp_path):
@@ -85,6 +95,15 @@ def test_zero_or_nonfinite_eps_rejected(capsys, monkeypatch):
     for bad in ("nan", "0"):
         assert cli.main(["oracle", "--seed", "0", f"--eps-list={bad},1e-3,2e-3,3e-3"]) == 2
         assert "every eps must be finite and nonzero" in capsys.readouterr().err
+
+
+def test_repeated_eps_rejected(capsys, monkeypatch):
+    # a ladder of fewer than four distinct eps cannot fit the cubic; once it
+    # integrated every flow and then failed, or fitted a residual of duplicates
+    monkeypatch.setattr(oracle, "_ladder", None)  # a call would raise TypeError
+    for ladder in ("1e-3,1e-3,1e-3,1e-3", "1e-3,1e-3,2e-3,3e-3"):
+        assert cli.main(["oracle", "--seed", "0", f"--eps-list={ladder}"]) == 2
+        assert "needs 4 distinct eps values" in capsys.readouterr().err
 
 
 def test_bad_contour_spec(capsys):
@@ -360,6 +379,16 @@ def test_census_output_matches_the_byte_pin(capsys, tmp_path):
     runs.append(["zeros", "--params", _write_params(tmp_path / "p.json", _crafted()),
                  "--annulus", "exterior"])
     _assert_runs_match_pin(tmp_path, runs, _PIN)
+
+
+def test_verify_quadratures_whole_level_grids(capsys, monkeypatch):
+    # Each check quadratures its level grid in one doubling loop, one
+    # Gauss-Legendre rule per round; one loop per level made 2288 rounds.
+    sizes = []
+    rule = quadrature._gl_rule
+    monkeypatch.setattr(quadrature, "_gl_rule", lambda n: sizes.append(n) or rule(n))
+    assert cli.main(["verify"]) == 0
+    assert 0 < len(sizes) <= 300
 
 
 def test_verify_output_matches_the_byte_pin(capsys, tmp_path):
