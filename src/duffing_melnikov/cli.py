@@ -52,7 +52,7 @@ from .melnikov import (
     m2_iliev_quadrature,
     m_eval,
 )
-from .oracle import DEFAULT_EPS_LIST, EscapeError, melnikov_fit
+from .oracle import DEFAULT_EPS_LIST, EscapeError, checked_eps_ladder, melnikov_fit
 from .zeros import Status, bound_census, certify
 
 # default comparison levels for table-producing commands, chosen mid-annulus
@@ -90,7 +90,7 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     eps = tuple(float(p) for p in text.split(","))
     if len(eps) < 4:
         raise ValueError("--eps-list needs at least four values (cubic fit plus a dof)")
-    return eps
+    return checked_eps_ladder(eps)
 
 
 def _parse_h_grid(text: str) -> list[float]:

@@ -30,14 +30,14 @@ m2_deviation_report, which lists the slot-by-slot differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .abelian import PeriodVector, PoleError
-from .geometry import Annulus, branch_points, oval_smooth_factor
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_endpoint_sqrt
+from .geometry import Annulus, branch_points
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _doubling, _sines
 
 __all__ = [
     "MONOMIALS",
@@ -413,40 +413,68 @@ def pole_cleared_rows(coeffs, h, periods):
 # ---------------------------------------------------------------------------
 
 
-def _both_branch_integral(phi, h: float, annulus: Annulus,
-                          spec: QuadratureSpec) -> float:
-    """Contour integral of phi(x, y) dx, flow orientation.
+def _both_branch_rows(terms, h: float, annulus: Annulus,
+                      spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+    """Contour integrals of phi(x, y) dx, flow orientation, one doubling row per term.
 
-    Evaluates phi on the upper branch minus phi on the lower branch and
-    integrates in x; phi may carry a 1/y factor (integrable at the branch
-    points).  y is reconstructed from the stable endpoint product of the
-    quadrature rule, so 1/y integrands do not see endpoint cancellation.
+    A term maps a round's x and (y, -y) to phi on the upper and lower branch;
+    the rule integrates their difference with integrate_endpoint_sqrt's
+    substitution and sum.  y comes from the stable endpoint product t and
+    oval_smooth_factor's expression, once per round, so 1/y factors (integrable
+    at the branch points) see no endpoint cancellation.  Each row is the float
+    its term gets in a loop of its own.
     """
     geom = branch_points(h, annulus)
+    a, b = geom.x_lo, geom.x_hi
+    mid, rad, s = 0.5 * (a + b), 0.5 * (b - a), math.sqrt(1.0 + 4.0 * h)
 
-    def integrand(x, t):
-        y = np.sqrt(t * oval_smooth_factor(x, h, annulus))
-        y = np.maximum(y, 1e-300)
-        return phi(x, y) - phi(x, -y)
+    def rule(live, nodes, weights):
+        cos_t, sin_t = _sines(len(nodes))
+        x, t = mid + rad * sin_t, (rad * cos_t) ** 2
+        sigma = 0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR else 0.5 * (x + a) * (x + b)
+        y = np.maximum(np.sqrt(t * sigma), 1e-300)
+        out = []
+        for i in live:
+            up, down = terms[i](x, (y, -y))
+            out.append(float(np.dot(weights, (up - down) * cos_t) * 0.5 * np.pi * rad))
+        return out
 
-    value, _ = integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi, spec)
-    return value
+    return [value for value, _ in _doubling(rule, len(terms), spec, lambda i: f"[{a}, {b}]")]
+
+
+def _on_branches(c, x, ys):
+    """npoly.polyval2d(x, y, c) for each y in ys, in its operation order.
+
+    c is a grid, c[i, j] the coefficient of x^i y^j, or a stack of grids
+    along a leading axis.  The x-stage (polyval's tensor pass, one row per
+    power of y) does not depend on the branch and runs once.
+    """
+    cx = _horner(np.swapaxes(c, -1, -2)[..., None, :], x)
+    return [_horner(np.swapaxes(cx, -1, -2), y) for y in ys]
+
+
+def _tier_term(cf, cg):
+    """The integrand g - f (x - x^3)/y of g dx - f dy on the oval, f and g given as grids."""
+    grids = np.stack([cg, cf])
+
+    def term(x, ys):
+        dx = x - x ** 3
+        return [g - f * dx / y for (g, f), y in zip(_on_branches(grids, x, ys), ys)]
+    return term
 
 
 def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """M1 by direct quadrature: contour integral of g dx - f dy (first tier).
 
-    On the oval dy = (x - x^3)/y dx, so the integrand is g - f (x - x^3)/y.
-    Entirely independent of the closed-form coefficient tables.
+    On the oval dy = (x - x^3)/y dx, so the integrand is g - f (x - x^3)/y,
+    on both branches in one call; the one-row case of the M2 quadrature's
+    doubling loop.  Independent of the closed-form coefficient tables: it
+    evaluates the first-tier grids directly, sharing only _horner and the
+    quadrature kernel.
     """
-    cf = params.coeff_grid("lambda1")
-    cg = params.coeff_grid("gamma1")
-
-    def phi(x, y):
-        return npoly.polyval2d(x, y, cg) - npoly.polyval2d(x, y, cf) * (x - x ** 3) / y
-
-    return _both_branch_integral(phi, h, annulus, spec)
+    term = _tier_term(params.coeff_grid("lambda1"), params.coeff_grid("gamma1"))
+    return _both_branch_rows([term], h, annulus, spec)[0]
 
 
 def _iliev_pieces(params: PerturbationParams):
@@ -455,23 +483,17 @@ def _iliev_pieces(params: PerturbationParams):
     Returns (F, divergence, p1 coefficients (A, B, C, D), p2 coefficients
     (E, W)) where F(x, y) = int_0^y f1(x, s) ds - int_0^x g1(s, 0) ds,
     divergence = f1_x + g1_y, the odd generator is G1 = y (A + B x + C x^2
-    + D y^2) and the even one G2 = y^2 (E + W x).
+    + D y^2) and the even one G2 = y^2 (E + W x).  Each entry is the float
+    npoly.polyint and npoly.polyder give, signed zeros included.
     """
     cf = params.coeff_grid("lambda1")
     cg = params.coeff_grid("gamma1")
-    f_int_y = npoly.polyint(cf, axis=1)
-    g_on_axis = np.zeros_like(cg)
-    g_on_axis[:, 0] = cg[:, 0]
-    g_int_x = npoly.polyint(g_on_axis, axis=0)
-    size = max(f_int_y.shape[0], g_int_x.shape[0], f_int_y.shape[1], g_int_x.shape[1])
-    F = np.zeros((size, size))
-    F[:f_int_y.shape[0], :f_int_y.shape[1]] += f_int_y
-    F[:g_int_x.shape[0], :g_int_x.shape[1]] -= g_int_x
+    F = np.zeros((5, 5))
+    F[:4, 1:] += cf / (1.0, 2.0, 3.0, 4.0)
+    F[1:, 0] -= cg[:, 0] / (1.0, 2.0, 3.0, 4.0)
     div = np.zeros((4, 4))
-    dfx = npoly.polyder(cf, axis=0)
-    dgy = npoly.polyder(cg, axis=1)
-    div[:dfx.shape[0], :dfx.shape[1]] += dfx
-    div[:dgy.shape[0], :dgy.shape[1]] += dgy
+    div[:3] += cf[1:] * ((1.0,), (2.0,), (3.0,))
+    div[:, :3] += cg[:, 1:] * (1.0, 2.0, 3.0)
     l, g = params.lambda1, params.gamma1
     p1 = (l[1] + g[2], g[3] + 2.0 * l[4], g[6] + 3.0 * l[8], g[9] + l[7] / 3.0)
     p2 = (g[5] + l[3] / 2.0, g[7] + l[6])
@@ -487,34 +509,27 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) 
     with F the mixed primitive of the first tier, G = g1 + F_x split into
     odd/even parts G1 = y p1(x, y^2), G2 = p2(x, y^2), and P2(x, h) the
     x-primitive of p2 along the oval.  Requires the first-order residuals of
-    the annulus to vanish.  Independent of the closed-form tables (shares
-    only the quadrature kernel).
+    the annulus to vanish.  The three terms are three rows of one doubling
+    loop at the level, each on both branches per call, added in that order.
+    Independent of the closed-form tables: it shares _horner and the
+    quadrature kernel with them, not their coefficients.
     """
     _require_m1_zero(params, annulus)
     F, div, (A, B, C, D), (E, W) = _iliev_pieces(params)
 
-    def P2(x):
-        return (E * (2.0 * h * x + x ** 3 / 3.0 - x ** 5 / 10.0)
-                + W * (h * x * x + x ** 4 / 4.0 - x ** 6 / 12.0))
+    def g1_term(x, ys):
+        p2 = (E * (2.0 * h * x + x ** 3 / 3.0 - x ** 5 / 10.0)
+              + W * (h * x * x + x ** 4 / 4.0 - x ** 6 / 12.0))
+        p2h, q = 2.0 * E * x + W * x * x, A + B * x + C * x * x
+        return [(q + 3.0 * D * y * y) * p2 / y - y * (q + D * y * y) * p2h for y in ys]
 
-    def P2h(x):
-        return 2.0 * E * x + W * x * x
+    def div_term(x, ys):
+        return [-pf / y * pd for pf, pd, y in zip(_on_branches(F, x, ys),
+                                                  _on_branches(div, x, ys), ys)]
 
-    def phi_g1(x, y):
-        g1y = A + B * x + C * x * x + 3.0 * D * y * y
-        g1 = y * (A + B * x + C * x * x + D * y * y)
-        return g1y * P2(x) / y - g1 * P2h(x)
-
-    def phi_div(x, y):
-        return -npoly.polyval2d(x, y, F) / y * npoly.polyval2d(x, y, div)
-
-    cf2 = params.coeff_grid("lambda2")
-    cg2 = params.coeff_grid("gamma2")
-
-    def phi_tier2(x, y):
-        return npoly.polyval2d(x, y, cg2) - npoly.polyval2d(x, y, cf2) * (x - x ** 3) / y
-
+    terms = (g1_term, div_term,
+             _tier_term(params.coeff_grid("lambda2"), params.coeff_grid("gamma2")))
     total = 0.0
-    for phi in (phi_g1, phi_div, phi_tier2):
-        total += _both_branch_integral(phi, h, annulus, DEFAULT_SPEC)
+    for value in _both_branch_rows(terms, h, annulus):
+        total += value
     return total

@@ -54,6 +54,7 @@ __all__ = [
     "flow",
     "displacement",
     "displacement_sign",
+    "checked_eps_ladder",
     "melnikov_fit",
 ]
 
@@ -293,6 +294,16 @@ class MelnikovFit:
     samples: tuple[DisplacementSample, ...]
 
 
+def checked_eps_ladder(eps_list) -> tuple[float, ...]:
+    """The ladder as floats; ValueError unless it holds 4 distinct, finite, nonzero eps."""
+    eps_list = tuple(float(e) for e in eps_list)
+    if len(set(eps_list)) < 4:
+        raise ValueError(f"the cubic fit needs 4 distinct eps values, got {list(eps_list)}")
+    if not all(math.isfinite(e) and e != 0.0 for e in eps_list):
+        raise ValueError(f"every eps must be finite and nonzero, got {list(eps_list)}")
+    return eps_list
+
+
 def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
                  eps_list=DEFAULT_EPS_LIST, phase: float = 0.0) -> MelnikovFit:
     """Fit d(eps) = a1 eps + a2 eps^2 + a3 eps^3 from direct integrations.
@@ -302,11 +313,7 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     period are computed once and the whole ladder is integrated by one
     lock-step flow; each sample is the float displacement gives at its eps.
     """
-    eps_list = tuple(float(e) for e in eps_list)
-    if len(set(eps_list)) < 4:
-        raise ValueError(f"the cubic fit needs 4 distinct eps values, got {list(eps_list)}")
-    if not all(math.isfinite(e) and e != 0.0 for e in eps_list):
-        raise ValueError(f"every eps must be finite and nonzero, got {list(eps_list)}")
+    eps_list = checked_eps_ladder(eps_list)
     samples = _ladder(h, params, annulus, eps_list, phase)
     coef, err, cond = _fit_core(samples)
     sign = displacement_sign()

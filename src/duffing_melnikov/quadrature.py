@@ -15,7 +15,9 @@ tolerance.
 
 One loop, _doubling, doubles the nodes over rows: each row stops at its own
 node count and only running rows are evaluated again.  The integrators below
-are its one-row case; abelian.oval_integrals runs level grids through it.
+are its one-row case; abelian.oval_integrals runs level grids through it, and
+melnikov's quadrature oracles run the terms of one level as its rows, with
+integrate_endpoint_sqrt's substitution and sum.
 Each row is summed by its own 1-D np.dot (ddot), so it does not depend on the
 other rows; a matrix product F @ w (gemv) sums in another order.
 

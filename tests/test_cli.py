@@ -90,20 +90,24 @@ def test_short_eps_ladder_rejected(capsys, tmp_path):
 
 
 def test_zero_or_nonfinite_eps_rejected(capsys, monkeypatch):
-    # before any flow is integrated; a NaN strength once hung the run
+    # before any flow is integrated and before the config line, which once
+    # printed a NaN strength as non-JSON; a NaN strength once hung the run
     monkeypatch.setattr(oracle, "_ladder", None)  # a call would raise TypeError
     for bad in ("nan", "0"):
         assert cli.main(["oracle", "--seed", "0", f"--eps-list={bad},1e-3,2e-3,3e-3"]) == 2
-        assert "every eps must be finite and nonzero" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "every eps must be finite and nonzero" in err and out == ""
 
 
 def test_repeated_eps_rejected(capsys, monkeypatch):
     # a ladder of fewer than four distinct eps cannot fit the cubic; once it
-    # integrated every flow and then failed, or fitted a residual of duplicates
+    # integrated every flow and then failed, or fitted a residual of duplicates,
+    # and later printed the config line and the table header before failing
     monkeypatch.setattr(oracle, "_ladder", None)  # a call would raise TypeError
     for ladder in ("1e-3,1e-3,1e-3,1e-3", "1e-3,1e-3,2e-3,3e-3"):
         assert cli.main(["oracle", "--seed", "0", f"--eps-list={ladder}"]) == 2
-        assert "needs 4 distinct eps values" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "needs 4 distinct eps values" in err and "# config" not in out
 
 
 def test_bad_contour_spec(capsys):
@@ -403,3 +407,22 @@ def test_verify_output_matches_the_byte_pin(capsys, tmp_path):
     """
     runs = [["verify"], ["verify", "--annulus", "interior-left"]]
     _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("verify_pin.jsonl"))
+
+
+def test_coeffs_output_matches_the_byte_pin(capsys, tmp_path):
+    r"""coeffs_pin.jsonl holds the --out files of these six commands, in this order.
+
+    Their quadrature-agreement rows carry m1_quadrature and
+    m2_iliev_quadrature values, so a change that moves any of their digits
+    fails here.  To re-record the pin, from the repository root:
+
+        d=$(mktemp -d); export PYTHONPATH=src
+        for o in 1 2; do for a in interior-left interior-right exterior; do
+          python -m duffing_melnikov.cli coeffs --seed 7 --order $o --annulus $a \
+              --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        done; done
+        cp $d/pin.jsonl tests/data/coeffs_pin.jsonl
+    """
+    runs = [["coeffs", "--seed", "7", "--order", str(order), "--annulus", annulus]
+            for order in (1, 2) for annulus in ("interior-left", "interior-right", "exterior")]
+    _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("coeffs_pin.jsonl"))

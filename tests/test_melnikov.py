@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
+from duffing_melnikov import quadrature
 from duffing_melnikov.abelian import PoleError, period_vector
-from duffing_melnikov.geometry import Annulus
-from duffing_melnikov.quadrature import QuadratureSpec
+from duffing_melnikov.geometry import Annulus, branch_points, oval_smooth_factor
+from duffing_melnikov.quadrature import QuadratureSpec, integrate_endpoint_sqrt
+from duffing_melnikov.zeros import bound_census
 from duffing_melnikov.melnikov import (
     MONOMIALS,
     ConstraintError,
+    _iliev_pieces,
     PerturbationParams,
     enforce_m1_zero,
     m1_form,
@@ -171,6 +175,155 @@ def test_m2_against_iliev_quadrature(annulus, levels):
             closed = _closed_m2(params, h, annulus)
             quad = m2_iliev_quadrature(params, h, annulus)
             assert closed == pytest.approx(quad, rel=1e-9, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature oracles against a term-by-term reference, bit for bit
+# ---------------------------------------------------------------------------
+
+# The reference integrates each term in a one-row loop of its own, with
+# numpy.polynomial evaluating and building the coefficient grids on each
+# branch separately; the library runs the terms as rows of one loop and
+# evaluates both branches per call.
+
+
+def _reference_integral(phi, h, annulus):
+    geom = branch_points(h, annulus)
+
+    def integrand(x, t):
+        y = np.maximum(np.sqrt(t * oval_smooth_factor(x, h, annulus)), 1e-300)
+        return phi(x, y) - phi(x, -y)
+
+    return integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi)[0]
+
+
+def _reference_tier(cf, cg):
+    return lambda x, y: npoly.polyval2d(x, y, cg) - npoly.polyval2d(x, y, cf) * (x - x ** 3) / y
+
+
+def _reference_pieces(params):
+    cf, cg = params.coeff_grid("lambda1"), params.coeff_grid("gamma1")
+    g_on_axis = np.zeros_like(cg)
+    g_on_axis[:, 0] = cg[:, 0]
+    F = np.zeros((5, 5))
+    F[:4, :5] += npoly.polyint(cf, axis=1)
+    F[:5, :4] -= npoly.polyint(g_on_axis, axis=0)
+    div = np.zeros((4, 4))
+    div[:3, :4] += npoly.polyder(cf, axis=0)
+    div[:4, :3] += npoly.polyder(cg, axis=1)
+    return F, div
+
+
+def _reference_m2_terms(params, h):
+    F, div = _reference_pieces(params)
+    _, _, (A, B, C, D), (E, W) = _iliev_pieces(params)
+
+    def phi_g1(x, y):
+        p2 = (E * (2.0 * h * x + x ** 3 / 3.0 - x ** 5 / 10.0)
+              + W * (h * x * x + x ** 4 / 4.0 - x ** 6 / 12.0))
+        g1y = A + B * x + C * x * x + 3.0 * D * y * y
+        g1 = y * (A + B * x + C * x * x + D * y * y)
+        return g1y * p2 / y - g1 * (2.0 * E * x + W * x * x)
+
+    def phi_div(x, y):
+        return -npoly.polyval2d(x, y, F) / y * npoly.polyval2d(x, y, div)
+
+    return (phi_g1, phi_div,
+            _reference_tier(params.coeff_grid("lambda2"), params.coeff_grid("gamma2")))
+
+
+def _reference_m2(params, h, annulus):
+    total = 0.0
+    for phi in _reference_m2_terms(params, h):
+        total += _reference_integral(phi, h, annulus)
+    return total
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+_EDGE_LEVELS = {Annulus.INTERIOR_LEFT: (-0.2499, -0.18, -0.07, -0.001),
+                Annulus.INTERIOR_RIGHT: (-0.2499, -0.125, -0.02, -0.001),
+                Annulus.EXTERIOR: (0.001, 0.01, 1.0, 20.0)}
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_quadratures_equal_the_term_by_term_reference_bit_for_bit(annulus):
+    got, want = [], []
+    for k in range(3):
+        raw = PerturbationParams.random(np.random.default_rng([15, k]))
+        constrained = enforce_m1_zero(raw, annulus)
+        ref_m1 = _reference_tier(raw.coeff_grid("lambda1"), raw.coeff_grid("gamma1"))
+        for h in _EDGE_LEVELS[annulus]:
+            got += [m1_quadrature(raw, h, annulus), m2_iliev_quadrature(constrained, h, annulus)]
+            want += [_reference_integral(ref_m1, h, annulus),
+                     _reference_m2(constrained, h, annulus)]
+    assert (_bits(got) == _bits(want)).all()
+
+
+def test_iliev_pieces_equal_polyint_and_polyder_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for k in range(200):
+        params = PerturbationParams.random(rng)
+        if k % 2:  # signed zeros among the coefficients
+            params = PerturbationParams(*(tuple(v if abs(v) > 0.5 else np.copysign(0.0, v)
+                                                for v in tier)
+                                          for tier in (params.lambda1, params.gamma1,
+                                                       params.lambda2, params.gamma2)))
+        F, div, _, _ = _iliev_pieces(params)
+        ref_F, ref_div = _reference_pieces(params)
+        assert (_bits(F) == _bits(ref_F)).all() and (_bits(div) == _bits(ref_div)).all()
+
+
+def test_m2_rows_take_as_many_rounds_as_the_slowest_term(monkeypatch):
+    # the three terms are rows of one doubling loop, not three loops in turn
+    sizes = []
+    rule = quadrature._gl_rule
+    monkeypatch.setattr(quadrature, "_gl_rule", lambda n: sizes.append(n) or rule(n))
+    for annulus, h in ((Annulus.INTERIOR_RIGHT, -0.2499), (Annulus.EXTERIOR, 0.3)):
+        params = enforce_m1_zero(PerturbationParams.random(np.random.default_rng(3)), annulus)
+        alone = []
+        for phi in _reference_m2_terms(params, h):
+            sizes.clear()
+            _reference_integral(phi, h, annulus)
+            alone.append(len(sizes))
+        sizes.clear()
+        m2_iliev_quadrature(params, h, annulus)
+        assert len(sizes) == max(alone) < sum(alone)
+
+
+def test_crosscheck_loop_makes_no_polyval_call(monkeypatch):
+    calls = []
+    polyval = npoly.polyval
+    monkeypatch.setattr(npoly, "polyval", lambda *a, **k: calls.append(1) or polyval(*a, **k))
+    raw = PerturbationParams.random(np.random.default_rng(20260815))
+    for annulus, levels in ((Annulus.INTERIOR_RIGHT, (-0.23, -0.02)),
+                            (Annulus.EXTERIOR, (0.05, 9.0))):
+        constrained = enforce_m1_zero(raw, annulus)
+        for h in levels:
+            pv = period_vector(h, annulus)
+            m_eval(m1_form(raw, annulus), h, pv)
+            m_eval(m2_form(constrained, annulus), h, pv)
+            m1_quadrature(raw, h, annulus)
+            m2_iliev_quadrature(constrained, h, annulus)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed,draw,levels", [(20, 1, (0.01, 0.3, 2.0, 5.0)),
+                                              (30, 2, (0.05, 0.2, 2.0, 5.0))])
+def test_m1_quadrature_changes_sign_between_certified_real_roots(seed, draw, levels):
+    # Two exterior order-1 census draws whose certificates count three real
+    # zeros of M1 on h > 0.  Direct quadrature, which does not use the closed
+    # form the certificate evaluates, changes sign between each pair of them.
+    certs, _ = bound_census(1, Annulus.EXTERIOR, n_draws=draw + 1, seed=seed)
+    roots = [r for r, _ in certs[draw].real_roots]
+    assert len(roots) == 3
+    assert levels[0] < roots[0] < levels[1] < roots[1] < levels[2] < roots[2] < levels[3]
+    rng = np.random.default_rng(seed)
+    params = [PerturbationParams.uniform(rng) for _ in range(draw + 1)][draw]
+    values = [m1_quadrature(params, h, Annulus.EXTERIOR) for h in levels]
+    assert all(a * b < 0.0 for a, b in zip(values, values[1:]))
 
 
 def test_m2_splits_into_quadratic_and_linear_parts():
