@@ -12,7 +12,7 @@ elliptic integrals I_k(h), their analytic continuation to complex energy
 levels, and certified counts of zeros.
 """
 
-from .geometry import Annulus, DomainError, branch_points, hamiltonian, oval_y
+from .geometry import Annulus, DomainError, branch_points, hamiltonian
 from .quadrature import AccuracyError, QuadratureSpec
 from .abelian import (
     PathError,
@@ -44,7 +44,6 @@ __all__ = [
     "DomainError",
     "hamiltonian",
     "branch_points",
-    "oval_y",
     "QuadratureSpec",
     "AccuracyError",
     "PeriodVector",

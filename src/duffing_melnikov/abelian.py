@@ -10,8 +10,10 @@ x^k / y dx; in particular I_0'(h) is the period of the orbit.
 
 There are three routes to these values, and the tests compare them.
 
-Quadrature: on the real annuli, endpoint-singular quadrature of the oval
-integrals themselves, whole level grids at once (oval_integrals, period_vector).
+Quadrature: on the real annuli, the oval integrals themselves as terms of
+quadrature's oval rule, whole level grids at once (oval_integrals,
+period_vector); the rule owns the endpoint substitution and the split of a
+pinched exterior oval.
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
 Carlson's symmetric form (closed_form).  It is the evaluator of the zero
@@ -55,8 +57,8 @@ from scipy.integrate import solve_ivp
 from scipy.special import elliprd, elliprf
 
 from ._dop853 import Lane, run
-from .geometry import Annulus, DomainError, branch_points
-from .quadrature import DEFAULT_SPEC, _doubling, _sines
+from .geometry import Annulus, DomainError
+from .quadrature import _oval_rows
 
 __all__ = [
     "BASE_POINTS",
@@ -136,84 +138,16 @@ class PeriodVector:
 # ---------------------------------------------------------------------------
 
 
-# Below this level the exterior oval develops a neck of width ~sqrt(2h) at
-# x = 0, invisible to the endpoint substitution; the integral is then split
-# at |x| = 0.5 and the middle piece taken in the variable x = sqrt(2h) sinh u,
-# which resolves the neck exactly (2h + x^2 = 2h cosh^2 u).
-_PINCH_SPLIT_H = 0.05
-
-
-def _piece_moments(pairs, geoms, annulus: Annulus, piece: str) -> list[float]:
-    """Upper-branch integrals of x^k y^power dx over one piece of each oval.
-
-    piece is "whole" or, on pinched exterior levels, "left", "neck" or "right".
-    Row j * len(geoms) + i of the doubling loop is pairs[j] at geoms[i], with the
-    operations of that level alone; y is computed once per level and round.
-    Returns the values row by row.
-    """
-    size, cut, scale = len(geoms), 0.5, 1.0 if piece == "neck" else 0.5 * np.pi
-    ends = ([(-u, u) for u in (math.asinh(cut / math.sqrt(2.0 * g.h)) for g in geoms)]
-            if piece == "neck" else [(cut if piece == "right" else g.x_lo,
-                                      -cut if piece == "left" else g.x_hi) for g in geoms])
-    table = [(g.h, g.x_lo, g.x_hi, math.sqrt(1.0 + 4.0 * g.h), 0.5 * (a + b), 0.5 * (b - a))
-             for g, (a, b) in zip(geoms, ends)]
-    # one level keeps plain floats and 1-D arrays, as in its own rule
-    cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], [r[5] for r in table]
-
-    def rule(live, nodes, weights):
-        at = sorted({r % size for r in live}) if size > 1 else [0]
-        h, lo, hi, s, mid, rad = cols if len(at) == size else cols[:, at]
-        if piece == "neck":
-            u, c = mid + rad * nodes, np.sqrt(2.0 * h)
-            x, ch = c * np.sinh(u), np.cosh(u)
-            y, jac = c * ch * np.sqrt(1.0 - x ** 4 / (4.0 * h * ch * ch)), c * ch
-        else:
-            jac, sin_t = _sines(len(nodes))
-            x, t = mid + rad * sin_t, (rad * jac) ** 2  # the endpoint substitution
-            # oval_smooth_factor, from the level's constants
-            sigma = (0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR
-                     else 0.5 * (x + lo) * (x + hi))
-            # On each outer piece only one endpoint is a branch point; recover its
-            # stable distance factor from the sub-interval product t (the other
-            # factor of t is O(1) there, so the division is benign).
-            y = np.sqrt(t * sigma if piece == "whole"
-                        else (t / (-cut - x)) * (hi - x) * sigma if piece == "left"
-                        else (x - lo) * (t / (x - cut)) * sigma)
-        out, by_pair = [], {}
-        for r in live:
-            by_pair.setdefault(r // size, []).append(r % size)
-        for j, levels in by_pair.items():
-            k, power = pairs[j]
-            q = [at.index(i) for i in levels] if levels != at else None
-            xs, ys = (x, y) if q is None else (x[q], y[q])
-            xk = xs ** int(k)
-            fx = (xk * ys ** int(power) * (jac if q is None else jac[q]) if piece == "neck"
-                  else (xk * ys if power == 1 else xk / np.maximum(ys, 1e-300)) * jac)
-            # each row its own ddot, then the rule's scale (d * 0.5 * pi is d * (0.5 * pi))
-            out += [float(np.dot(weights, f) * scale * rads[i])
-                    for f, i in zip(fx if size > 1 else [fx], levels)]
-        return out
-
-    rows = _doubling(rule, len(pairs) * size, DEFAULT_SPEC,
-                     lambda r: "[{}, {}]".format(*ends[r % size]))
-    return [value for value, _ in rows]
-
-
 def oval_integrals(pairs, hs, annulus: Annulus) -> np.ndarray:
     """I_k (power 1) or I_k' (power -1) for each (k, power) in pairs, one row each, at levels hs.
 
     I_k is the contour integral of x^k y dx, flow orientation (I_0 = area > 0):
-    twice the upper-branch integral; I_k' has 1/y.  Each is its level's own float.
+    twice the upper-branch integral of the oval rule; I_k' has 1/y.  Each is
+    its level's own float.
     """
-    geoms = [branch_points(float(h), annulus) for h in hs]
-    necks = [annulus is Annulus.EXTERIOR and g.h < _PINCH_SPLIT_H for g in geoms]
-    whole = iter(_piece_moments(pairs, [g for g, n in zip(geoms, necks) if not n], annulus,
-                                "whole") if not all(necks) else [])
-    pieces = (_piece_moments(pairs, [g for g, n in zip(geoms, necks) if n], annulus, p)
-              for p in ("left", "neck", "right")) if any(necks) else ()
-    split = iter([left + neck + right for left, neck, right in zip(*pieces)])
-    return np.array([2.0 * (next(split) if n else next(whole)) for _ in pairs for n in necks],
-                    dtype=float).reshape(len(pairs), len(geoms))
+    terms = [(lambda x, y, k=int(k): x ** k * y) if power == 1 else
+             (lambda x, y, k=int(k): x ** k / y) for k, power in pairs]
+    return 2.0 * _oval_rows(terms, hs, annulus)
 
 
 def oval_integral(k: int, h: float, annulus: Annulus) -> float:

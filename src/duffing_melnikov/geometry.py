@@ -21,8 +21,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 H_CENTER = -0.25
 H_SADDLE = 0.0
 
@@ -103,43 +101,6 @@ def branch_points(h: float, annulus: Annulus) -> OvalGeometry:
     if annulus is Annulus.INTERIOR_RIGHT:
         return OvalGeometry(h, annulus, inner, outer)
     return OvalGeometry(h, annulus, -outer, -inner)
-
-
-def oval_smooth_factor(x, h: float, annulus: Annulus):
-    """The smooth positive factor sigma in y^2 = (x - x_lo)(x_hi - x) sigma(x).
-
-    The quartic 2h + x^2 - x^4/2 factors through the branch points of the
-    oval: on an interior lobe the two remaining roots are the mirrored branch
-    points, giving sigma = (x + x_lo)(x + x_hi)/2; on the exterior annulus
-    they are purely imaginary, giving sigma = (x^2 + sqrt(1+4h) - 1)/2.
-    Evaluating y through this factorization (with the endpoint product taken
-    from the quadrature substitution) avoids the endpoint cancellation that
-    direct evaluation of the quartic suffers.
-    """
-    geom = branch_points(h, annulus)
-    x = np.asarray(x, dtype=float)
-    if annulus is Annulus.EXTERIOR:
-        return 0.5 * (x * x + math.sqrt(1.0 + 4.0 * h) - 1.0)
-    return 0.5 * (x + geom.x_lo) * (x + geom.x_hi)
-
-
-def oval_y(x, h, tol: float = 1e-12):
-    """Upper branch y(x) = sqrt(2h + x^2 - x^4/2) of the level curve H = h.
-
-    Values of the radicand in [-tol, 0] are clamped to 0 (they arise from
-    rounding at quadrature nodes that sit on a branch point); anything more
-    negative raises DomainError.
-    """
-    x = np.asarray(x, dtype=float)
-    radicand = 2.0 * h + x * x - 0.5 * x ** 4
-    bad = radicand < -tol
-    if np.any(bad):
-        worst = float(np.min(radicand))
-        raise DomainError(f"point off the level oval: 2h + x^2 - x^4/2 = {worst} < -{tol}")
-    out = np.sqrt(np.where(radicand > 0.0, radicand, 0.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def section_point(h: float, annulus: Annulus) -> tuple[float, float]:

@@ -30,14 +30,13 @@ m2_deviation_report, which lists the slot-by-slot differences.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .abelian import PeriodVector, PoleError
-from .geometry import Annulus, branch_points
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _doubling, _sines
+from .geometry import Annulus
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _oval_rows
 
 __all__ = [
     "MONOMIALS",
@@ -413,33 +412,13 @@ def pole_cleared_rows(coeffs, h, periods):
 # ---------------------------------------------------------------------------
 
 
-def _both_branch_rows(terms, h: float, annulus: Annulus,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
-    """Contour integrals of phi(x, y) dx, flow orientation, one doubling row per term.
-
-    A term maps a round's x and (y, -y) to phi on the upper and lower branch;
-    the rule integrates their difference with integrate_endpoint_sqrt's
-    substitution and sum.  y comes from the stable endpoint product t and
-    oval_smooth_factor's expression, once per round, so 1/y factors (integrable
-    at the branch points) see no endpoint cancellation.  Each row is the float
-    its term gets in a loop of its own.
-    """
-    geom = branch_points(h, annulus)
-    a, b = geom.x_lo, geom.x_hi
-    mid, rad, s = 0.5 * (a + b), 0.5 * (b - a), math.sqrt(1.0 + 4.0 * h)
-
-    def rule(live, nodes, weights):
-        cos_t, sin_t = _sines(len(nodes))
-        x, t = mid + rad * sin_t, (rad * cos_t) ** 2
-        sigma = 0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR else 0.5 * (x + a) * (x + b)
-        y = np.maximum(np.sqrt(t * sigma), 1e-300)
-        out = []
-        for i in live:
-            up, down = terms[i](x, (y, -y))
-            out.append(float(np.dot(weights, (up - down) * cos_t) * 0.5 * np.pi * rad))
-        return out
-
-    return [value for value, _ in _doubling(rule, len(terms), spec, lambda i: f"[{a}, {b}]")]
+def _across(phi):
+    """The oval rule's term phi(x, y) - phi(x, -y), whose integral is the contour
+    integral of phi dx, flow orientation; phi maps x and (y, -y) to both branches."""
+    def term(x, y):
+        up, down = phi(x, (y, -y))
+        return up - down
+    return term
 
 
 def _on_branches(c, x, ys):
@@ -457,10 +436,10 @@ def _tier_term(cf, cg):
     """The integrand g - f (x - x^3)/y of g dx - f dy on the oval, f and g given as grids."""
     grids = np.stack([cg, cf])
 
-    def term(x, ys):
+    def phi(x, ys):
         dx = x - x ** 3
         return [g - f * dx / y for (g, f), y in zip(_on_branches(grids, x, ys), ys)]
-    return term
+    return _across(phi)
 
 
 def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
@@ -468,13 +447,13 @@ def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
     """M1 by direct quadrature: contour integral of g dx - f dy (first tier).
 
     On the oval dy = (x - x^3)/y dx, so the integrand is g - f (x - x^3)/y,
-    on both branches in one call; the one-row case of the M2 quadrature's
-    doubling loop.  Independent of the closed-form coefficient tables: it
-    evaluates the first-tier grids directly, sharing only _horner and the
-    quadrature kernel.
+    on both branches in one call; the one-term case of the M2 quadrature.
+    Independent of the closed-form coefficient tables: it evaluates the
+    first-tier grids directly, and shares the oval rule and _horner with the
+    period quadrature, not the tables' coefficients.
     """
     term = _tier_term(params.coeff_grid("lambda1"), params.coeff_grid("gamma1"))
-    return _both_branch_rows([term], h, annulus, spec)[0]
+    return float(_oval_rows([term], [h], annulus, spec)[0, 0])
 
 
 def _iliev_pieces(params: PerturbationParams):
@@ -509,10 +488,10 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) 
     with F the mixed primitive of the first tier, G = g1 + F_x split into
     odd/even parts G1 = y p1(x, y^2), G2 = p2(x, y^2), and P2(x, h) the
     x-primitive of p2 along the oval.  Requires the first-order residuals of
-    the annulus to vanish.  The three terms are three rows of one doubling
-    loop at the level, each on both branches per call, added in that order.
-    Independent of the closed-form tables: it shares _horner and the
-    quadrature kernel with them, not their coefficients.
+    the annulus to vanish.  The three terms are three rows of the oval rule
+    at the level, each on both branches per call, added in that order.
+    Independent of the closed-form tables: it shares the oval rule and
+    _horner with the period quadrature, not the tables' coefficients.
     """
     _require_m1_zero(params, annulus)
     F, div, (A, B, C, D), (E, W) = _iliev_pieces(params)
@@ -527,9 +506,9 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) 
         return [-pf / y * pd for pf, pd, y in zip(_on_branches(F, x, ys),
                                                   _on_branches(div, x, ys), ys)]
 
-    terms = (g1_term, div_term,
+    terms = (_across(g1_term), _across(div_term),
              _tier_term(params.coeff_grid("lambda2"), params.coeff_grid("gamma2")))
     total = 0.0
-    for value in _both_branch_rows(terms, h, annulus):
+    for value in _oval_rows(terms, [h], annulus)[:, 0].tolist():
         total += value
     return total

@@ -15,9 +15,11 @@ tolerance.
 
 One loop, _doubling, doubles the nodes over rows: each row stops at its own
 node count and only running rows are evaluated again.  The integrators below
-are its one-row case; abelian.oval_integrals runs level grids through it, and
-melnikov's quadrature oracles run the terms of one level as its rows, with
-integrate_endpoint_sqrt's substitution and sum.
+are its one-row case.  _oval_rows is the oval rule built on it, the one place
+that knows the endpoint substitution, the upper branch y = sqrt(t sigma(x)),
+the split of a pinched exterior oval and the per-piece sums; the periods
+(abelian.oval_integrals) and both Melnikov quadrature oracles are terms run
+through it, one row per term and level.
 Each row is summed by its own 1-D np.dot (ddot), so it does not depend on the
 other rows; a matrix product F @ w (gemv) sums in another order.
 
@@ -26,11 +28,14 @@ Integrands must be vectorized (accept an ndarray of abscissae).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
+
+from .geometry import Annulus, branch_points
 
 __all__ = [
     "QuadratureSpec",
@@ -170,3 +175,81 @@ def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
         value, _ = _doubling(rule, 1, spec, lambda i: f"segment {z0} -> {z1}")[0]
         total += value
     return total
+
+
+# Below this level the exterior oval develops a neck of width ~sqrt(2h) at
+# x = 0, invisible to the endpoint substitution; the integral is then split
+# at |x| = 0.5 and the middle piece taken in the variable x = sqrt(2h) sinh u,
+# which resolves the neck exactly (2h + x^2 = 2h cosh^2 u).
+_PINCH_SPLIT_H = 0.05
+
+
+def _oval_rows(terms, hs, annulus: Annulus, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+    """Integral of term(x, y) dx over the x-range of the oval at each level of hs.
+
+    y is the upper branch, clamped at 1e-300; on the endpoint substitution it
+    is sqrt(t sigma(x)), t = (x - x_lo)(x_hi - x) exact from the substitution
+    and sigma = (2h + x^2 - x^4/2) / t a smooth factor, so 1/y sees no
+    endpoint cancellation.  A pinched exterior level is summed as
+    left + neck + right.  Terms must be elementwise: one level passes 1-D
+    arrays of nodes, several one row per running level.  Row j * len(hs) + i
+    of the doubling loop is terms[j] at hs[i], with the operations of that
+    level alone.  Returns a (len(terms), len(hs)) array.
+    """
+    geoms = [branch_points(float(h), annulus) for h in hs]
+    split = [i for i, g in enumerate(geoms) if annulus is Annulus.EXTERIOR and g.h < _PINCH_SPLIT_H]
+    whole = [i for i in range(len(geoms)) if i not in split]
+
+    def piece(kind, gs):
+        size, cut, scale = len(gs), 0.5, 1.0 if kind == "neck" else 0.5 * np.pi
+        ends = ([(-u, u) for u in (math.asinh(cut / math.sqrt(2.0 * g.h)) for g in gs)]
+                if kind == "neck" else [(cut if kind == "right" else g.x_lo,
+                                         -cut if kind == "left" else g.x_hi) for g in gs])
+        table = [(g.h, g.x_lo, g.x_hi, math.sqrt(1.0 + 4.0 * g.h), 0.5 * (a + b), 0.5 * (b - a))
+                 for g, (a, b) in zip(gs, ends)]
+        # one level keeps plain floats and 1-D arrays, as in its own rule
+        cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], [r[5] for r in table]
+
+        def rule(live, nodes, weights):
+            run = sorted({r % size for r in live}) if size > 1 else [0]
+            h, lo, hi, s, mid, rad = cols if len(run) == size else cols[:, run]
+            if kind == "neck":
+                u, c = mid + rad * nodes, np.sqrt(2.0 * h)
+                x, ch = c * np.sinh(u), np.cosh(u)
+                y, jac = c * ch * np.sqrt(1.0 - x ** 4 / (4.0 * h * ch * ch)), c * ch
+            else:
+                jac, sin_t = _sines(len(nodes))
+                x, t = mid + rad * sin_t, (rad * jac) ** 2  # the endpoint substitution
+                sigma = (0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR
+                         else 0.5 * (x + lo) * (x + hi))
+                # On each outer piece only one endpoint is a branch point; recover its
+                # stable distance factor from the sub-interval product t (the other
+                # factor of t is O(1) there, so the division is benign).
+                y = np.sqrt(t * sigma if kind == "whole"
+                            else (t / (-cut - x)) * (hi - x) * sigma if kind == "left"
+                            else (x - lo) * (t / (x - cut)) * sigma)
+            y = np.maximum(y, 1e-300)
+            out, by_term = [], {}
+            for r in live:
+                by_term.setdefault(r // size, []).append(r % size)
+            for j, levels in by_term.items():
+                q = [run.index(i) for i in levels] if levels != run else None
+                xs, ys = (x, y) if q is None else (x[q], y[q])
+                fx = terms[j](xs, ys) * (jac[q] if q is not None and kind == "neck" else jac)
+                # each row its own ddot, then the rule's scale (d * 0.5 * pi is d * (0.5 * pi))
+                out += [float(np.dot(weights, f) * scale * rads[i])
+                        for f, i in zip(fx if size > 1 else [fx], levels)]
+            return out
+
+        rows = _doubling(rule, len(terms) * size, spec,
+                         lambda r: "[{}, {}]".format(*ends[r % size]))
+        return np.array([value for value, _ in rows]).reshape(len(terms), size)
+
+    out = np.empty((len(terms), len(geoms)))
+    if whole:
+        out[:, whole] = piece("whole", [geoms[i] for i in whole])
+    if split:
+        left, neck, right = (piece(kind, [geoms[i] for i in split])
+                             for kind in ("left", "neck", "right"))
+        out[:, split] = left + neck + right
+    return out

@@ -10,8 +10,6 @@ from duffing_melnikov.geometry import (
     DomainError,
     branch_points,
     hamiltonian,
-    oval_smooth_factor,
-    oval_y,
     section_point,
 )
 
@@ -61,7 +59,7 @@ def test_interior_lobes_mirror_each_other():
 def test_level_set_identity_interior(h, t):
     geom = branch_points(h, Annulus.INTERIOR_RIGHT)
     x = geom.x_lo + t * (geom.x_hi - geom.x_lo)
-    y = oval_y(x, h)
+    y = np.sqrt(max(2.0 * h + x * x - 0.5 * x ** 4, 0.0))
     assert hamiltonian(x, y) == pytest.approx(h, abs=1e-10)
 
 
@@ -69,29 +67,8 @@ def test_level_set_identity_interior(h, t):
 def test_level_set_identity_exterior(h, t):
     geom = branch_points(h, Annulus.EXTERIOR)
     x = geom.x_lo + t * (geom.x_hi - geom.x_lo)
-    y = oval_y(x, h)
+    y = np.sqrt(max(2.0 * h + x * x - 0.5 * x ** 4, 0.0))
     assert hamiltonian(x, y) == pytest.approx(h, rel=1e-10, abs=1e-10)
-
-
-@pytest.mark.parametrize("annulus,h", [
-    (Annulus.INTERIOR_RIGHT, -0.2),
-    (Annulus.INTERIOR_LEFT, -0.04),
-    (Annulus.EXTERIOR, 0.7),
-])
-def test_smooth_factor_reconstructs_y_squared(annulus, h):
-    geom = branch_points(h, annulus)
-    x = np.linspace(geom.x_lo, geom.x_hi, 101)[1:-1]
-    sigma = oval_smooth_factor(x, h, annulus)
-    assert np.all(sigma > 0.0)
-    y2 = (x - geom.x_lo) * (geom.x_hi - x) * sigma
-    assert np.allclose(y2, oval_y(x, h) ** 2, rtol=1e-10, atol=1e-13)
-
-
-def test_oval_y_clamps_branch_point_rounding():
-    geom = branch_points(-0.1, Annulus.INTERIOR_RIGHT)
-    assert oval_y(geom.x_hi, -0.1) == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(DomainError):
-        oval_y(5.0, -0.1)
 
 
 @pytest.mark.parametrize("annulus,h", [

@@ -11,11 +11,18 @@ own definition and outside the __all__ lists.
 No private leftover: every module-level private name in src/ (a _foo
 function, class or constant) must be read somewhere in src/, scripts/ or
 bench/ outside its own definition.
+
+Every name the benchmark binds resolves: bench/tracing.py wraps its TARGETS
+by name, and the workloads call a few private functions directly.  The
+benchmark's own smoke test lives under bench/, outside the tier-1 suite.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -163,3 +170,24 @@ def test_every_private_name_is_read_by_the_program():
     src = sorted((ROOT / "src").rglob("*.py"))
     assert unread_privates([p.read_text() for p in src],
                            [p.read_text() for p in PROGRAM]) == []
+
+
+# names bench/workloads.py calls directly, besides the tracer's TARGETS
+_BENCH_CALLS = (("zeros", "_real_table"), ("abelian", "_base_values"),
+                ("oracle", "displacement_sign"))
+
+
+def test_every_name_the_benchmark_binds_resolves(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    bound = [(t.module, t.attr) for t in tracing.TARGETS] + list(_BENCH_CALLS)
+    missing = []
+    for module, attr in bound:
+        owner = importlib.import_module(f"{tracing.PACKAGE}.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

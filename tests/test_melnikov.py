@@ -7,6 +7,8 @@ quadrature of the two-step averaging formula.  Structural properties
 two, the constraint projection) are checked on top.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from duffing_melnikov import quadrature
-from duffing_melnikov.abelian import PoleError, period_vector
-from duffing_melnikov.geometry import Annulus, branch_points, oval_smooth_factor
+from duffing_melnikov.abelian import PoleError, closed_form, period_vector
+from duffing_melnikov.geometry import Annulus, branch_points
 from duffing_melnikov.quadrature import QuadratureSpec, integrate_endpoint_sqrt
 from duffing_melnikov.zeros import bound_census
 from duffing_melnikov.melnikov import (
@@ -188,10 +190,13 @@ def test_m2_against_iliev_quadrature(annulus, levels):
 
 
 def _reference_integral(phi, h, annulus):
+    # y^2 = t sigma(x) with the smooth factor sigma of the unsplit oval
     geom = branch_points(h, annulus)
 
     def integrand(x, t):
-        y = np.maximum(np.sqrt(t * oval_smooth_factor(x, h, annulus)), 1e-300)
+        sigma = (0.5 * (x * x + math.sqrt(1.0 + 4.0 * h) - 1.0) if annulus is Annulus.EXTERIOR
+                 else 0.5 * (x + geom.x_lo) * (x + geom.x_hi))
+        y = np.maximum(np.sqrt(t * sigma), 1e-300)
         return phi(x, y) - phi(x, -y)
 
     return integrate_endpoint_sqrt(integrand, geom.x_lo, geom.x_hi)[0]
@@ -245,7 +250,7 @@ def _bits(values):
 
 _EDGE_LEVELS = {Annulus.INTERIOR_LEFT: (-0.2499, -0.18, -0.07, -0.001),
                 Annulus.INTERIOR_RIGHT: (-0.2499, -0.125, -0.02, -0.001),
-                Annulus.EXTERIOR: (0.001, 0.01, 1.0, 20.0)}
+                Annulus.EXTERIOR: (0.05, 0.3, 1.0, 20.0)}  # unsplit levels only
 
 
 @pytest.mark.parametrize("annulus", list(Annulus))
@@ -260,6 +265,21 @@ def test_quadratures_equal_the_term_by_term_reference_bit_for_bit(annulus):
             want += [_reference_integral(ref_m1, h, annulus),
                      _reference_m2(constrained, h, annulus)]
     assert (_bits(got) == _bits(want)).all()
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-3, 0.01, 0.0499])
+def test_oracles_match_the_closed_form_at_pinched_exterior_levels(h):
+    # below h = 0.05 the oval rule splits the exterior oval at its neck, so the
+    # oracles converge where the unsplit rule ran out of nodes
+    annulus = Annulus.EXTERIOR
+    i0, i1, i2, _, _ = closed_form(h, annulus)
+    for seed in range(4):
+        raw = PerturbationParams.random(np.random.default_rng([16, seed]))
+        constrained = enforce_m1_zero(raw, annulus)
+        assert m1_quadrature(raw, h, annulus) == pytest.approx(
+            float(m_eval(m1_form(raw, annulus), h, (i0, i1, i2))), rel=1e-13, abs=0.0)
+        assert m2_iliev_quadrature(constrained, h, annulus) == pytest.approx(
+            float(m_eval(m2_form(constrained, annulus), h, (i0, i1, i2))), rel=1e-13, abs=0.0)
 
 
 def test_iliev_pieces_equal_polyint_and_polyder_bit_for_bit():

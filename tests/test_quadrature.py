@@ -1,4 +1,4 @@
-"""Doubling Gauss-Legendre rules: exactness, error reporting, path integrals."""
+"""Doubling Gauss-Legendre rules: exactness, error reporting, path integrals, the oval rule."""
 
 import math
 
@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from duffing_melnikov.geometry import Annulus, branch_points
 from duffing_melnikov.quadrature import (
     AccuracyError,
     QuadratureSpec,
+    _PINCH_SPLIT_H,
+    _oval_rows,
     integrate_endpoint_sqrt,
     integrate_path,
     integrate_smooth,
@@ -109,3 +112,34 @@ def test_path_antiderivative_independence():
 def test_path_needs_two_vertices():
     with pytest.raises(ValueError):
         integrate_path(lambda z: z, [1.0])
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_LEFT, -0.04),
+    (Annulus.INTERIOR_RIGHT, -0.2),
+    (Annulus.EXTERIOR, 0.3),
+    (Annulus.EXTERIOR, 1e-3),  # pinched: left, neck and right of |x| = 0.5
+])
+def test_oval_rule_y_is_the_upper_branch_on_every_piece(annulus, h):
+    # A term that records the rule's (x, y) sees y^2 = 2h + x^2 - x^4/2 at every
+    # node of every round, on each piece the level is cut into.
+    geom = branch_points(h, annulus)
+    calls = []
+
+    def record(x, y):
+        calls.append((x.copy(), y.copy()))
+        return np.ones_like(x)
+
+    length = _oval_rows([record], [h], annulus)[0, 0]
+    assert length == pytest.approx(geom.x_hi - geom.x_lo, rel=1e-12)
+    pieces = {"left": (geom.x_lo, -0.5), "neck": (-0.5, 0.5), "right": (0.5, geom.x_hi)}
+    kinds = set()
+    for x, y in calls:
+        assert (y > 0.0).all()
+        assert np.allclose(y * y, 2.0 * h + x * x - 0.5 * x ** 4, rtol=1e-10, atol=1e-14)
+        kinds.add(next((kind for kind, (lo, hi) in pieces.items()
+                        if annulus is Annulus.EXTERIOR and lo <= x.min() and x.max() <= hi),
+                       "whole"))
+        assert geom.x_lo < x.min() and x.max() < geom.x_hi
+    pinched = annulus is Annulus.EXTERIOR and h < _PINCH_SPLIT_H
+    assert kinds == ({"left", "neck", "right"} if pinched else {"whole"})

@@ -17,6 +17,7 @@ from duffing_melnikov import abelian, zeros
 from duffing_melnikov.abelian import BASE_POINTS, cut_values, transport_table
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import (
+    MONOMIALS,
     MelnikovForm,
     PerturbationParams,
     enforce_m1_zero,
@@ -320,6 +321,46 @@ def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     assert s1 == s2
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the certificate
+# ---------------------------------------------------------------------------
+
+
+def _mapped(params, factor):
+    """params with the coefficient of x^i y^j multiplied by factor(i, j) in every tier."""
+    scale = [factor(i, j) for i, j in MONOMIALS]
+    return PerturbationParams(*(tuple(c * v for c, v in zip(scale, tier))
+                                for tier in (params.lambda1, params.gamma1,
+                                             params.lambda2, params.gamma2)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_rotation_maps_the_left_lobe_certificate_to_the_right(order):
+    # (x, y) -> (-x, -y) maps the unperturbed flow and the left lobe to the
+    # right one; f and g go to -f(-x, -y) and -g(-x, -y), which multiplies the
+    # coefficient of x^i y^j by -(-1)^(i+j)
+    left, right = Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT
+    for seed in range(25):
+        params = PerturbationParams.uniform(np.random.default_rng(seed))
+        rotated = _mapped(params, lambda i, j: -(-1.0) ** (i + j))
+        if order == 2:
+            params, rotated = enforce_m1_zero(params, left), enforce_m1_zero(rotated, right)
+        mine, theirs = (certify(params, order, left).as_record(),
+                        certify(rotated, order, right).as_record())
+        assert mine.pop("annulus") == left.value and theirs.pop("annulus") == right.value
+        assert mine == theirs
+
+
+@pytest.mark.parametrize("annulus", [Annulus.EXTERIOR, Annulus.INTERIOR_RIGHT])
+def test_certificate_ignores_a_power_of_two_scale_and_the_sign(annulus):
+    # M1 is linear in the first tier; 8 and -1/4 scale every float exactly
+    for seed in range(25):
+        params = PerturbationParams.uniform(np.random.default_rng(seed))
+        records = {certify(_mapped(params, lambda i, j: c), 1, annulus).to_json()
+                   for c in (1.0, 8.0, -0.25)}
+        assert len(records) == 1
 
 
 # ---------------------------------------------------------------------------
