@@ -37,6 +37,8 @@ transport right-hand side both apply.  continue_paths transports it
 along polylines from quadrature values at a real base point, each path a
 lane of one lock-step DOP853, as the independent check of the closed form;
 transport_table is the dense solve_ivp route the tests compare it with.
+Both import scipy.integrate (continue_paths through _dop853) when they are
+called, so importing this module loads scipy.special alone.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 
@@ -53,10 +55,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import elliprd, elliprf
 
-from ._dop853 import Lane, run
 from .geometry import Annulus, DomainError
 from .quadrature import _oval_rows
 
@@ -374,6 +374,8 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     The dense reference route: one solve_ivp run per segment (see _polyline
     for the path's requirements), each starting where the last one ended.
     """
+    from scipy.integrate import solve_ivp
+
     vertices = _polyline(path, annulus)
     key = (vertices[0].real, annulus)
     u = _start_states([key])[key]
@@ -401,6 +403,8 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
     Segment j of every path is a lane of one lock-step DOP853 run, then segment
     j + 1, each lane with the floats of solve_ivp on its segment alone.
     """
+    from ._dop853 import Lane, run
+
     runs = [_polyline(path, annulus) for path, annulus in zip(paths, annuli, strict=True)]
     keys = [(v[0].real, annulus) for v, annulus in zip(runs, annuli)]
     starts = _start_states(keys)

@@ -306,16 +306,17 @@ def cmd_zeros(args) -> int:
               "contour": {"R": R, "eta": eta, "rho": rho}, "out": args.out}
 
     if args.draws is not None:
-        config.update({"draws": args.draws, "seed": args.seed})
+        seed = 0 if args.seed is None else args.seed
+        config.update({"draws": args.draws, "seed": seed})
         _print_config(config)
         certs, summary = bound_census(args.order, annulus, n_draws=args.draws,
-                                      seed=args.seed, R=R, eta=eta, rho=rho)
+                                      seed=seed, R=R, eta=eta, rho=rho)
         records = [{"record": "certificate", "draw": i, **c.as_record()}
                    for i, c in enumerate(certs)]
         records.append({"record": "census-summary", **summary})
         _emit(args, config, records)
         print(f"census: order {args.order}, {annulus.value}, {args.draws} draws, "
-              f"seed {args.seed}")
+              f"seed {seed}")
         print(f"  bound {summary['bound']}  max winding {summary['max_winding']}  "
               f"max real roots {summary['max_real_roots']}")
         print("  status counts: " + json.dumps(summary["status_counts"], sort_keys=True))
@@ -325,6 +326,9 @@ def cmd_zeros(args) -> int:
             print(f"  bound violated on draws {bad}")
         return 3 if (bad or inconclusive) else 0
 
+    if args.seed is not None:
+        raise ValueError("--seed seeds a census and needs --draws; certify one "
+                         "parameter set with --params")
     params = _load_params(args.params)
     config["params"] = params.to_dict()
     _print_config(config)
@@ -485,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--draws", type=_draw_count, metavar="N",
                    help="certify N seeded uniform draws instead of --params")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed of the --draws census (default 0)")
     p.add_argument("--contour", default="10,1e-3,1e-3", metavar="R,ETA,RHO")
     p.set_defaults(func=cmd_zeros)
 

@@ -20,7 +20,9 @@ The solver is DOP853 run in lock-step over the eps ladder of a fit, one
 lane per eps, by the engine in _dop853 that the Picard-Fuchs transport
 shares: each round makes one attempt for every lane still integrating, and
 each lane's attempts and floats are those of scipy's DOP853 at its eps
-alone.  The right-hand side runs per lane in Python floats.
+alone.  The right-hand side runs per lane in Python floats.  scipy.integrate
+and scipy.optimize are imported by flow and solve_ivp when they are called,
+so importing this module does not load them.
 
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
@@ -35,10 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from ._dop853 import Lane, interpolant, run
 from .abelian import orbit_period, period_vector
 from .geometry import Annulus, hamiltonian, section_point
 from .melnikov import PerturbationParams
@@ -73,6 +72,12 @@ DEFAULT_EPS_LIST = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 class EscapeError(RuntimeError):
     """The trajectory failed to return to the section within the time budget."""
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call (see the module docstring)."""
+    from scipy import integrate
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def _free_rhs(t, z):
@@ -157,6 +162,10 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
     root-polished on the step's dense interpolant.  Raises EscapeError for
     the first eps, in order, whose step fails or that does not return.
     """
+    from scipy.optimize import brentq
+
+    from ._dop853 import Lane, interpolant, run
+
     t_max, g = float(t_max), section.crossing(0.0, state)
     lanes = [Lane(_perturbed_rhs(params, e), state, t_max, _FLOW_RTOL, _FLOW_ATOL,
                   f"integration failed at eps={e:g}") for e in epsilons]

@@ -7,8 +7,12 @@ tolerances; census output is checked for byte-level determinism.
 """
 
 import json
+import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -138,6 +142,25 @@ def test_zero_draws_write_the_summary_only(capsys, tmp_path):
         "status_counts": {"bound-violated": 0, "degenerate": 0, "inconclusive": 0,
                           "within-bound": 0},
         "violations": []}]
+
+
+def test_zeros_seed_needs_draws(capsys, tmp_path):
+    # a seed alone once certified the zero perturbation and exited 0
+    out = tmp_path / "seed.jsonl"
+    assert cli.main(["zeros", "--seed", "5", "--annulus", "exterior",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--draws" in err and "--params" in err
+    assert not out.exists()
+    # a census without --seed is the seed-0 census, byte for byte
+    files = [tmp_path / "unset.jsonl", tmp_path / "zero.jsonl"]
+    for path, seed in zip(files, ([], ["--seed", "0"])):
+        assert cli.main(["zeros", "--draws", "2", *seed, "--out", str(path)]) == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+    configs = [json.loads(path.with_name(path.name + ".config.json").read_text())
+               for path in files]
+    assert configs[0]["seed"] == 0
+    assert {**configs[0], "out": None} == {**configs[1], "out": None}
 
 
 def test_zeros_source_flag_is_gone(capsys):
@@ -426,3 +449,46 @@ def test_coeffs_output_matches_the_byte_pin(capsys, tmp_path):
     runs = [["coeffs", "--seed", "7", "--order", str(order), "--annulus", annulus]
             for order in (1, 2) for annulus in ("interior-left", "interior-right", "exterior")]
     _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("coeffs_pin.jsonl"))
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+# Run in a fresh interpreter; prints the ODE modules loaded after each stage.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import duffing_melnikov
+from duffing_melnikov import Annulus, PerturbationParams, abelian, cli, oracle
+
+def ode_modules():
+    return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+
+seen = {"import": ode_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"] = [cli.main(["coeffs", "--seed", "1"]), cli.main(["zeros", "--draws", "2"]),
+                     cli.main(["eval", "--seed", "1", "--h", "0.5", "--annulus", "exterior"])]
+seen["cli"] = ode_modules()
+seen["i0"] = abs(abelian.continue_complex(0.5 + 0.3j).i0)
+seen["transport"] = ode_modules()
+params = PerturbationParams((0.5,) * 10, (-0.25,) * 10, (0.0,) * 10, (0.0,) * 10)
+seen["d"] = oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d
+print(json.dumps(seen))
+"""
+
+
+def test_ode_modules_load_only_when_an_ode_is_integrated():
+    # closed forms, census and point values need scipy.special alone;
+    # scipy.integrate comes with the first transport or flow
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["cli"] == []
+    assert seen["codes"] == [0, 0, 0]
+    assert "scipy.integrate" in seen["transport"]
+    assert math.isfinite(seen["i0"]) and seen["i0"] > 0
+    assert math.isfinite(seen["d"]) and seen["d"] != 0.0

@@ -6,6 +6,7 @@ agreement with the closed-form first-order coefficient on a random draw.
 The heavier closed-form comparisons live in the acceptance suite.
 """
 
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -48,6 +49,22 @@ def test_unperturbed_orbit_closes(annulus, h):
     s = displacement(h, 0.0, params, annulus)
     assert abs(s.d) < 1e-11
     assert s.return_time == pytest.approx(orbit_period(h, annulus), rel=1e-9)
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_RIGHT, -0.125),
+    (Annulus.EXTERIOR, 1.0),
+])
+def test_flipping_eps_and_the_first_tier_leaves_the_flow_unchanged(annulus, h):
+    # the field is y + eps (f1 + eps f2), x - x^3 + eps (g1 + eps g2): negating
+    # eps, f1 and g1 leaves every term, and negation is exact in floats
+    for seed in range(4):
+        params = PerturbationParams.uniform(np.random.default_rng(seed))
+        flipped = dataclasses.replace(params, lambda1=tuple(-c for c in params.lambda1),
+                                      gamma1=tuple(-c for c in params.gamma1))
+        mine, theirs = (displacement(h, 1e-2, params, annulus),
+                        displacement(h, -1e-2, flipped, annulus))
+        assert (theirs.d, theirs.return_time) == (mine.d, mine.return_time)
 
 
 def test_section_anchor_is_on_level_set():

@@ -363,6 +363,19 @@ def test_certificate_ignores_a_power_of_two_scale_and_the_sign(annulus):
         assert len(records) == 1
 
 
+@pytest.mark.parametrize("order,annulus", [(1, Annulus.EXTERIOR), (1, Annulus.INTERIOR_RIGHT),
+                                           (2, Annulus.EXTERIOR)])
+def test_winding_never_falls_as_the_contour_grows(order, annulus):
+    # the cut disc of radius R holds the one of every smaller radius, so a
+    # draw's zero count cannot fall as R grows
+    for seed in range(8):
+        windings = [[c.winding for c in bound_census(order, annulus, n_draws=10,
+                                                     seed=seed, R=R)[0]]
+                    for R in (2.0, 5.0, 10.0, 20.0)]
+        for draw, by_radius in enumerate(zip(*windings)):
+            assert list(by_radius) == sorted(by_radius), (seed, draw, by_radius)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
