@@ -37,8 +37,10 @@ transport right-hand side both apply.  continue_paths transports it
 along polylines from quadrature values at a real base point, each path a
 lane of one lock-step DOP853, as the independent check of the closed form;
 transport_table is the dense solve_ivp route the tests compare it with.
-Both import scipy.integrate (continue_paths through _dop853) when they are
-called, so importing this module loads scipy.special alone.
+continue_paths needs no part of scipy.integrate (see _dop853), and only
+transport_table, the reference route, imports scipy's solve_ivp; both import
+their engine when they are called, so importing this module loads
+scipy.special alone.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 
@@ -391,10 +393,11 @@ def transport_table(path, annulus: Annulus) -> PathTable:
                      i1_coef=i1_slope(annulus))
 
 
-def _segment_end(lane, t_old, y_old, y_new, K):
+def _segment_end(steps):
     # the next start is y_new; the end value is the dense output at t = 1 (as values_at reads it)
-    if lane.t >= lane.t_end:
-        lane.end = y_new.tolist(), (y_old + (y_new - y_old)).tolist()
+    for lane, _, y_old, y_new, _ in steps:
+        if lane.t >= lane.t_end:
+            lane.end = y_new.tolist(), (y_old + (y_new - y_old)).tolist()
 
 
 def continue_paths(paths, annuli) -> list[PeriodVector]:

@@ -306,6 +306,9 @@ def cmd_zeros(args) -> int:
               "contour": {"R": R, "eta": eta, "rho": rho}, "out": args.out}
 
     if args.draws is not None:
+        if args.params is not None:
+            raise ValueError("--draws certifies a seeded census and --params one "
+                             "parameter set; give only one of them")
         seed = 0 if args.seed is None else args.seed
         config.update({"draws": args.draws, "seed": seed})
         _print_config(config)

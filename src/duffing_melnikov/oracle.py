@@ -20,9 +20,12 @@ The solver is DOP853 run in lock-step over the eps ladder of a fit, one
 lane per eps, by the engine in _dop853 that the Picard-Fuchs transport
 shares: each round makes one attempt for every lane still integrating, and
 each lane's attempts and floats are those of scipy's DOP853 at its eps
-alone.  The right-hand side runs per lane in Python floats.  scipy.integrate
-and scipy.optimize are imported by flow and solve_ivp when they are called,
-so importing this module does not load them.
+alone.  The right-hand side runs per lane in Python floats.  The crossings
+of a round are root-polished together by zeros._brentq, which takes scipy's
+brentq steps on every bracket, so a flow loads neither scipy.integrate nor
+scipy.optimize; only solve_ivp, the reference route that oval_section uses
+for a nonzero phase, imports scipy.integrate.  flow and solve_ivp import
+their solvers when they are called.
 
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
@@ -42,6 +45,7 @@ from .abelian import orbit_period, period_vector
 from .geometry import Annulus, hamiltonian, section_point
 from .melnikov import PerturbationParams
 from .quadrature import AccuracyError
+from .zeros import _brentq
 
 __all__ = [
     "DEFAULT_EPS_LIST",
@@ -159,11 +163,10 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
     stops; t_max is only a time budget.  The eps run in lock-step (see the
     module docstring), each with the floats of solve_ivp's DOP853 and a
     direction-1 event on (0, t_max) at that eps alone; crossing times are
-    root-polished on the step's dense interpolant.  Raises EscapeError for
-    the first eps, in order, whose step fails or that does not return.
+    root-polished on the step's dense interpolant, all of a round's in one
+    _brentq call.  Raises EscapeError for the first eps, in order, whose
+    step fails or that does not return.
     """
-    from scipy.optimize import brentq
-
     from ._dop853 import Lane, interpolant, run
 
     t_max, g = float(t_max), section.crossing(0.0, state)
@@ -173,18 +176,31 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
         lane.epsilon, lane.g = e, g
     anchor, guard = np.asarray(section.point), 0.5 * (1.0 + math.hypot(*section.point))
 
-    def accept(lane, t_old, y_old, y_new, K):
-        g, lane.g = lane.g, section.crossing(lane.t, y_new)
-        if g <= 0 and lane.g >= 0:
-            at = interpolant(lane.rhs, K, t_old, lane.t, lane.h, y_old, y_new)
-            t = brentq(lambda s: section.crossing(s, at(s)), t_old, lane.t,
-                       xtol=_CROSSING_TOL, rtol=_CROSSING_TOL)
-            z = at(t)
-            if t > t_min and np.hypot(*(z - anchor)) < guard:
-                lane.end = (z, float(t))
-                return
-        if lane.t >= t_max:
-            lane.end = f"no section return in ({t_min:g}, {t_max:g}] at eps={lane.epsilon:g}"
+    def accept(steps):
+        # the flow-direction crossings of a round, polished together; a step
+        # that ends by t_min holds no root that is taken, so it is not polished
+        crossed = []
+        for lane, t_old, y_old, y_new, K in steps:
+            g, lane.g = lane.g, section.crossing(lane.t, y_new)
+            if g <= 0 and lane.g >= 0 and lane.t > t_min:
+                at = interpolant(lane.rhs, K, t_old, lane.t, lane.h, y_old, y_new)
+                crossed.append((lane, t_old, lane.t, at))
+        if crossed:
+            hit, a, b, ats = zip(*crossed)
+
+            def f(x, k):  # brentq's calls, one Python float per bracket
+                return [section.crossing(s, ats[i](s)) for s, i in zip(x.tolist(), k.tolist())]
+
+            every = np.arange(len(crossed))
+            roots = _brentq(f, a, b, f(np.array(a), every), f(np.array(b), every),
+                            xtol=_CROSSING_TOL)
+            for lane, at, t in zip(hit, ats, roots.tolist()):
+                z = at(t)
+                if t > t_min and np.hypot(*(z - anchor)) < guard:
+                    lane.end = (z, t)
+        for lane, *_ in steps:
+            if lane.end is None and lane.t >= t_max:
+                lane.end = f"no section return in ({t_min:g}, {t_max:g}] at eps={lane.epsilon:g}"
 
     run(lanes, _FLOW_RTOL, _FLOW_ATOL, accept)
     for lane in lanes:

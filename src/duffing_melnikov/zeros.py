@@ -84,7 +84,12 @@ __all__ = [
 ]
 
 # Zero-count ceilings per (order, annulus) for the one-parameter cubic
-# deformation, as certified by the winding computation below.
+# deformation, as certified by the winding computation below.  The rotation
+# (x, y) -> (-x, -y) maps the left lobe onto the right one: the interior-left
+# certificate of p is, record for record, the interior-right certificate of p
+# with each coefficient of x^i y^j times -(-1)^(i+j) (at order 2 with
+# enforce_m1_zero applied on each side).  So the order-2 interior-left class,
+# which the acceptance census skips, is covered by order-2 interior-right.
 BOUNDS = {
     (1, Annulus.INTERIOR_LEFT): 3,
     (1, Annulus.INTERIOR_RIGHT): 3,

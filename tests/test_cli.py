@@ -163,6 +163,18 @@ def test_zeros_seed_needs_draws(capsys, tmp_path):
     assert {**configs[0], "out": None} == {**configs[1], "out": None}
 
 
+def test_zeros_params_and_draws_exclude_each_other(capsys, tmp_path):
+    # --params beside --draws was once ignored: the census ran and exited 0
+    path = tmp_path / "p.json"
+    path.write_text(PerturbationParams.random(np.random.default_rng(1)).to_json())
+    out = tmp_path / "both.jsonl"
+    assert cli.main(["zeros", "--params", str(path), "--draws", "1", "--annulus", "exterior",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--draws" in captured.err and "--params" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_zeros_source_flag_is_gone(capsys):
     assert cli.main(["zeros", "--draws", "1", "--source", "legacy"]) == 2
 
@@ -455,31 +467,28 @@ def test_coeffs_output_matches_the_byte_pin(capsys, tmp_path):
 # import footprint
 # ---------------------------------------------------------------------------
 
-# Run in a fresh interpreter; prints the ODE modules loaded after each stage.
+# Run in a fresh interpreter: a transport, a flow and the commands, then the
+# scipy.integrate and scipy.optimize modules loaded.
 _FOOTPRINT = """
 import contextlib, io, json, sys
-import duffing_melnikov
 from duffing_melnikov import Annulus, PerturbationParams, abelian, cli, oracle
 
-def ode_modules():
-    return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
-
-seen = {"import": ode_modules()}
-with contextlib.redirect_stdout(io.StringIO()):
-    seen["codes"] = [cli.main(["coeffs", "--seed", "1"]), cli.main(["zeros", "--draws", "2"]),
-                     cli.main(["eval", "--seed", "1", "--h", "0.5", "--annulus", "exterior"])]
-seen["cli"] = ode_modules()
-seen["i0"] = abs(abelian.continue_complex(0.5 + 0.3j).i0)
-seen["transport"] = ode_modules()
+seen = {"i0": abs(abelian.continue_complex(0.5 + 0.3j).i0)}
 params = PerturbationParams((0.5,) * 10, (-0.25,) * 10, (0.0,) * 10, (0.0,) * 10)
 seen["d"] = oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"] = [cli.main(["coeffs", "--seed", "1"]), cli.main(["zeros", "--draws", "2"]),
+                     cli.main(["eval", "--seed", "1", "--h", "0.5", "--annulus", "exterior"]),
+                     cli.main(["verify"]),
+                     cli.main(["oracle", "--seed", "3", "--annulus", "exterior", "--h", "1.0"])]
+seen["loaded"] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
 print(json.dumps(seen))
 """
 
 
-def test_ode_modules_load_only_when_an_ode_is_integrated():
-    # closed forms, census and point values need scipy.special alone;
-    # scipy.integrate comes with the first transport or flow
+def test_integrating_loads_neither_scipy_integrate_nor_optimize():
+    # the DOP853 engine reads scipy's tableau file and polishes crossings with
+    # zeros._brentq, so only the solve_ivp reference routes load scipy.integrate
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -487,8 +496,7 @@ def test_ode_modules_load_only_when_an_ode_is_integrated():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == [] and seen["cli"] == []
-    assert seen["codes"] == [0, 0, 0]
-    assert "scipy.integrate" in seen["transport"]
+    assert seen["codes"] == [0, 0, 0, 0, 0]
+    assert seen["loaded"] == []
     assert math.isfinite(seen["i0"]) and seen["i0"] > 0
     assert math.isfinite(seen["d"]) and seen["d"] != 0.0

@@ -12,6 +12,9 @@ No private leftover: every module-level private name in src/ (a _foo
 function, class or constant) must be read somewhere in src/, scripts/ or
 bench/ outside its own definition.
 
+No module in src/ imports scipy.integrate or scipy.optimize, at module level
+or inside a function, outside the two reference routes listed in ODE_EXEMPT.
+
 Every name the benchmark binds resolves: bench/tracing.py wraps its TARGETS
 by name, and the workloads call a few private functions directly.  The
 benchmark's own smoke test lives under bench/, outside the tier-1 suite.
@@ -170,6 +173,59 @@ def test_every_private_name_is_read_by_the_program():
     src = sorted((ROOT / "src").rglob("*.py"))
     assert unread_privates([p.read_text() for p in src],
                            [p.read_text() for p in PROGRAM]) == []
+
+
+# Functions of src/ that may import scipy.integrate or scipy.optimize, each with
+# its reason; the DOP853 engine and the root polish need neither.
+ODE_EXEMPT = {
+    "oracle.solve_ivp": "scipy's solve_ivp itself: the reference route oval_section "
+                        "advances a nonzero-phase anchor with; bench/tracing.py binds it",
+    "abelian.transport_table": "the dense solve_ivp transport that the tests compare "
+                               "continue_paths with",
+}
+
+_ODE_MODULES = ("scipy.integrate", "scipy.optimize")
+
+
+def ode_imports(source: str) -> list[tuple[str, str]]:
+    """(enclosing def, imported name) for each import, at module level or in a
+    function, of scipy.integrate, scipy.optimize or anything inside them."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        found.extend((scope, name) for name in names
+                     if any(name == m or name.startswith(m + ".") for m in _ODE_MODULES))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_an_ode_import():
+    source = ("import scipy.integrate\nfrom scipy import optimize, special\n"
+              "from scipy.special import elliprf\nfrom . import integrate\n"
+              "def f():\n    from scipy.integrate._ivp import rk\n    import numpy\n"
+              "class C:\n    def g(self):\n        import scipy.optimize as so\n")
+    assert ode_imports(source) == [("<module>", "scipy.integrate"),
+                                   ("<module>", "scipy.optimize"),
+                                   ("f", "scipy.integrate._ivp.rk"),
+                                   ("C.g", "scipy.optimize")]
+
+
+def test_only_the_reference_routes_import_scipy_integrate_or_optimize():
+    found = {f"{path.stem}.{scope}" for path in sorted((ROOT / "src").rglob("*.py"))
+             for scope, _ in ode_imports(path.read_text())}
+    assert sorted(found - set(ODE_EXEMPT)) == []
+    # an exemption whose import has gone is stale
+    assert set(ODE_EXEMPT) <= found
 
 
 # names bench/workloads.py calls directly, besides the tracer's TARGETS

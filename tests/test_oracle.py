@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import DOP853, solve_ivp
 
-from duffing_melnikov import oracle
+from duffing_melnikov import _dop853, oracle
 from duffing_melnikov._dop853 import Lane, run
 from duffing_melnikov.abelian import orbit_period, period_vector
 from duffing_melnikov.geometry import Annulus, hamiltonian
@@ -235,6 +235,42 @@ def test_flow_end_state_equals_a_polyval2d_integration(annulus, h):
                                 if t > t_min and np.hypot(*(z - anchor)) < guard)
             assert t_ret == t_ref
             assert end.tolist() == z_ref.tolist()
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_RIGHT, -0.125),
+    (Annulus.EXTERIOR, 1.0),
+])
+def test_flow_polishes_each_return_once_in_one_call_per_round(monkeypatch, annulus, h):
+    # every lane's crossings of a round share one _brentq call; a step that
+    # ends by t_min is not polished, so the only bracket of a lane is its return
+    calls, rounds = [], []
+    polish, step_all = oracle._brentq, _dop853.run
+
+    def counted_polish(f, a, b, fa, fb, **kwargs):
+        calls.append(list(b))
+        return polish(f, a, b, fa, fb, **kwargs)
+
+    def counted_run(lanes, rtol, atol, accept):
+        def counted_accept(steps):
+            accept(steps)
+            rounds.append(any(isinstance(lane.end, tuple) for lane, *_ in steps))
+
+        step_all(lanes, rtol, atol, counted_accept)
+
+    monkeypatch.setattr(oracle, "_brentq", counted_polish)
+    monkeypatch.setattr(_dop853, "run", counted_run)
+    params = PerturbationParams.random(np.random.default_rng(7), scale=0.5)
+    sec = oval_section(h, annulus)
+    T0 = orbit_period(h, annulus)
+    for ladder in (DEFAULT_EPS_LIST, _SYMMETRIC_LADDER):
+        calls.clear()
+        rounds.clear()
+        flow(sec.point, params, ladder, sec, t_min=0.5 * T0, t_max=3.0 * T0 + 10.0)
+        ends = [t for b in calls for t in b]
+        assert len(ends) == len(ladder)  # each lane returns, so once per lane
+        assert min(ends) > 0.5 * T0
+        assert 0 < len(calls) <= sum(rounds)
 
 
 @pytest.mark.parametrize("annulus,h", [
