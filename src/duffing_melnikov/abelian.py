@@ -37,12 +37,15 @@ transport right-hand side both apply.  continue_paths transports it
 along polylines from quadrature values at a real base point, each path a
 lane of one lock-step DOP853, as the independent check of the closed form;
 transport_table is the dense solve_ivp route the tests compare it with.
-continue_paths needs no part of scipy.integrate (see _dop853), and only
-transport_table, the reference route, imports scipy's solve_ivp; both import
-their engine when they are called, so importing this module loads
-scipy.special alone.
+continue_paths needs no part of scipy.integrate (see _dop853), and
+transport_table, the reference route, is the one function of the package
+that imports scipy's solve_ivp; both import their engine when they are
+called, so importing this module loads scipy.special alone.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
+
+The asymptotics are measured from quadrature (saddle_constants,
+saddle_log_fit, exterior_slope); checks.saddle_asymptotics holds their limits.
 
 The natural single-valuedness domains are the cut planes C minus [0, +inf)
 for the interior families and C minus (-inf, 0] for the exterior family;
@@ -68,7 +71,6 @@ __all__ = [
     "PeriodVector",
     "PoleError",
     "PathError",
-    "AsymptoticsReport",
     "oval_integrals",
     "oval_integral",
     "oval_integral_dh",
@@ -83,7 +85,6 @@ __all__ = [
     "PathTable",
     "RealPeriodTable",
     "cut_values",
-    "asymptotics_check",
     "wronskian_cut",
     "nonvanishing_grid",
     "SADDLE_LOG_I0",
@@ -522,38 +523,6 @@ class RealPeriodTable:
 # asymptotic structure
 # ---------------------------------------------------------------------------
 
-# tolerances of AsymptoticsReport.failures
-_CONST_TOL = 1e-6    # saddle constants of I_0 and I_2
-_LOG_TOL = 1e-4      # fitted log coefficients of I_0
-_SLOPE_TOL = 1e-3    # exterior growth exponent
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Measured asymptotic structure of I_0, I_2 at the saddle level and at infinity."""
-
-    i0_const: float
-    i0_const_err: float         # versus the exact limit 4/3
-    i2_const: float
-    i2_const_err: float         # versus the exact limit 16/15
-    log_coeffs: tuple[float, float]      # fitted (h, h^2) log coefficients of I_0
-    log_coeff_errs: tuple[float, float]  # versus (-1, 3/8)
-    exterior_slope: float
-    exterior_slope_err: float   # versus 3/4
-    exterior_amplitude: float   # prefactor C in I_0 ~ C h^(3/4)
-
-    def failures(self) -> list[str]:
-        out = []
-        if abs(self.i0_const_err) > _CONST_TOL:
-            out.append(f"I_0 saddle constant off by {self.i0_const_err:.3g}")
-        if abs(self.i2_const_err) > _CONST_TOL:
-            out.append(f"I_2 saddle constant off by {self.i2_const_err:.3g}")
-        if max(abs(e) for e in self.log_coeff_errs) > _LOG_TOL:
-            out.append(f"I_0 log coefficients off by {self.log_coeff_errs}")
-        if abs(self.exterior_slope_err) > _SLOPE_TOL:
-            out.append(f"exterior growth exponent off by {self.exterior_slope_err:.3g}")
-        return out
-
 
 def _log_series(coeffs, h):
     return sum(c * h ** k for k, c in enumerate(coeffs))
@@ -615,37 +584,21 @@ def exterior_slope() -> tuple[float, float]:
     return float(coef[0]), float(math.exp(coef[1]))
 
 
-def asymptotics_check() -> AsymptoticsReport:
-    """Measure the saddle-side constants, log coefficients and exterior exponent."""
-    i0c, i2c = saddle_constants()
-    a1, a2 = saddle_log_fit()
-    slope, amp = exterior_slope()
-    return AsymptoticsReport(
-        i0_const=i0c, i0_const_err=i0c - 4.0 / 3.0,
-        i2_const=i2c, i2_const_err=i2c - 16.0 / 15.0,
-        log_coeffs=(a1, a2), log_coeff_errs=(a1 + 1.0, a2 - 0.375),
-        exterior_slope=slope, exterior_slope_err=slope - 0.75,
-        exterior_amplitude=amp,
-    )
-
-
 # ---------------------------------------------------------------------------
 # nonvanishing survey over the cut disc
 # ---------------------------------------------------------------------------
 
 
-def nonvanishing_grid(R: float = 10.0, n_radial: int = 20, n_angular: int = 20,
-                      r_min: float = 2e-3, angle_margin: float = 0.05):
+def nonvanishing_grid():
     """Minima of |I_0| and |I_0'| (normalized by |h|^(3/4)) over the cut disc.
 
-    Evaluates the exterior closed form on n_angular rays of the disc
-    |h| <= R (angles kept away from the cut (-inf, 0] by angle_margin) at
-    n_radial log-spaced radii on each.  Returns (min |I_0|/|h|^(3/4),
-    min |I_0'|/|h|^(3/4), rows) with one row (h, normalized |I_0|,
-    normalized |I_0'|) per grid point.
+    Evaluates the exterior closed form at 20 log-spaced radii in [2e-3, 10]
+    on 20 rays kept 0.05 away from the cut (-inf, 0].  Returns (min
+    |I_0|/|h|^(3/4), min |I_0'|/|h|^(3/4), rows), one row (h, normalized
+    |I_0|, normalized |I_0'|) per grid point.
     """
-    radii = np.logspace(math.log10(r_min), math.log10(R), n_radial)
-    angles = np.linspace(-math.pi + angle_margin, math.pi - angle_margin, n_angular)
+    radii = np.logspace(math.log10(2e-3), 1.0, 20)
+    angles = np.linspace(-math.pi + 0.05, math.pi - 0.05, 20)
     h = (np.exp(1j * angles)[:, None] * radii).ravel()
     i0, _, _, d0, _ = closed_form(h, Annulus.EXTERIOR)
     norm = np.abs(h) ** 0.75

@@ -14,12 +14,14 @@ import numpy as np
 from .abelian import (
     BASE_POINTS,
     PeriodVector,
-    asymptotics_check,
     continue_paths,
     derivative_pair,
+    exterior_slope,
     nonvanishing_grid,
     oval_integrals,
     reduce_moment,
+    saddle_constants,
+    saddle_log_fit,
     wronskian_cut,
 )
 from .geometry import Annulus
@@ -108,16 +110,22 @@ def linear_moment(annuli) -> dict:
 
 def saddle_asymptotics(annuli) -> dict:
     """Saddle-side constants and log coefficients, exterior growth exponent."""
-    report = asymptotics_check()
-    failures = report.failures()
-    worst = max(abs(report.i0_const_err), abs(report.i2_const_err),
-                abs(report.exterior_slope_err))
-    return {"check": "saddle-asymptotics", "worst": worst, "tol": 1e-3,
+    i0c, i2c = saddle_constants()
+    a1, a2 = saddle_log_fit()
+    slope = exterior_slope()[0]
+    i0_err, i2_err, slope_err = i0c - 4.0 / 3.0, i2c - 16.0 / 15.0, slope - 0.75
+    log_errs = (a1 + 1.0, a2 - 0.375)
+    # four limits, so worst is reported on a common scale where 1.0 is the limit
+    measured = [(i0_err, 1e-6, f"I_0 saddle constant off by {i0_err:.3g}"),
+                (i2_err, 1e-6, f"I_2 saddle constant off by {i2_err:.3g}"),
+                (max(abs(e) for e in log_errs), 1e-4, f"I_0 log coefficients off by {log_errs}"),
+                (slope_err, 1e-3, f"exterior growth exponent off by {slope_err:.3g}")]
+    failures = [failure for err, limit, failure in measured if abs(err) > limit]
+    worst = max(abs(err) / limit for err, limit, _ in measured)
+    return {"check": "saddle-asymptotics", "worst": worst, "tol": 1.0,
             "ok": not failures,
-            "detail": {"i0_const": report.i0_const, "i2_const": report.i2_const,
-                       "log_coeffs": list(report.log_coeffs),
-                       "exterior_slope": report.exterior_slope,
-                       "failures": failures}}
+            "detail": {"i0_const": i0c, "i2_const": i2c, "log_coeffs": [a1, a2],
+                       "exterior_slope": slope, "failures": failures}}
 
 
 def area_nonvanishing(annuli) -> dict:

@@ -70,19 +70,12 @@ class Annulus(enum.Enum):
 
 @dataclass(frozen=True)
 class OvalGeometry:
-    """x-extent of a closed level oval.
-
-    orientation is the sign of the circulation of the flow: +1 means the oval
-    is traversed so that the contour integral of y dx is positive (equal to
-    the enclosed area).  The flow of the unperturbed system always does this,
-    so orientation is +1 for every oval.
-    """
+    """x-extent of a closed level oval."""
 
     h: float
     annulus: Annulus
     x_lo: float
     x_hi: float
-    orientation: int = 1
 
 
 def branch_points(h: float, annulus: Annulus) -> OvalGeometry:

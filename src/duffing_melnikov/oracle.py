@@ -23,9 +23,9 @@ each lane's attempts and floats are those of scipy's DOP853 at its eps
 alone.  The right-hand side runs per lane in Python floats.  The crossings
 of a round are root-polished together by zeros._brentq, which takes scipy's
 brentq steps on every bracket, so a flow loads neither scipy.integrate nor
-scipy.optimize; only solve_ivp, the reference route that oval_section uses
-for a nonzero phase, imports scipy.integrate.  flow and solve_ivp import
-their solvers when they are called.
+scipy.optimize.  A nonzero-phase anchor (oval_section) is advanced as one
+more lane of the same engine.  flow and oval_section import the engine when
+they are called.
 
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
@@ -79,7 +79,7 @@ class EscapeError(RuntimeError):
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call (see the module docstring)."""
+    """scipy's solve_ivp, imported when called; nothing here calls it, bench/tracing.py binds it."""
     from scipy import integrate
     return integrate.solve_ivp(*args, **kwargs)
 
@@ -112,18 +112,26 @@ def oval_section(h: float, annulus: Annulus, phase: float = 0.0) -> Section:
     """Cross-section anchored on the oval at level h.
 
     phase slides the anchor along the unperturbed orbit by that fraction of
-    a period; the default anchor is the canonical section point.  Any phase
-    gives a transversal, which is how section independence of the fitted
+    a period, taken modulo 1 and advanced as one lane of the DOP853 engine;
+    the default anchor is the canonical section point.  Any phase gives a
+    transversal, which is how section independence of the fitted
     coefficients gets tested.
     """
     z = section_point(h, annulus)
+    phase %= 1.0
     if phase:
-        T = orbit_period(h, annulus)
-        sol = solve_ivp(_free_rhs, (0.0, phase * T), z, method="DOP853",
-                        rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-        if not sol.success:
-            raise EscapeError(f"anchor advance failed: {sol.message}")
-        z = (float(sol.y[0, -1]), float(sol.y[1, -1]))
+        from ._dop853 import Lane, run
+        lane = Lane(_free_rhs, z, phase * orbit_period(h, annulus), _FLOW_RTOL, _FLOW_ATOL,
+                    "anchor advance failed")
+
+        def accept(steps):  # the lane ends with the step that reaches t_end
+            if steps and lane.t >= lane.t_end:
+                lane.end = steps[0][3]
+
+        run([lane], _FLOW_RTOL, _FLOW_ATOL, accept)
+        if isinstance(lane.end, str):
+            raise EscapeError(lane.end)
+        z = tuple(lane.end.tolist())
     vx, vy = z[1], z[0] - z[0] ** 3
     norm = math.hypot(vx, vy)
     if norm == 0.0:
@@ -216,7 +224,6 @@ class DisplacementSample:
     h: float
     epsilon: float
     d: float
-    integration_tol: float
     return_time: float
 
 
@@ -229,8 +236,7 @@ def _ladder(h: float, params: PerturbationParams, annulus: Annulus, eps_list,
     t_max = min(_TIME_BUDGET, 3.0 * T0 + 10.0)
     ends = flow(sec.point, params, eps_list, sec, t_min=0.5 * T0, t_max=t_max)
     return tuple(DisplacementSample(h=float(h), epsilon=float(e),
-                                    d=float(hamiltonian(end[0], end[1]) - h),
-                                    integration_tol=_FLOW_RTOL, return_time=t_ret)
+                                    d=float(hamiltonian(end[0], end[1]) - h), return_time=t_ret)
                  for e, (end, t_ret) in zip(eps_list, ends))
 
 

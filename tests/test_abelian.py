@@ -7,7 +7,6 @@ closed form at complex levels against Picard-Fuchs transport.
 """
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from duffing_melnikov.abelian import (
     PathError,
     RealPeriodTable,
     _check_path,
-    asymptotics_check,
     closed_form,
     continue_complex,
     continue_paths,
@@ -513,15 +511,9 @@ def test_exterior_growth_exponent():
     assert amp > 0.0
 
 
-def test_asymptotics_report_clean():
-    report = asymptotics_check()
-    assert report.failures() == []
-    off = dataclasses.replace(report, i2_const_err=1e-3)
-    assert off.failures() == ["I_2 saddle constant off by 0.001"]
-
-
 def test_nonvanishing_survey():
-    min_i0, min_d0, rows = nonvanishing_grid(R=4.0, n_radial=6, n_angular=8)
+    min_i0, min_d0, rows = nonvanishing_grid()
     assert min_i0 > 1e-6
     assert min_d0 > 1e-6
-    assert len(rows) == 6 * 8
+    assert len(rows) == 20 * 20
+    assert max(abs(h) for h, _, _ in rows) == pytest.approx(10.0)

@@ -336,6 +336,41 @@ def test_verify_maps_numerical_failure_to_exit_4(capsys, monkeypatch):
     assert cli.main(["verify", "--annulus", "interior-right"]) == 4
 
 
+def test_saddle_asymptotics_fails_an_off_constant(monkeypatch):
+    # 2e-6 is inside the slope's 1e-3 but past the constants' 1e-6
+    i0c, i2c = abelian.saddle_constants()
+    monkeypatch.setattr(checks, "saddle_constants", lambda: (i0c + 2e-6, i2c))
+    rec = checks.saddle_asymptotics(())
+    assert rec["ok"] is False
+    assert rec["detail"]["failures"] == [
+        f"I_0 saddle constant off by {i0c + 2e-6 - 4.0 / 3.0:.3g}"]
+    assert rec["worst"] > rec["tol"]
+
+
+def test_saddle_asymptotics_fails_an_off_log_coefficient(monkeypatch):
+    # the log coefficients fail past 1e-4
+    a1, a2 = abelian.saddle_log_fit()
+    monkeypatch.setattr(checks, "saddle_log_fit", lambda: (a1, a2 + 2e-4))
+    rec = checks.saddle_asymptotics(())
+    assert rec["ok"] is False
+    assert rec["detail"]["failures"] == [
+        f"I_0 log coefficients off by {(a1 + 1.0, a2 + 2e-4 - 0.375)}"]
+    assert rec["worst"] > rec["tol"]
+
+
+def test_every_verify_record_passes_exactly_within_its_tol(capsys, tmp_path):
+    out = tmp_path / "verify.jsonl"
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["check"] for rec in records] == [
+        check.__name__.replace("_", "-") for check in checks.CHECKS]
+    for rec in records:
+        if rec["check"] == "area-nonvanishing":  # bounds a minimum from below
+            assert rec["ok"] is (rec["worst"] > rec["tol"]), rec
+        else:
+            assert rec["ok"] is (rec["worst"] <= rec["tol"]), rec
+
+
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
@@ -488,7 +523,8 @@ print(json.dumps(seen))
 
 def test_integrating_loads_neither_scipy_integrate_nor_optimize():
     # the DOP853 engine reads scipy's tableau file and polishes crossings with
-    # zeros._brentq, so only the solve_ivp reference routes load scipy.integrate
+    # zeros._brentq, so only abelian.transport_table, the solve_ivp reference
+    # route, loads scipy.integrate
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -39,7 +39,6 @@ def test_branch_points_are_level_roots(annulus, frac):
     assert hamiltonian(geom.x_lo, 0.0) == pytest.approx(h, abs=1e-13)
     assert hamiltonian(geom.x_hi, 0.0) == pytest.approx(h, abs=1e-13)
     assert geom.x_lo < geom.x_hi
-    assert geom.orientation == 1
     if annulus is Annulus.INTERIOR_RIGHT:
         assert 0.0 < geom.x_lo
     elif annulus is Annulus.INTERIOR_LEFT:

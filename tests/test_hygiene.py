@@ -178,8 +178,8 @@ def test_every_private_name_is_read_by_the_program():
 # Functions of src/ that may import scipy.integrate or scipy.optimize, each with
 # its reason; the DOP853 engine and the root polish need neither.
 ODE_EXEMPT = {
-    "oracle.solve_ivp": "scipy's solve_ivp itself: the reference route oval_section "
-                        "advances a nonzero-phase anchor with; bench/tracing.py binds it",
+    "oracle.solve_ivp": "scipy's solve_ivp itself, with no caller in src/: kept only "
+                        "because bench/tracing.py binds it by name",
     "abelian.transport_table": "the dense solve_ivp transport that the tests compare "
                                "continue_paths with",
 }

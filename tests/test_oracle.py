@@ -8,8 +8,12 @@ The heavier closed-form comparisons live in the acceptance suite.
 
 import dataclasses
 import importlib.util
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from scipy.integrate import DOP853, solve_ivp
 from duffing_melnikov import _dop853, oracle
 from duffing_melnikov._dop853 import Lane, run
 from duffing_melnikov.abelian import orbit_period, period_vector
-from duffing_melnikov.geometry import Annulus, hamiltonian
+from duffing_melnikov.geometry import Annulus, hamiltonian, section_point
 from duffing_melnikov.melnikov import PerturbationParams, m1_form, m_eval
 from duffing_melnikov.oracle import (
     DEFAULT_EPS_LIST,
@@ -72,6 +76,55 @@ def test_section_anchor_is_on_level_set():
     x, y = sec.point
     assert hamiltonian(x, y) == pytest.approx(-0.1, abs=1e-10)
     assert math.hypot(*sec.normal) == pytest.approx(1.0)
+
+
+def _free_rhs(t, z):
+    return (z[1], z[0] - z[0] * z[0] * z[0])
+
+
+@pytest.mark.parametrize("annulus,h", [
+    (Annulus.INTERIOR_LEFT, -0.2),
+    (Annulus.INTERIOR_RIGHT, -0.1),
+    (Annulus.EXTERIOR, 0.8),
+])
+@pytest.mark.parametrize("phase", [0.3, 0.37])
+def test_section_anchor_equals_a_solve_ivp_advance(annulus, h, phase):
+    # the anchor advance is one lane of the DOP853 engine, with solve_ivp's floats
+    sol = solve_ivp(_free_rhs, (0.0, phase * orbit_period(h, annulus)), section_point(h, annulus),
+                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
+    assert oval_section(h, annulus, phase).point == (float(sol.y[0, -1]), float(sol.y[1, -1]))
+
+
+def test_section_phase_is_taken_modulo_one():
+    h, annulus = -0.1, Annulus.INTERIOR_RIGHT
+    quarter = oval_section(h, annulus, 0.25)
+    assert oval_section(h, annulus, 1.25) == quarter
+    assert oval_section(h, annulus, -0.75) == quarter
+    assert oval_section(h, annulus, 1.0) == oval_section(h, annulus)
+
+
+_PHASE_FOOTPRINT = """
+import json, sys
+import numpy as np
+from duffing_melnikov import Annulus, PerturbationParams
+from duffing_melnikov.oracle import melnikov_fit
+p = PerturbationParams.random(np.random.default_rng(0), scale=0.5)
+fit = melnikov_fit(0.8, p, Annulus.EXTERIOR, phase=0.3)
+print(json.dumps([fit.m1, "scipy.integrate" in sys.modules]))
+"""
+
+
+def test_a_phase_fit_loads_no_scipy_integrate():
+    # fresh interpreter: this module imports scipy.integrate itself
+    env = dict(os.environ)
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PHASE_FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    m1, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert math.isfinite(m1)
+    assert loaded is False
 
 
 def test_orientation_calibration():
@@ -149,7 +202,7 @@ def test_fit_core_recovers_synthetic_cubic():
     a1, a2, a3 = 0.37, -1.42, 5.0
     samples = [
         DisplacementSample(h=-0.1, epsilon=e, d=a1 * e + a2 * e ** 2 + a3 * e ** 3,
-                           integration_tol=1e-12, return_time=7.0)
+                           return_time=7.0)
         for e in DEFAULT_EPS_LIST
     ]
     coef, err, cond = _fit_core(samples)
