@@ -58,9 +58,12 @@ class Lane:
 
     end is None while the lane runs; a step below DOP853's minimum, or a NaN
     step, sets it to "label: " and scipy's message for a step too small.
+    t_end must be finite and positive: the lane stops only on reaching it.
     """
 
     def __init__(self, rhs, state, t_end: float, rtol: float, atol: float, label: str):
+        if not (math.isfinite(t_end) and t_end > 0):
+            raise ValueError(f"{label}: end time must be finite and positive, got {t_end}")
         y0 = np.array(state, dtype=float)
         f0 = np.asarray(rhs(0.0, y0), dtype=float)
         self.rhs, self.t_end, self.label, self.y0, self.f0 = rhs, t_end, label, y0, f0

@@ -181,7 +181,6 @@ def _base_values(annulus: Annulus) -> tuple[float, float, float]:
     return (float(pv.i0.real), float(pv.i1.real), float(pv.i2.real))
 
 
-@lru_cache(maxsize=None)
 def i1_slope(annulus: Annulus) -> float:
     """The constant c in I_1(h) = c (4h + 1) on an interior lobe.
 

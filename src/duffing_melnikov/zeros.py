@@ -14,26 +14,26 @@ transport runs here.
 
 Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
 parameters, and the levels where the periods are read do not depend on the
-parameters.  So the periods are evaluated once and cached: the contour
-table holds the loop and the periods at its initial samples, and the real
-scan holds its grid, the 9-point window around each grid point and the
-periods at all of those points.
+parameters.  So the periods are evaluated once per contour and cached in
+its one ContourTable: the keyhole loop with the periods at its initial
+samples, and the real scan of the physical interval, its grid, the 9-point
+window around each grid point and the periods at all of those levels.
 
 Forms are certified in blocks: bound_census certifies all its draws as one
 block, and certify, winding_count, circle_argument and real_zeros are
 blocks of one.  Per block, the counting functions of all forms are
 evaluated in one broadcast pass at every cached keyhole sample and scan grid
-level, then at the cached windows each form's scan picks, one coefficient
-row per form, in numpy's polyval operation order.  Phase refinement then
-runs in lock-step, with one period evaluation per round for the bisection
-midpoints of every form; and every
-sign change of the block is polished at once by a lock-step copy of
-scipy's brentq iteration, with one period evaluation per step.  Those
-midpoints and steps are the only periods evaluated per block.  Each value
+level, then at the cached window levels each form's scan picks, one
+coefficient row per form, in numpy's polyval operation order.  Phase
+refinement then runs in lock-step, with one period evaluation per round for
+the bisection midpoints of every form; and every sign change of the block
+is polished at once by a lock-step copy of scipy's brentq iteration, with
+one period evaluation per step.  Those midpoints and steps are the only
+periods evaluated per block.  Each value
 is computed point by point and form by form, so a value read from the
-cache or computed in a block is the same float a single evaluation
-returns, and a certificate depends neither on the cache nor on the rest of
-its block.  The cached arrays are read-only.
+table or computed in a block is the same float a single evaluation
+returns, and a certificate depends neither on the table nor on the rest of
+its block.  The table's arrays are read-only.
 
 Counting normalizations.  Interior forms are counted as they stand.  On the
 exterior annulus the first-order form is divided by I_0 and the second-order
@@ -53,10 +53,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -109,7 +108,6 @@ _MAX_SAMPLES = 300_000
 _DEGENERATE_TOL = 1e-14
 _ROOT_XTOL = 1e-12       # bracket width of a polished real root
 _N_SCAN = 512            # real-scan grid points
-_SCAN_CACHE_SIZE = 32    # intervals whose scan windows and periods stay cached
 
 
 class Status(enum.Enum):
@@ -165,9 +163,6 @@ class ZeroCertificate:
                            "closure": _CLOSURE_TOL},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_record(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # keyhole contour construction and caching
@@ -176,15 +171,18 @@ class ZeroCertificate:
 
 @dataclass
 class ContourTable:
-    """One keyhole boundary and its periods, reusable across parameter draws.
+    """Everything a certificate on one contour reads that no parameter changes.
 
-    The loop polyline is parameterized by s in [0, len(vertices) - 1];
-    segment k covers [k, k+1] linearly.  values_at maps s to its level h on
-    the polyline and evaluates the closed-form periods there, point by
-    point.  init_values caches values_at(s_init), the periods at the initial
-    samples, which do not depend on the parameters; they are the floats a
-    per-draw evaluation would return.  vertices, s_init and init_values are
-    read-only: every later draw reads them.
+    The keyhole loop is a polyline parameterized by s in [0, n], n =
+    len(vertices) - 1; segment k covers [k, k+1] linearly.  values_at maps s
+    to its level h on the polyline and evaluates the closed-form periods
+    there, point by point.  init_values caches values_at(s_init), the
+    periods at the initial loop samples.  scan, built by the first
+    certification that scans, holds the real scan of the physical interval
+    clipped to the contour: its levels as _scan_levels gives them and
+    (I_0, I_1, I_2) there.  Every cached value is the float a per-draw
+    evaluation would return, and every cached array is read-only: every
+    later draw reads them.
     """
 
     annulus: Annulus
@@ -207,6 +205,13 @@ class ContourTable:
         h = (1.0 - t) * self.vertices[k] + t * self.vertices[k + 1]
         i0, i1, i2, _, _ = closed_form(h, self.annulus)
         return h, i0, i1, i2
+
+    @cached_property
+    def scan(self) -> tuple:
+        """(_scan_levels of the real scan, (I_0, I_1, I_2) at its levels)."""
+        levels = _scan_levels(*_scan_interval(self.annulus, self.R, self.rho), _N_SCAN)
+        periods = _real_table(self.annulus).values(levels[0])
+        return levels, tuple(_read_only(x) for x in periods)
 
 
 def _validate_contour(R: float, eta: float, rho: float) -> None:
@@ -279,7 +284,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
                   rho: float = 1e-3) -> ContourTable:
-    """The keyhole loop of the cut disc and its periods at the initial samples (cached)."""
+    """The one cached table of a contour: its keyhole loop and real scan, with their periods."""
     key = (annulus, float(R), float(eta), float(rho))
     hit = _CONTOUR_CACHE.get(key)
     if hit is not None:
@@ -407,17 +412,16 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
                    total=total, closure=closure, n_samples=n_samples)
 
 
-def _winding_block(forms, coeffs: tuple, R: float, eta: float, rho: float) -> list:
-    """Keyhole winding certificates of equal-shaped forms on one annulus.
+def _winding_block(forms, coeffs: tuple, ct: ContourTable) -> list:
+    """Keyhole winding certificates of equal-shaped forms on the contour of ct.
 
     A numerically zero counting function gets its DegenerateFormError in
     place of a certificate.  real_roots are left empty.
     """
-    order, annulus = forms[0].order, forms[0].annulus
-    ct = contour_table(annulus, R, eta, rho)
+    order, annulus = forms[0].order, ct.annulus
     ph = _phase_block(ct, coeffs, ct.s_init, ct.init_values)
     bound = BOUNDS[(order, annulus)]
-    contour = (float(R), float(eta), float(rho))
+    contour = (ct.R, ct.eta, ct.rho)
     out = []
     for degenerate, scale, converged, total, closure, n_samples in zip(
             ph.degenerate.tolist(), ph.scale.tolist(), ph.converged.tolist(),
@@ -449,7 +453,8 @@ def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
     The certificate's real_roots field is left empty here; certify fills it.
     Raises DegenerateFormError for a numerically zero counting function.
     """
-    (cert,) = _winding_block([form], _coeff_rows([form]), R, eta, rho)
+    (cert,) = _winding_block([form], _coeff_rows([form]),
+                             contour_table(form.annulus, R, eta, rho))
     if isinstance(cert, DegenerateFormError):
         raise cert
     return cert
@@ -480,25 +485,17 @@ def circle_argument(form: MelnikovForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _scan_windows(a: float, b: float, n_scan: int):
-    """The scan grid on [a, b] and the 9-point window over each grid point.
+def _scan_levels(a: float, b: float, n_scan: int):
+    """Every level the real scan of [a, b] can sample before root polishing.
 
-    Row i of windows spans grid points i-1 .. i+1 (clipped at the ends); it
-    is where the scan densifies when sample i is small.  Read-only.
+    Returns the levels sorted, the positions among them of the n_scan grid
+    points and the positions of the 9-point window over each grid point.
+    Row i of the windows spans grid points i-1 .. i+1 (clipped at the ends);
+    it is where the scan densifies when sample i is small.  Read-only.
     """
     h = np.linspace(a, b, n_scan)
     windows = np.array([np.linspace(h[max(i - 1, 0)], h[min(i + 1, n_scan - 1)], 9)
                         for i in range(n_scan)])
-    return _read_only(h), _read_only(windows)
-
-
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _scan_levels(a: float, b: float, n_scan: int):
-    """Every level the real scan of [a, b] can sample before root polishing,
-    sorted, and the positions of the grid and of each window among them.
-    Read-only."""
-    h, windows = _scan_windows(a, b, n_scan)
     points = np.unique(np.concatenate([h, windows.ravel()]))
     return (_read_only(points), _read_only(np.searchsorted(points, h)),
             _read_only(np.searchsorted(points, windows)))
@@ -588,16 +585,17 @@ def _brentq(f, a, b, fa, fb, xtol: float = _ROOT_XTOL) -> np.ndarray:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _scan_block(n_fns: int, interval: tuple, n_scan: int, at_levels, evaluate) -> list:
+def _scan_block(n_fns: int, levels: tuple, at_levels, evaluate) -> list:
     """Bracketing root scans of n_fns real functions at once.
 
-    at_levels(r, i) returns functions r at levels i of _scan_levels(*interval,
-    n_scan).  Each scan evaluates the grid, densifies 4x around its small grid
-    samples by evaluating their windows, and polishes every sign change with
-    _brentq to width 1e-12; evaluate(x, r) returns functions r at levels x.
-    Returns one (roots, suspects) pair per function, as real_zeros does.
+    levels is a _scan_levels result, and at_levels(r, i) returns functions r
+    at its levels i.  Each scan evaluates the grid, densifies 4x around its
+    small grid samples by evaluating their windows, and polishes every sign
+    change with _brentq to width 1e-12; evaluate(x, r) returns functions r at
+    levels x.  Returns one (roots, suspects) pair per function, as real_zeros
+    does.
     """
-    points, grid, windows = _scan_levels(*interval, n_scan)
+    points, grid, windows = levels
     values = np.zeros((n_fns, points.size))
     values[:, grid] = at_levels(np.arange(n_fns)[:, None], grid)
     on_grid = np.abs(values[:, grid])
@@ -642,28 +640,15 @@ def real_zeros(fn, interval, n_scan: int = _N_SCAN):
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
-    values = np.real(np.asarray(fn(_scan_levels(a, b, n_scan)[0])))
-    ((roots, suspects),) = _scan_block(1, (a, b), n_scan, lambda r, i: values[i],
+    levels = _scan_levels(a, b, n_scan)
+    values = np.real(np.asarray(fn(levels[0])))
+    ((roots, suspects),) = _scan_block(1, levels, lambda r, i: values[i],
                                        lambda x, r: np.real(np.asarray(fn(x))))
     return roots, suspects
 
 
-@lru_cache(maxsize=None)
 def _real_table(annulus: Annulus) -> RealPeriodTable:
     return RealPeriodTable(annulus)
-
-
-@lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _scan_values(annulus: Annulus, a: float, b: float, n_scan: int):
-    """Every level the real scan of [a, b] can sample before root polishing,
-    sorted, and (I_0, I_1, I_2) there.  Read-only.
-
-    RealPeriodTable.values evaluates point by point, so these are the floats
-    a per-draw evaluation of the same levels returns.
-    """
-    points = _scan_levels(a, b, n_scan)[0]
-    periods = _real_table(annulus).values(points)
-    return points, tuple(_read_only(x) for x in periods)
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +656,11 @@ def _scan_values(annulus: Annulus, a: float, b: float, n_scan: int):
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_certificate(form: MelnikovForm, R, eta, rho) -> ZeroCertificate:
+def _degenerate_certificate(form: MelnikovForm, ct: ContourTable) -> ZeroCertificate:
     return ZeroCertificate(annulus=form.annulus, order=form.order,
                            real_roots=(), suspect_roots=(), winding=0,
                            bound=BOUNDS[(form.order, form.annulus)],
-                           contour=(float(R), float(eta), float(rho)),
+                           contour=(ct.R, ct.eta, ct.rho),
                            status=Status.DEGENERATE, phase_defect=0.0,
                            closure_error=0.0, n_samples=0)
 
@@ -693,24 +678,24 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     """Certificates of equal-shaped forms on one annulus, computed together.
 
     The counting functions of all forms are evaluated in broadcast passes
-    at the cached keyhole samples and real-scan levels, the latter only where
-    the scan reads; phase refinement, the real scan and root polishing then
-    run in lock-step over the block.  Each certificate is the one the form
-    gets alone.
+    at the keyhole samples and real-scan levels of the contour's table, the
+    latter only where the scan reads; phase refinement, the real scan and
+    root polishing then run in lock-step over the block.  Each certificate
+    is the one the form gets alone.
     """
     if not forms:
         return []
-    annulus = forms[0].annulus
+    ct = contour_table(forms[0].annulus, R, eta, rho)
     coeffs = _coeff_rows(forms)
-    windings = _winding_block(forms, coeffs, R, eta, rho)
+    windings = _winding_block(forms, coeffs, ct)
     live = [k for k, c in enumerate(windings) if isinstance(c, ZeroCertificate)]
     scans = {}
     if live:
-        interval = _scan_interval(annulus, R, rho)
-        points, periods = _scan_values(annulus, *interval, _N_SCAN)
+        levels, periods = ct.scan
+        points = levels[0]
         coeffs = tuple(c[live] for c in coeffs)
-        exterior = annulus is Annulus.EXTERIOR
-        table = _real_table(annulus)
+        exterior = ct.annulus is Annulus.EXTERIOR
+        table = _real_table(ct.annulus)
 
         def polish(x, r):
             # root polishing evaluates the periods afresh at its steps
@@ -721,11 +706,11 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
             return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],
                                           *(p[i] for p in periods)))
 
-        scans = dict(zip(live, _scan_block(len(live), interval, _N_SCAN, at_levels, polish)))
+        scans = dict(zip(live, _scan_block(len(live), levels, at_levels, polish)))
     certs = []
     for k, (form, cert) in enumerate(zip(forms, windings)):
         if k not in scans:
-            certs.append(_degenerate_certificate(form, R, eta, rho))
+            certs.append(_degenerate_certificate(form, ct))
             continue
         roots, suspects = scans[k]
         status = cert.status

@@ -103,6 +103,20 @@ def test_section_phase_is_taken_modulo_one():
     assert oval_section(h, annulus, 1.0) == oval_section(h, annulus)
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf])
+def test_a_non_finite_phase_is_rejected(phase):
+    # phase % 1.0 is NaN, an end time the anchor advance would never reach
+    with pytest.raises(ValueError, match="anchor advance failed: end time"):
+        oval_section(-0.1, Annulus.INTERIOR_RIGHT, phase)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0])
+def test_flow_rejects_a_time_budget_that_is_not_finite_and_positive(t_max):
+    sec = oval_section(-0.125, Annulus.INTERIOR_RIGHT)
+    with pytest.raises(ValueError, match="integration failed at eps=0: end time"):
+        flow(sec.point, PerturbationParams.zero(), (0.0,), sec, t_max=t_max)
+
+
 _PHASE_FOOTPRINT = """
 import json, sys
 import numpy as np

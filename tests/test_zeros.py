@@ -5,6 +5,7 @@ exactly; random draws then exercise the certification pipeline end to end
 (integrality, closure, real-root consistency, serialization).
 """
 
+import json
 import math
 import re
 
@@ -29,8 +30,6 @@ from duffing_melnikov.zeros import (
     DegenerateFormError,
     Status,
     _real_table,
-    _scan_values,
-    _scan_windows,
     _suspect_positions,
     bound_census,
     certify,
@@ -55,6 +54,10 @@ def _single_param(**entries) -> PerturbationParams:
         name, idx = key.rsplit("_", 1)
         fields[name][int(idx)] = val
     return PerturbationParams(**{k: tuple(v) for k, v in fields.items()})
+
+
+def _json(cert) -> str:
+    return json.dumps(cert.as_record(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,7 @@ def test_certificate_record_roundtrip():
     assert rec["contour"] == {"R": 10.0, "eta": 1e-3, "rho": 1e-3}
     assert rec["tolerances"]["closure"] == 1e-8
     # the JSON form parses back to the same record
-    import json
-    assert json.loads(cert.to_json()) == json.loads(json.dumps(rec))
+    assert json.loads(_json(cert)) == rec
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +271,6 @@ def test_certificates_run_without_transport(monkeypatch, order, annulus):
 
     monkeypatch.setattr(abelian, "_pf_rhs", no_transport)
     monkeypatch.setattr(zeros, "_CONTOUR_CACHE", {})
-    _real_table.cache_clear()
-    _scan_values.cache_clear()
     certs, _ = bound_census(order, annulus, n_draws=3, seed=1)
     assert all(c.status is not Status.INCONCLUSIVE for c in certs)
 
@@ -300,7 +300,7 @@ def test_census_certificates_equal_certify_alone(order, annulus):
         params = PerturbationParams.uniform(rng)
         if order == 2:
             params = enforce_m1_zero(params, annulus)
-        assert cert.to_json() == certify(params, order, annulus).to_json()
+        assert _json(cert) == _json(certify(params, order, annulus))
 
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
@@ -312,7 +312,7 @@ def test_block_mixing_degenerate_and_live_draws(annulus):
     block = zeros._certify_block([m1_form(p, annulus) for p in draws], 10.0, 1e-3, 1e-3)
     assert [c.status is Status.DEGENERATE for c in block] == [p == zero for p in draws]
     for cert, params in zip(block, draws):
-        assert cert.to_json() == certify(params, 1, annulus).to_json()
+        assert _json(cert) == _json(certify(params, 1, annulus))
     all_zero = zeros._certify_block([m1_form(zero, annulus)] * 3, 10.0, 1e-3, 1e-3)
     assert all(c.status is Status.DEGENERATE for c in all_zero)
 
@@ -358,7 +358,7 @@ def test_certificate_ignores_a_power_of_two_scale_and_the_sign(annulus):
     # M1 is linear in the first tier; 8 and -1/4 scale every float exactly
     for seed in range(25):
         params = PerturbationParams.uniform(np.random.default_rng(seed))
-        records = {certify(_mapped(params, lambda i, j: c), 1, annulus).to_json()
+        records = {_json(certify(_mapped(params, lambda i, j: c), 1, annulus))
                    for c in (1.0, 8.0, -0.25)}
         assert len(records) == 1
 
@@ -543,35 +543,37 @@ def test_suspect_scan_matches_reference_loop(scans):
 
 
 def test_scan_windows_match_per_sample_linspace():
-    h, windows = _scan_windows(-0.2, 0.3, 64)
+    points, on_grid, in_windows = zeros._scan_levels(-0.2, 0.3, 64)
+    h = points[on_grid]
     assert np.array_equal(h, np.linspace(-0.2, 0.3, 64))
     for i in range(64):
-        assert np.array_equal(windows[i], np.linspace(h[max(i - 1, 0)], h[min(i + 1, 63)], 9))
+        assert np.array_equal(points[in_windows[i]],
+                              np.linspace(h[max(i - 1, 0)], h[min(i + 1, 63)], 9))
+    # the levels are the grid and the windows, each level once
+    assert np.array_equal(points, np.unique(np.concatenate([h, points[in_windows].ravel()])))
 
 
 # ---------------------------------------------------------------------------
-# cached period values
+# the cached contour tables
 # ---------------------------------------------------------------------------
 
 _CENSUS_ANNULI = (Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
 
 
-def _default_scan_key(annulus):
-    """The scan-cache key of certify on the default contour."""
+def _default_scan_interval(annulus):
+    """The real interval certify scans on the default contour."""
     rho_arc = 1e-3 / math.cos(math.pi / zeros._N_PUNCT)
     if annulus is Annulus.EXTERIOR:
-        return (annulus, 1.01 * rho_arc, 10.0 * (1.0 - 1e-9), zeros._N_SCAN)
-    return (annulus, -0.25 + 1e-6, -1.01 * rho_arc, zeros._N_SCAN)
+        return 1.01 * rho_arc, 10.0 * (1.0 - 1e-9)
+    return -0.25 + 1e-6, -1.01 * rho_arc
 
 
-def _scan_cache(annulus):
-    """(key, entry) of the scan cache that certify fills on the default contour."""
+def _scanned_table(annulus):
+    """The default contour's table, once a certification has built its scan."""
     certify(_single_param(lambda1_1=-2.0, gamma1_6=1.0), 1, annulus)
-    misses = _scan_values.cache_info().misses
-    key = _default_scan_key(annulus)
-    entry = _scan_values(*key)
-    assert _scan_values.cache_info().misses == misses  # certify built it
-    return key, entry
+    ct = contour_table(annulus)
+    assert "scan" in vars(ct)  # certify built it
+    return ct
 
 
 def _assert_subset_matches(evaluate, points, seed):
@@ -596,50 +598,61 @@ def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
-    _, (points, _) = _scan_cache(annulus)
+    (points, _, _), _ = _scanned_table(annulus).scan
     _assert_subset_matches(_real_table(annulus).values, points, seed)
 
 
 @pytest.mark.parametrize("annulus", _CENSUS_ANNULI)
 def test_cached_periods_equal_a_fresh_evaluation(annulus):
-    ct = contour_table(annulus)
+    ct = _scanned_table(annulus)
     for cached, fresh in zip(ct.init_values, ct.values_at(ct.s_init)):
         assert np.array_equal(cached, fresh)
-    _, (points, cached) = _scan_cache(annulus)
-    for c, fresh in zip(cached, _real_table(annulus).values(points)):
+    levels, cached = ct.scan
+    for c, fresh in zip(cached, _real_table(annulus).values(levels[0])):
         assert np.array_equal(c, fresh)
-    # the cache holds the whole grid and every densification window
-    h, windows = _scan_windows(*_default_scan_key(annulus)[1:])
-    assert np.array_equal(points, np.unique(np.concatenate([h, windows.ravel()])))
-    # and the scan finds the grid and every window among those levels
-    _, on_grid, in_windows = zeros._scan_levels(*_default_scan_key(annulus)[1:])
-    assert np.array_equal(points[on_grid], h)
-    assert np.array_equal(points[in_windows], windows)
+    # the table holds the whole grid and every densification window of the
+    # interval certify scans
+    fresh = zeros._scan_levels(*_default_scan_interval(annulus), zeros._N_SCAN)
+    for c, f in zip(levels, fresh):
+        assert np.array_equal(c, f)
 
 
 def test_cached_arrays_are_read_only():
-    ct = contour_table(Annulus.EXTERIOR)
-    key, (points, periods) = _scan_cache(Annulus.EXTERIOR)
-    h, windows = _scan_windows(*key[1:])
-    _, on_grid, in_windows = zeros._scan_levels(*key[1:])
-    for arr in (ct.vertices, ct.s_init, *ct.init_values, h, windows, on_grid, in_windows,
-                points, *periods):
+    ct = _scanned_table(Annulus.EXTERIOR)
+    levels, periods = ct.scan
+    for arr in (ct.vertices, ct.s_init, *ct.init_values, *levels, *periods):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 def test_caches_do_not_grow_over_a_census():
-    for annulus in (Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR):
-        _scan_cache(annulus)
-    ct = contour_table(Annulus.EXTERIOR)
-
-    def sizes():
-        return (len(zeros._CONTOUR_CACHE), _real_table.cache_info().currsize,
-                _scan_windows.cache_info().currsize, zeros._scan_levels.cache_info().currsize,
-                _scan_values.cache_info().currsize)
-
-    before = sizes()
+    tables = {a: _scanned_table(a) for a in (Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)}
+    scans = {a: ct.scan for a, ct in tables.items()}
+    before = dict(zeros._CONTOUR_CACHE)
     bound_census(2, Annulus.EXTERIOR, n_draws=20, seed=5)
     bound_census(1, Annulus.INTERIOR_RIGHT, n_draws=20, seed=5)
-    assert sizes() == before
-    assert contour_table(Annulus.EXTERIOR) is ct
+    assert zeros._CONTOUR_CACHE.keys() == before.keys()
+    assert all(zeros._CONTOUR_CACHE[key] is ct for key, ct in before.items())
+    assert all(ct.scan is scans[a] for a, ct in tables.items())
+
+
+def test_certify_reads_the_table_the_benchmark_set_up_builds(monkeypatch):
+    # the benchmark's set-up calls contour_table(annulus) with its defaults
+    # and certify passes R, eta and rho by position: both reach one table,
+    # whose scan the first certification builds and every later one reads
+    monkeypatch.setattr(zeros, "_CONTOUR_CACHE", {})
+    ct = contour_table(Annulus.EXTERIOR)
+    assert "scan" not in vars(ct)
+    builds = []
+    scan_levels = zeros._scan_levels
+
+    def counted(*args):
+        builds.append(args)
+        return scan_levels(*args)
+
+    monkeypatch.setattr(zeros, "_scan_levels", counted)
+    bound_census(2, Annulus.EXTERIOR, n_draws=6, seed=5)
+    certify(_single_param(lambda1_1=-2.0, gamma1_6=1.0), 1, Annulus.EXTERIOR)
+    bound_census(1, Annulus.EXTERIOR, n_draws=6, seed=6)
+    assert "scan" in vars(ct) and len(builds) == 1
+    assert len(zeros._CONTOUR_CACHE) == 1 and contour_table(Annulus.EXTERIOR, 10, 1e-3) is ct
