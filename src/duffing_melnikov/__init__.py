@@ -7,21 +7,19 @@ system
 
 with f, g cubic polynomials whose coefficients may themselves depend
 linearly on eps, over the three annuli of closed orbits of the unperturbed
-flow.  Provides closed-form representations in terms of the complete
-elliptic integrals I_k(h), their analytic continuation to complex energy
-levels, and certified counts of zeros.
+flow.  Provides the elliptic integrals I_k(h) in closed form at real and
+complex levels, checked by transport along paths (abelian.continue_paths),
+and certified zero counts; this namespace re-exports the common names.
 """
 
 from .geometry import Annulus, DomainError, branch_points, hamiltonian
-from .quadrature import AccuracyError, QuadratureSpec
+from .quadrature import AccuracyError
 from .abelian import (
     PathError,
     PeriodVector,
     PoleError,
-    continue_complex,
     cut_values,
     orbit_period,
-    oval_integral,
     period_vector,
 )
 from .melnikov import (
@@ -34,7 +32,7 @@ from .melnikov import (
     m2_form,
     m_eval,
 )
-from .zeros import ZeroCertificate, certify, real_zeros, winding_count
+from .zeros import ZeroCertificate, certify
 from .oracle import DisplacementSample, displacement, melnikov_fit
 
 __version__ = "0.1.0"
@@ -44,15 +42,12 @@ __all__ = [
     "DomainError",
     "hamiltonian",
     "branch_points",
-    "QuadratureSpec",
     "AccuracyError",
     "PeriodVector",
     "PoleError",
     "PathError",
-    "oval_integral",
     "period_vector",
     "orbit_period",
-    "continue_complex",
     "cut_values",
     "PerturbationParams",
     "MelnikovForm",
@@ -64,8 +59,6 @@ __all__ = [
     "m_eval",
     "ZeroCertificate",
     "certify",
-    "real_zeros",
-    "winding_count",
     "DisplacementSample",
     "displacement",
     "melnikov_fit",

@@ -33,10 +33,10 @@ whose inverted form
 
 is regular except at h = 0 and h = -1/4.  _pf_matrix is this matrix in
 plain complex arithmetic, the one definition that derivative_pair and the
-transport right-hand side both apply.  continue_paths transports it
-along polylines from quadrature values at a real base point, each path a
-lane of one lock-step DOP853, as the independent check of the closed form;
-transport_table is the dense solve_ivp route the tests compare it with.
+transport right-hand side both apply.  continue_paths, the one continuation
+entry point, transports it along polylines from quadrature values at their
+real first vertices, each path a lane of one lock-step DOP853, to check the
+closed form; transport_table is the dense solve_ivp route tests compare with.
 continue_paths needs no part of scipy.integrate (see _dop853), and
 transport_table, the reference route, is the one function of the package
 that imports scipy's solve_ivp; both import their engine when they are
@@ -73,13 +73,11 @@ __all__ = [
     "PathError",
     "oval_integrals",
     "oval_integral",
-    "oval_integral_dh",
     "orbit_period",
     "period_vector",
     "i1_slope",
     "reduce_moment",
     "closed_form",
-    "continue_complex",
     "continue_paths",
     "transport_table",
     "PathTable",
@@ -158,14 +156,9 @@ def oval_integral(k: int, h: float, annulus: Annulus) -> float:
     return float(oval_integrals([(k, 1)], [h], annulus)[0, 0])
 
 
-def oval_integral_dh(k: int, h: float, annulus: Annulus) -> float:
-    """I_k'(h) = contour integral of x^k / y dx (the h-derivative of I_k)."""
-    return float(oval_integrals([(k, -1)], [h], annulus)[0, 0])
-
-
 def orbit_period(h: float, annulus: Annulus) -> float:
     """Period of the closed orbit at level h; equal to I_0'(h)."""
-    return oval_integral_dh(0, h, annulus)
+    return float(oval_integrals([(0, -1)], [h], annulus)[0, 0])
 
 
 def period_vector(h: float, annulus: Annulus) -> PeriodVector:
@@ -401,7 +394,7 @@ def _segment_end(steps):
 
 
 def continue_paths(paths, annuli) -> list[PeriodVector]:
-    """Analytic continuation along many polylines (see _polyline), as one lock-step transport.
+    """(I_0, I_1, I_2) at the end of each polyline (see _polyline), by one lock-step transport.
 
     Segment j of every path is a lane of one lock-step DOP853 run, then segment
     j + 1, each lane with the floats of solve_ivp on its segment alone.
@@ -423,28 +416,6 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
             a[:] = z0 + 1.0 * (z1 - z0), *lane.end
     return [PeriodVector(h, annulus, complex(*u[:2]), i1_slope(annulus) * (4.0 * h + 1.0),
                          complex(*u[2:])) for (h, _, u), annulus in zip(at, annuli)]
-
-
-def continue_complex(h_target: complex, path=None,
-                     annulus: Annulus = Annulus.EXTERIOR) -> PeriodVector:
-    """Analytic continuation of (I_0, I_1, I_2) to a complex level.
-
-    path, when given, is a polyline whose first vertex is a real level inside
-    the annulus; by default the straight segment from the base point is used,
-    and at the base point itself the quadrature values are returned.  The
-    result, the one-lane case of continue_paths, depends only on the
-    homotopy class of the path in the cut plane.
-    """
-    h_target = complex(h_target)
-    if path is None:
-        start = BASE_POINTS[annulus]
-        if abs(h_target - start) < 1e-15:
-            base = period_vector(start, annulus)
-            return PeriodVector(h_target, annulus, base.i0, base.i1, base.i2)
-        path = [start, h_target]
-    elif abs(complex(path[-1]) - h_target) > 1e-12:
-        raise ValueError("path must end at h_target")
-    return continue_paths([path], [annulus])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +468,14 @@ def wronskian_cut(h: float) -> complex:
 class RealPeriodTable:
     """(I_0, I_1, I_2) on the real interval of an annulus, for root scans.
 
-    Covers the interval up to 1e-7 from the singular levels, and up to
-    h = 12 on the exterior annulus (past the default contour radius);
-    values are the closed form.
+    Covers the interval up to 1e-7 from the singular levels, and the whole
+    ray h > 1e-7 on the exterior annulus, so a real scan reaches the rim of
+    every contour; values are the closed form.
     """
 
     def __init__(self, annulus: Annulus):
         if annulus is Annulus.EXTERIOR:
-            self.h_min, self.h_max = 1e-7, 12.0
+            self.h_min, self.h_max = 1e-7, math.inf
         else:
             self.h_min, self.h_max = -0.25 + 1e-7, -1e-7
         self._annulus = annulus

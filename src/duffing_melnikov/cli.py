@@ -118,9 +118,9 @@ def _load_params(path: str | None) -> PerturbationParams:
 
 def _resolve_params(args) -> tuple[PerturbationParams, dict]:
     """Parameter set from --params, or a uniform draw from --seed, or zeros."""
-    if getattr(args, "params", None) is not None:
+    if args.params is not None:
         return _load_params(args.params), {"params_file": args.params}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         rng = np.random.default_rng(args.seed)
         return PerturbationParams.uniform(rng), {"draw": "uniform", "seed": args.seed}
     return PerturbationParams.zero(), {}
@@ -128,9 +128,9 @@ def _resolve_params(args) -> tuple[PerturbationParams, dict]:
 
 def _gather_h(args, annulus: Annulus) -> list[float]:
     hs: list[float] = []
-    if getattr(args, "h", None):
+    if args.h:
         hs.extend(args.h)
-    if getattr(args, "h_grid", None):
+    if args.h_grid:
         hs.extend(_parse_h_grid(args.h_grid))
     if not hs:
         hs = list(_DEFAULT_H[annulus])
@@ -154,10 +154,9 @@ def _print_config(config: dict) -> None:
 
 
 def _emit(args, config: dict, records: list[dict]) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+    if args.out is None:
         return
-    path = pathlib.Path(out)
+    path = pathlib.Path(args.out)
     with path.open("w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, default=_jsonable) + "\n")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .abelian import PeriodVector, PoleError
 from .geometry import Annulus
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _oval_rows
+from .quadrature import _oval_rows
 
 __all__ = [
     "MONOMIALS",
@@ -108,6 +108,10 @@ class PerturbationParams:
         if extra:
             raise ValueError(f"unknown parameter keys: {sorted(extra)}")
         z = (0.0,) * len(MONOMIALS)
+        for key, vals in data.items():  # JSON also reads null, NaN, 1e999 and bare numbers
+            if not (isinstance(vals, (list, tuple)) and len(vals) == len(z) and all(
+                    type(v) in (int, float) and abs(v) <= np.finfo(float).max for v in vals)):
+                raise ValueError(f"{key} must be a list of {len(z)} finite numbers")
         return cls(*(tuple(data.get(k, z)) for k in ("lambda1", "gamma1", "lambda2", "gamma2")))
 
     def to_dict(self) -> dict:
@@ -442,8 +446,7 @@ def _tier_term(cf, cg):
     return _across(phi)
 
 
-def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus) -> float:
     """M1 by direct quadrature: contour integral of g dx - f dy (first tier).
 
     On the oval dy = (x - x^3)/y dx, so the integrand is g - f (x - x^3)/y,
@@ -453,7 +456,7 @@ def m1_quadrature(params: PerturbationParams, h: float, annulus: Annulus,
     period quadrature, not the tables' coefficients.
     """
     term = _tier_term(params.coeff_grid("lambda1"), params.coeff_grid("gamma1"))
-    return float(_oval_rows([term], [h], annulus, spec)[0, 0])
+    return float(_oval_rows([term], [h], annulus)[0, 0])
 
 
 def _iliev_pieces(params: PerturbationParams):

@@ -10,8 +10,8 @@ substitution
 
 turns (x-a)(b-x) into ((b-a)/2 * cos(theta))**2 exactly, so both kinds of
 endpoint behavior become analytic in theta and Gauss-Legendre converges
-spectrally.  Node counts are doubled until the last two estimates agree to
-tolerance.
+spectrally.  Node counts are doubled from 16 up to _MAX_NODES = 4096 until the
+last two estimates differ by at most max(_ABS_TOL, _REL_TOL |value|).
 
 One loop, _doubling, doubles the nodes over rows: each row stops at its own
 node count and only running rows are evaluated again.  The integrators below
@@ -29,7 +29,6 @@ Integrands must be vectorized (accept an ndarray of abscissae).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,8 +37,6 @@ from scipy.special import roots_legendre
 from .geometry import Annulus, branch_points
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
     "AccuracyError",
     "integrate_endpoint_sqrt",
     "integrate_smooth",
@@ -47,20 +44,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_nodes: int = 4096
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_nodes < 16:
-            raise ValueError("max_nodes must be at least 16")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_NODES = 4096
 
 
 class AccuracyError(RuntimeError):
@@ -77,29 +63,29 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(n)
 
 
-def _doubling(rule, rows: int, spec: QuadratureSpec, where):
+def _doubling(rule, rows: int, where):
     """Evaluate rule(live, nodes, weights) on 16, 32, ... Gauss-Legendre nodes.
 
     live lists the running rows, ascending; rule returns their values in that
     order.  A row stops when its last two estimates agree to tolerance.
     Returns one (value, err_est) per row, err_est being that difference.  The
-    first row still running at max_nodes raises AccuracyError naming where(row).
+    first row still running at _MAX_NODES raises AccuracyError naming where(row).
     """
     values, errs = [None] * rows, [np.inf] * rows
     live, n = list(range(rows)), 16
-    while live and n <= spec.max_nodes:
+    while live and n <= _MAX_NODES:
         running = []
         for i, value in zip(live, rule(live, *_gl_rule(n))):
             prev, values[i] = values[i], value
             if prev is not None:
                 errs[i] = abs(value - prev)
-                if errs[i] <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                if errs[i] <= max(_ABS_TOL, _REL_TOL * abs(value)):
                     continue
             running.append(i)
         live, n = running, 2 * n
     if live:
         i = live[0]
-        raise AccuracyError(f"no convergence with {spec.max_nodes} nodes on {where(i)} "
+        raise AccuracyError(f"no convergence with {_MAX_NODES} nodes on {where(i)} "
                             f"(err~{errs[i]:.3g})", value=values[i], err_est=errs[i])
     return list(zip(values, errs))
 
@@ -111,7 +97,7 @@ def _sines(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), np.sin(theta)
 
 
-def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_endpoint_sqrt(f, a: float, b: float):
     """Integrate f over [a, b], f having at worst half-power endpoint singularities.
 
     The integrand is called as f(x, t) where t = (x-a)(b-x) evaluated as
@@ -132,10 +118,10 @@ def integrate_endpoint_sqrt(f, a: float, b: float, spec: QuadratureSpec = DEFAUL
         fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float)
         return [float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad)]
 
-    return _doubling(rule, 1, spec, lambda i: f"[{a}, {b}]")[0]
+    return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
 
-def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC):
+def integrate_smooth(f, a: float, b: float):
     """Integrate a smooth vectorized f over [a, b] by doubling Gauss-Legendre.
 
     Same convergence protocol and return convention as
@@ -150,10 +136,10 @@ def integrate_smooth(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC)
         fx = np.asarray(f(mid + rad * nodes), dtype=float)
         return [float(np.dot(weights, fx) * rad)]
 
-    return _doubling(rule, 1, spec, lambda i: f"[{a}, {b}]")[0]
+    return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
 
-def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def integrate_path(f, path) -> complex:
     """Integrate an analytic integrand along a polyline in the complex plane.
 
     path is a sequence of vertices (complex numbers); each straight segment is
@@ -172,7 +158,7 @@ def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
             fz = np.asarray(f(z0 + 0.5 * (nodes + 1.0) * dz), dtype=complex)
             return [complex(np.dot(weights, fz) * 0.5 * dz)]
 
-        value, _ = _doubling(rule, 1, spec, lambda i: f"segment {z0} -> {z1}")[0]
+        value, _ = _doubling(rule, 1, lambda i: f"segment {z0} -> {z1}")[0]
         total += value
     return total
 
@@ -184,7 +170,7 @@ def integrate_path(f, path, spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
 _PINCH_SPLIT_H = 0.05
 
 
-def _oval_rows(terms, hs, annulus: Annulus, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
     """Integral of term(x, y) dx over the x-range of the oval at each level of hs.
 
     y is the upper branch, clamped at 1e-300; on the endpoint substitution it
@@ -241,7 +227,7 @@ def _oval_rows(terms, hs, annulus: Annulus, spec: QuadratureSpec = DEFAULT_SPEC)
                         for f, i in zip(fx if size > 1 else [fx], levels)]
             return out
 
-        rows = _doubling(rule, len(terms) * size, spec,
+        rows = _doubling(rule, len(terms) * size,
                          lambda r: "[{}, {}]".format(*ends[r % size]))
         return np.array([value for value, _ in rows]).reshape(len(terms), size)
 

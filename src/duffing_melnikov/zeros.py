@@ -670,7 +670,7 @@ def _scan_interval(annulus: Annulus, R: float, rho: float) -> tuple:
     levels and the puncture."""
     rho_arc = rho / math.cos(math.pi / _N_PUNCT)
     if annulus is Annulus.EXTERIOR:
-        return (1.01 * rho_arc, min(R, _real_table(annulus).h_max) * (1.0 - 1e-9))
+        return (1.01 * rho_arc, R * (1.0 - 1e-9))
     return (-0.25 + 1e-6, -1.01 * rho_arc)
 
 

@@ -22,8 +22,8 @@ from duffing_melnikov.abelian import (
     PathError,
     RealPeriodTable,
     _check_path,
+    _pf_matrix,
     closed_form,
-    continue_complex,
     continue_paths,
     cut_values,
     derivative_pair,
@@ -32,7 +32,6 @@ from duffing_melnikov.abelian import (
     nonvanishing_grid,
     orbit_period,
     oval_integral,
-    oval_integral_dh,
     oval_integrals,
     period_vector,
     reduce_moment,
@@ -102,8 +101,8 @@ def test_level_grid_is_bit_for_bit_the_one_level_calls(annulus):
         hs = rng.uniform(-0.2499, -1e-3, 16)
     pairs = [(k, power) for k in range(7) for power in (1, -1)]
     grid = oval_integrals(pairs, hs, annulus)
-    one = np.array([[(oval_integral if power == 1 else oval_integral_dh)(k, h, annulus)
-                     for h in hs] for k, power in pairs])
+    one = np.array([[oval_integrals([(k, power)], [h], annulus)[0, 0] for h in hs]
+                    for k, power in pairs])
     assert grid.shape == (len(pairs), len(hs))
     assert np.array_equal(grid.view(np.int64), one.view(np.int64))
 
@@ -132,9 +131,10 @@ def test_period_system_matches_quadrature_derivatives(annulus):
     for h in _levels(annulus):
         pv = period_vector(h, annulus)
         d0, d2 = derivative_pair(h, pv.i0, pv.i2)
+        q0, q2 = oval_integrals([(0, -1), (2, -1)], [h], annulus)[:, 0]
         assert complex(d0).imag == 0.0
-        assert d0.real == pytest.approx(oval_integral_dh(0, h, annulus), rel=1e-10)
-        assert d2.real == pytest.approx(oval_integral_dh(2, h, annulus), rel=1e-10)
+        assert d0.real == pytest.approx(q0, rel=1e-10)
+        assert d2.real == pytest.approx(q2, rel=1e-10)
 
 
 @pytest.mark.parametrize("annulus", list(Annulus))
@@ -210,6 +210,42 @@ def test_system_matrix_matches_closed_form_on_the_keyhole(annulus):
     assert np.all(np.abs(got - np.column_stack([d0, d2])) <= 1e-12 * np.abs([d0, d2]).T)
 
 
+def _exterior_w3(h):
+    """Wronskian W_3 of {I_0, h I_0, I_2} at real exterior levels h, from exact
+    derivatives: v = (I_0, I_2), v' = A v and v'' = (A' + A^2) v."""
+    i0, _, i2, _, _ = closed_form(h, Annulus.EXTERIOR)
+    a00, a01, a10, a11 = _pf_matrix(h)
+    g, f, df = 4.0 * h + 1.0, 4.0 * h * (4.0 * h + 1.0), 32.0 * h + 4.0
+    da = ((12.0 * f - (12.0 * h + 4.0) * df) / f ** 2, 5.0 * df / f ** 2, 4.0 / g ** 2,
+          -20.0 / g ** 2)
+    b00, b01 = da[0] + a00 * a00 + a01 * a10, da[1] + a00 * a01 + a01 * a11
+    b10, b11 = da[2] + a10 * a00 + a11 * a10, da[3] + a10 * a01 + a11 * a11
+    d0, d2 = a00 * i0 + a01 * i2, a10 * i0 + a11 * i2
+    e0, e2 = b00 * i0 + b01 * i2, b10 * i0 + b11 * i2
+    rows = [[i0, h * i0, i2], [d0, i0 + h * d0, d2], [e0, 2.0 * d0 + h * e0, e2]]
+    return np.linalg.det(np.moveaxis(np.array(rows), (0, 1), (-2, -1))), da
+
+
+def test_exterior_order1_span_is_chebyshev_on_each_side_of_h_star():
+    # {I_0, h I_0, I_2} spans the exterior order-1 forms.  W_3 changes sign
+    # exactly once on (1e-4, 10), at h* ~ 0.4238: the span is an ECT-system on
+    # each side of h* (at most 2 zeros each) but not across it, which is how
+    # a form can have three real zeros.
+    hs = np.geomspace(1e-4, 10.0, 2001)
+    w, da = _exterior_w3(hs)
+    step = 1e-6 * hs  # A' is exact: compare it with a central difference
+    fd = (np.array(_pf_matrix(hs + step)) - np.array(_pf_matrix(hs - step))) / (2.0 * step)
+    assert np.allclose(da, fd, rtol=1e-6)
+    change = np.flatnonzero(np.signbit(w[:-1]) != np.signbit(w[1:]))
+    assert change.size == 1
+    lo, hi = hs[change[0]], hs[change[0] + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.signbit(_exterior_w3(mid)[0]) == np.signbit(w[0]) else (lo, mid)
+    assert 0.4229 <= lo <= 0.4242
+    assert w[0] > 0.0 > w[-1]
+
+
 # ---------------------------------------------------------------------------
 # poles and path validation
 # ---------------------------------------------------------------------------
@@ -246,8 +282,9 @@ def test_transport_needs_two_vertices():
 
 
 def test_continuation_at_base_point_is_quadrature():
+    # a path that never leaves its start keeps the quadrature start values
     base = BASE_POINTS[Annulus.EXTERIOR]
-    pv = continue_complex(base, annulus=Annulus.EXTERIOR)
+    (pv,) = continue_paths([[base, base]], [Annulus.EXTERIOR])
     ref = period_vector(base, Annulus.EXTERIOR)
     assert pv.i0 == pytest.approx(ref.i0, rel=1e-12)
     assert pv.i2 == pytest.approx(ref.i2, rel=1e-12)
@@ -257,14 +294,15 @@ def test_continuation_reaches_real_levels():
     # Transporting along the real axis must agree with direct quadrature.
     singles, paths = [], []
     for h in (0.3, 2.0, 8.0):
-        pv = continue_complex(h, annulus=Annulus.EXTERIOR)
+        (pv,) = continue_paths([[BASE_POINTS[Annulus.EXTERIOR], h]], [Annulus.EXTERIOR])
         ref = period_vector(h, Annulus.EXTERIOR)
         assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
         assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
         singles.append(pv)
         paths.append([BASE_POINTS[Annulus.EXTERIOR], h])
     for h in (-0.2, -0.05):
-        pv = continue_complex(h, annulus=Annulus.INTERIOR_RIGHT)
+        (pv,) = continue_paths([[BASE_POINTS[Annulus.INTERIOR_RIGHT], h]],
+                               [Annulus.INTERIOR_RIGHT])
         ref = period_vector(h, Annulus.INTERIOR_RIGHT)
         assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
         singles.append(pv)
@@ -272,15 +310,14 @@ def test_continuation_reaches_real_levels():
     # one lock-step batch that mixes annuli and path lengths gives every
     # lane the floats of its one-lane run
     paths.append([1.0, 3.0, 3.0 + 2.0j, 2.0 + 1.0j])
-    singles.append(continue_complex(paths[-1][-1], path=paths[-1], annulus=Annulus.EXTERIOR))
+    singles += continue_paths([paths[-1]], [Annulus.EXTERIOR])
     assert continue_paths(paths, [pv.annulus for pv in singles]) == singles
 
 
 def test_continuation_is_path_independent():
     target = 2.0 + 1.0j
-    direct = continue_complex(target, annulus=Annulus.EXTERIOR)
-    detour = continue_complex(
-        target, path=[1.0, 3.0, 3.0 + 2.0j, target], annulus=Annulus.EXTERIOR)
+    direct, detour = continue_paths([[1.0, target], [1.0, 3.0, 3.0 + 2.0j, target]],
+                                    [Annulus.EXTERIOR] * 2)
     assert abs(direct.i0 - detour.i0) < 1e-9 * abs(direct.i0)
     assert abs(direct.i2 - detour.i2) < 1e-9 * abs(direct.i2)
 
@@ -298,7 +335,7 @@ _SADDLE_LOOP = ([-0.125] + [0.125 * cmath.exp(1j * (math.pi + 2.0 * math.pi * j 
 ], ids=["no-pole", "saddle"])
 def test_continuation_round_trip(annulus, loop, gain):
     base = loop[0]
-    pv = continue_complex(base, path=loop, annulus=annulus)
+    (pv,) = continue_paths([loop], [annulus])
     table = transport_table(loop, annulus)
     assert [pv.h, pv.i0, pv.i1, pv.i2] == [x[0] for x in table.values_at(len(table.solutions))]
     ref = period_vector(base, annulus)
@@ -307,11 +344,6 @@ def test_continuation_round_trip(annulus, loop, gain):
     if not gain:
         assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
         assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
-
-
-def test_continuation_path_must_end_at_target():
-    with pytest.raises(ValueError):
-        continue_complex(2.0, path=[1.0, 3.0], annulus=Annulus.EXTERIOR)
 
 
 def test_transport_table_dense_values():
@@ -325,7 +357,7 @@ def test_transport_table_dense_values():
     start = period_vector(path[0], Annulus.EXTERIOR)
     assert (i0[0], i2[0]) == (start.i0, start.i2)
     for k in range(1, len(path)):
-        end = continue_complex(path[k], path=path[:k + 1], annulus=Annulus.EXTERIOR)
+        (end,) = continue_paths([path[:k + 1]], [Annulus.EXTERIOR])
         assert (end.h, end.i0, end.i1, end.i2) == (h[k], i0[k], i1[k], i2[k])
 
 
@@ -343,9 +375,9 @@ def _monodromy_around_saddle(radius: float):
     annulus = Annulus.INTERIOR_RIGHT
     n = 64
     entry = -radius
-    before = continue_complex(entry, annulus=annulus)
     loop = [radius * cmath.exp(1j * (math.pi + 2.0 * math.pi * j / n)) for j in range(n + 1)]
-    after = continue_complex(entry, path=[BASE_POINTS[annulus]] + loop, annulus=annulus)
+    before, after = continue_paths([[BASE_POINTS[annulus], entry], [BASE_POINTS[annulus]] + loop],
+                                   [annulus] * 2)
     two_pi_i = 2j * math.pi
     return ((after.i0 - before.i0) / two_pi_i, (after.i2 - before.i2) / two_pi_i)
 
@@ -401,11 +433,12 @@ def test_closed_form_matches_quadrature(annulus):
     for h in levels:
         i0, i1, i2, d0, d2 = (float(v) for v in closed_form(h, annulus))
         pv = period_vector(h, annulus)
+        q0, q2 = oval_integrals([(0, -1), (2, -1)], [h], annulus)[:, 0]
         assert i0 == pytest.approx(pv.i0, rel=1e-12, abs=0.0)
         assert i1 == pytest.approx(pv.i1, rel=1e-12, abs=1e-13)
         assert i2 == pytest.approx(pv.i2, rel=1e-12, abs=0.0)
-        assert d0 == pytest.approx(oval_integral_dh(0, h, annulus), rel=1e-12, abs=0.0)
-        assert d2 == pytest.approx(oval_integral_dh(2, h, annulus), rel=1e-12, abs=0.0)
+        assert d0 == pytest.approx(q0, rel=1e-12, abs=0.0)
+        assert d2 == pytest.approx(q2, rel=1e-12, abs=0.0)
 
 
 def test_closed_form_is_vectorized_and_real_on_real_levels():
@@ -422,10 +455,10 @@ def test_closed_form_is_vectorized_and_real_on_real_levels():
 def test_closed_form_matches_continuation(annulus):
     # complex levels in both half planes, reached by transport along
     # straight paths from the base point
-    for h in (0.5 + 2j, -3.0 + 0.5j, -0.1 - 0.3j, 4.0 - 6j):
-        if annulus is not Annulus.EXTERIOR and h.real > 0:
-            h = -h.conjugate()
-        pv = continue_complex(h, annulus=annulus)
+    hs = [-h.conjugate() if annulus is not Annulus.EXTERIOR and h.real > 0 else h
+          for h in (0.5 + 2j, -3.0 + 0.5j, -0.1 - 0.3j, 4.0 - 6j)]
+    ends = continue_paths([[BASE_POINTS[annulus], h] for h in hs], [annulus] * len(hs))
+    for h, pv in zip(hs, ends):
         i0, i1, i2, d0, d2 = closed_form(h, annulus)
         e0, e2 = derivative_pair(h, pv.i0, pv.i2)
         for got, ref in ((i0, pv.i0), (i1, pv.i1), (i2, pv.i2), (d0, e0), (d2, e2)):
@@ -480,12 +513,13 @@ def test_real_table_matches_quadrature_inside_clearance(annulus, offsets):
 
 
 def test_real_table_rejects_outside_range():
-    table = RealPeriodTable(Annulus.EXTERIOR)
-    assert table.h_max == 12.0
-    with pytest.raises(DomainError):
-        table.values(13.0)
-    with pytest.raises(DomainError):
-        table.values(0.0)
+    # the exterior table covers the whole ray h > 1e-7, an interior one its lobe
+    # up to 1e-7 from both singular levels
+    assert RealPeriodTable(Annulus.EXTERIOR).h_max == math.inf
+    for annulus, h in ((Annulus.EXTERIOR, 0.0), (Annulus.INTERIOR_RIGHT, -0.25),
+                       (Annulus.INTERIOR_RIGHT, 0.0)):
+        with pytest.raises(DomainError):
+            RealPeriodTable(annulus).values(h)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,20 @@ def test_extra_param_key_rejected(capsys, tmp_path):
     assert cli.main(["coeffs", "--params", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text,argv", [
+    ('{"lambda1": 5}', ["coeffs"]),
+    ('{"gamma1": [0, 0, 0, null, 0, 0, 0, 0, 0, 0]}', ["coeffs"]),
+    ('{"lambda1": [NaN, 0, 0, 0, 0, 0, 0, 0, 0, 0]}', ["zeros"]),
+    ('{"gamma2": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1e999]}', ["eval", "--h", "-0.1"]),
+], ids=["bare-number", "null", "nan", "overflow"])
+def test_malformed_param_file_is_a_usage_error(capsys, tmp_path, text, argv):
+    # json reads each file; none holds arrays of ten finite numbers
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert cli.main(argv + ["--params", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_oracle_needs_parameters(capsys):
     assert cli.main(["oracle", "--h", "-0.125"]) == 2
 
@@ -504,7 +518,7 @@ _FOOTPRINT = """
 import contextlib, io, json, sys
 from duffing_melnikov import Annulus, PerturbationParams, abelian, cli, oracle
 
-seen = {"i0": abs(abelian.continue_complex(0.5 + 0.3j).i0)}
+seen = {"i0": abs(abelian.continue_paths([[1.0, 0.5 + 0.3j]], [Annulus.EXTERIOR])[0].i0)}
 params = PerturbationParams((0.5,) * 10, (-0.25,) * 10, (0.0,) * 10, (0.0,) * 10)
 seen["d"] = oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d
 with contextlib.redirect_stdout(io.StringIO()):

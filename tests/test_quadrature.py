@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from duffing_melnikov import quadrature
 from duffing_melnikov.geometry import Annulus, branch_points
 from duffing_melnikov.quadrature import (
     AccuracyError,
-    QuadratureSpec,
     _PINCH_SPLIT_H,
     _oval_rows,
     integrate_endpoint_sqrt,
@@ -65,27 +65,27 @@ def test_smooth_polynomial_exactness(coeffs):
 # with the interval or segment its error message must name
 UNRESOLVED = {
     "integrate_endpoint_sqrt": (
-        lambda spec: integrate_endpoint_sqrt(
-            lambda x, t: np.sqrt(t) * np.cos(377.0 * x), 0.0, 1.0, spec),
+        lambda: integrate_endpoint_sqrt(lambda x, t: np.sqrt(t) * np.cos(377.0 * x), 0.0, 1.0),
         "on [0.0, 1.0]"),
     "integrate_smooth": (
-        lambda spec: integrate_smooth(lambda x: np.cos(377.0 * x), 0.0, 1.0, spec),
+        lambda: integrate_smooth(lambda x: np.cos(377.0 * x), 0.0, 1.0),
         "on [0.0, 1.0]"),
     "integrate_path": (
-        lambda spec: integrate_path(lambda z: np.cos(377.0 * z), [0.0, 1.0j], spec),
+        lambda: integrate_path(lambda z: np.cos(377.0 * z), [0.0, 1.0j]),
         "on segment 0j -> 1j"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNRESOLVED))
-def test_failure_carries_best_value(name):
+def test_failure_carries_best_value(name, monkeypatch):
     integrate, where = UNRESOLVED[name]
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_nodes=32)
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 32)
     with pytest.raises(AccuracyError) as info:
-        integrate(spec)
+        integrate()
     assert info.value.value is not None
     assert info.value.err_est > 0.0
     assert where in str(info.value)
+    assert "no convergence with 32 nodes" in str(info.value)
 
 
 def test_invalid_interval_rejected():

@@ -197,6 +197,15 @@ def test_certificate_stable_under_contour_changes():
     assert small.real_roots == ()
 
 
+def test_real_scan_reaches_the_rim_of_a_large_contour():
+    # (h - 20) I_0 has its one zero at h = 20: on R = 40 the real scan must
+    # reach past it, as the winding does, whatever the default radius
+    cert = zeros._certify_block([_form(Annulus.EXTERIOR, (-20.0, 1.0))], 40.0, 1e-3, 1e-3)[0]
+    assert cert.winding == 1
+    assert cert.real_roots == ((20.0, 1e-12),)
+    assert cert.status is Status.WITHIN_BOUND
+
+
 def test_certify_zero_params_is_degenerate():
     cert = certify(PerturbationParams.zero(), 1, Annulus.INTERIOR_RIGHT)
     assert cert.status is Status.DEGENERATE
