@@ -179,6 +179,7 @@ def i1_slope(annulus: Annulus) -> float:
 
     Measured once at the base point; positive on the right lobe, negated on
     the left, zero on the exterior annulus (odd moments vanish by symmetry).
+    Exactly pi/(2 sqrt 2) on the right lobe: I_1 = int y d(x^2), a half-ellipse.
     """
     if annulus is Annulus.EXTERIOR:
         return 0.0

@@ -20,20 +20,21 @@ samples, and the real scan of the physical interval, its grid, the 9-point
 window around each grid point and the periods at all of those levels.
 
 Forms are certified in blocks: bound_census certifies all its draws as one
-block, and certify, winding_count, circle_argument and real_zeros are
-blocks of one.  Per block, the counting functions of all forms are
-evaluated in one broadcast pass at every cached keyhole sample and scan grid
-level, then at the cached window levels each form's scan picks, one
-coefficient row per form, in numpy's polyval operation order.  Phase
-refinement then runs in lock-step, with one period evaluation per round for
-the bisection midpoints of every form; and every sign change of the block
-is polished at once by a lock-step copy of scipy's brentq iteration, with
-one period evaluation per step.  Those midpoints and steps are the only
-periods evaluated per block.  Each value
-is computed point by point and form by form, so a value read from the
-table or computed in a block is the same float a single evaluation
-returns, and a certificate depends neither on the table nor on the rest of
-its block.  The table's arrays are read-only.
+block, and certify and winding_count are blocks of one; circle_argument
+runs the phase refinement, and real_zeros the real scan, on one function.
+Per block, the counting functions of all forms are evaluated in one
+broadcast pass at every cached keyhole sample and scan grid level, then at
+the cached window levels each form's scan picks, one coefficient row per
+form, in numpy's polyval operation order.  Phase refinement then runs in
+lock-step, with one period evaluation per round for the bisection midpoints
+of every form; and every sign change of the block is polished at once by a
+lock-step copy of scipy's brentq iteration, with one period evaluation per
+step.  Those midpoints and steps are the only periods evaluated per block.
+Each certificate is then built once, with its final status.  Each value is
+computed point by point and form by form, so a value read from the table or
+computed in a block is the same float a single evaluation returns, and a
+certificate depends neither on the table nor on the rest of its block.  The
+table's arrays are read-only.
 
 Counting normalizations.  Interior forms are counted as they stand.  On the
 exterior annulus the first-order form is divided by I_0 and the second-order
@@ -51,10 +52,9 @@ forced zero.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -178,11 +178,11 @@ class ContourTable:
     to its level h on the polyline and evaluates the closed-form periods
     there, point by point.  init_values caches values_at(s_init), the
     periods at the initial loop samples.  scan, built by the first
-    certification that scans, holds the real scan of the physical interval
-    clipped to the contour: its levels as _scan_levels gives them and
-    (I_0, I_1, I_2) there.  Every cached value is the float a per-draw
-    evaluation would return, and every cached array is read-only: every
-    later draw reads them.
+    certification, holds the real scan of the physical interval clipped to
+    the contour: its levels as _scan_levels gives them and (I_0, I_1, I_2)
+    there.  Every cached value is the float a per-draw evaluation would
+    return, and every cached array is read-only: every later draw reads
+    them.
     """
 
     annulus: Annulus
@@ -192,7 +192,7 @@ class ContourTable:
     vertices: np.ndarray  # closed loop, first == last
     s_circle: tuple       # parameter sub-range of the big-circle portion
     s_init: np.ndarray    # initial sample parameters over the whole loop
-    init_values: tuple = dataclasses.field(init=False)  # (h, I_0, I_1, I_2) at s_init
+    init_values: tuple = field(init=False)  # (h, I_0, I_1, I_2) at s_init
 
     def __post_init__(self):
         self.init_values = tuple(_read_only(x) for x in self.values_at(self.s_init))
@@ -326,17 +326,10 @@ def _counting_rows(coeffs, exterior: bool, h, i0, i1, i2):
     return v
 
 
-def _degenerate_error(scale: float, n_samples: int) -> DegenerateFormError:
-    return DegenerateFormError(
-        f"counting function is identically zero on the contour "
-        f"(max |value| {scale:.3g} over {n_samples} samples)")
-
-
 @dataclass(frozen=True)
 class _Phases:
     """Per-form outcome of a lock-step phase refinement, arrays over the block."""
 
-    scale: np.ndarray       # max |counting value| on the initial samples
     degenerate: np.ndarray  # numerically zero counting functions, not refined
     converged: np.ndarray
     total: np.ndarray       # sum of the phase steps over the refined samples
@@ -408,56 +401,8 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
             peak[d] = np.max(np.abs(vd))
     with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
         closure = np.abs(v[:, -1] - v[:, 0]) / peak
-    return _Phases(scale=scale, degenerate=degenerate, converged=converged,
-                   total=total, closure=closure, n_samples=n_samples)
-
-
-def _winding_block(forms, coeffs: tuple, ct: ContourTable) -> list:
-    """Keyhole winding certificates of equal-shaped forms on the contour of ct.
-
-    A numerically zero counting function gets its DegenerateFormError in
-    place of a certificate.  real_roots are left empty.
-    """
-    order, annulus = forms[0].order, ct.annulus
-    ph = _phase_block(ct, coeffs, ct.s_init, ct.init_values)
-    bound = BOUNDS[(order, annulus)]
-    contour = (ct.R, ct.eta, ct.rho)
-    out = []
-    for degenerate, scale, converged, total, closure, n_samples in zip(
-            ph.degenerate.tolist(), ph.scale.tolist(), ph.converged.tolist(),
-            ph.total.tolist(), ph.closure.tolist(), ph.n_samples.tolist()):
-        if degenerate:
-            out.append(_degenerate_error(scale, n_samples))
-            continue
-        raw = total / (2.0 * math.pi)
-        winding = int(round(raw))
-        defect = abs(raw - winding)
-        if not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL \
-                or winding < 0:
-            status = Status.INCONCLUSIVE
-        elif winding <= bound:
-            status = Status.WITHIN_BOUND
-        else:
-            status = Status.BOUND_VIOLATED
-        out.append(ZeroCertificate(annulus=annulus, order=order, real_roots=(),
-                                   suspect_roots=(), winding=winding, bound=bound,
-                                   contour=contour, status=status, phase_defect=defect,
-                                   closure_error=closure, n_samples=n_samples))
-    return out
-
-
-def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
-                  rho: float = 1e-3) -> ZeroCertificate:
-    """Argument-principle zero count of a form over the keyhole boundary.
-
-    The certificate's real_roots field is left empty here; certify fills it.
-    Raises DegenerateFormError for a numerically zero counting function.
-    """
-    (cert,) = _winding_block([form], _coeff_rows([form]),
-                             contour_table(form.annulus, R, eta, rho))
-    if isinstance(cert, DegenerateFormError):
-        raise cert
-    return cert
+    return _Phases(degenerate=degenerate, converged=converged, total=total,
+                   closure=closure, n_samples=n_samples)
 
 
 def circle_argument(form: MelnikovForm) -> float:
@@ -473,10 +418,8 @@ def circle_argument(form: MelnikovForm) -> float:
     on_circle = (ct.s_init >= lo) & (ct.s_init <= hi)
     ph = _phase_block(ct, _coeff_rows([form]), ct.s_init[on_circle],
                       tuple(x[on_circle] for x in ct.init_values))
-    if ph.degenerate[0]:
-        raise _degenerate_error(float(ph.scale[0]), int(ph.n_samples[0]))
-    if not ph.converged[0]:
-        raise DegenerateFormError("phase refinement failed on the circle")
+    if not ph.converged[0]:  # a numerically zero form is never refined, so never converges
+        raise DegenerateFormError("counting function zero, or its refinement failed, on the circle")
     return float(ph.total[0])
 
 
@@ -656,15 +599,6 @@ def _real_table(annulus: Annulus) -> RealPeriodTable:
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_certificate(form: MelnikovForm, ct: ContourTable) -> ZeroCertificate:
-    return ZeroCertificate(annulus=form.annulus, order=form.order,
-                           real_roots=(), suspect_roots=(), winding=0,
-                           bound=BOUNDS[(form.order, form.annulus)],
-                           contour=(ct.R, ct.eta, ct.rho),
-                           status=Status.DEGENERATE, phase_defect=0.0,
-                           closure_error=0.0, n_samples=0)
-
-
 def _scan_interval(annulus: Annulus, R: float, rho: float) -> tuple:
     """The physical real interval clipped to D_R, offset from the critical
     levels and the puncture."""
@@ -680,44 +614,61 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     The counting functions of all forms are evaluated in broadcast passes
     at the keyhole samples and real-scan levels of the contour's table, the
     latter only where the scan reads; phase refinement, the real scan and
-    root polishing then run in lock-step over the block.  Each certificate
-    is the one the form gets alone.
+    root polishing then run in lock-step over the block.  A numerically zero
+    counting function gets a degenerate certificate and no scan.  Each
+    certificate is the one the form gets alone.
     """
     if not forms:
         return []
-    ct = contour_table(forms[0].annulus, R, eta, rho)
+    order, annulus = forms[0].order, forms[0].annulus
+    ct = contour_table(annulus, R, eta, rho)
     coeffs = _coeff_rows(forms)
-    windings = _winding_block(forms, coeffs, ct)
-    live = [k for k, c in enumerate(windings) if isinstance(c, ZeroCertificate)]
-    scans = {}
-    if live:
-        levels, periods = ct.scan
-        points = levels[0]
-        coeffs = tuple(c[live] for c in coeffs)
-        exterior = ct.annulus is Annulus.EXTERIOR
-        table = _real_table(ct.annulus)
+    ph = _phase_block(ct, coeffs, ct.s_init, ct.init_values)
+    live = np.flatnonzero(~ph.degenerate)
+    levels, periods = ct.scan
+    points = levels[0]
+    coeffs = tuple(c[live] for c in coeffs)
+    exterior = annulus is Annulus.EXTERIOR
+    table = _real_table(annulus)
 
-        def polish(x, r):
-            # root polishing evaluates the periods afresh at its steps
-            rows = tuple(c[r] for c in coeffs)
-            return np.real(_counting_rows(rows, exterior, x, *table.values(x)))
+    def polish(x, r):
+        # root polishing evaluates the periods afresh at its steps
+        rows = tuple(c[r] for c in coeffs)
+        return np.real(_counting_rows(rows, exterior, x, *table.values(x)))
 
-        def at_levels(r, i):
-            return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],
-                                          *(p[i] for p in periods)))
+    def at_levels(r, i):
+        return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],
+                                      *(p[i] for p in periods)))
 
-        scans = dict(zip(live, _scan_block(len(live), levels, at_levels, polish)))
+    scans = iter(_scan_block(live.size, levels, at_levels, polish))
+    bound = BOUNDS[(order, annulus)]
+    contour = (ct.R, ct.eta, ct.rho)
     certs = []
-    for k, (form, cert) in enumerate(zip(forms, windings)):
-        if k not in scans:
-            certs.append(_degenerate_certificate(form, ct))
+    for degenerate, converged, total, closure, n_samples in zip(
+            ph.degenerate.tolist(), ph.converged.tolist(), ph.total.tolist(),
+            ph.closure.tolist(), ph.n_samples.tolist()):
+        if degenerate:
+            certs.append(ZeroCertificate(annulus=annulus, order=order, real_roots=(),
+                                         suspect_roots=(), winding=0, bound=bound,
+                                         contour=contour, status=Status.DEGENERATE,
+                                         phase_defect=0.0, closure_error=0.0, n_samples=0))
             continue
-        roots, suspects = scans[k]
-        status = cert.status
-        if status is Status.WITHIN_BOUND and len(roots) > cert.winding:
+        roots, suspects = next(scans)
+        raw = total / (2.0 * math.pi)
+        winding = int(round(raw))
+        defect = abs(raw - winding)
+        if not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL \
+                or winding < 0:
             status = Status.INCONCLUSIVE
-        certs.append(dataclasses.replace(cert, real_roots=tuple(roots),
-                                         suspect_roots=tuple(suspects), status=status))
+        elif winding <= bound:
+            status = Status.WITHIN_BOUND if len(roots) <= winding else Status.INCONCLUSIVE
+        else:
+            status = Status.BOUND_VIOLATED
+        certs.append(ZeroCertificate(annulus=annulus, order=order, real_roots=tuple(roots),
+                                     suspect_roots=tuple(suspects), winding=winding,
+                                     bound=bound, contour=contour, status=status,
+                                     phase_defect=defect, closure_error=closure,
+                                     n_samples=n_samples))
     return certs
 
 
@@ -732,6 +683,19 @@ def certify(params: PerturbationParams, order: int, annulus: Annulus,
     every draw the certificate certify gives it.
     """
     return _certify_block([_form_of(params, order, annulus)], R, eta, rho)[0]
+
+
+def winding_count(form: MelnikovForm, R: float = 10.0, eta: float = 1e-3,
+                  rho: float = 1e-3) -> ZeroCertificate:
+    """Argument-principle zero count of a form over the keyhole boundary.
+
+    The form's certify certificate, real-root scan included.  Raises
+    DegenerateFormError for a numerically zero counting function.
+    """
+    cert = _certify_block([form], R, eta, rho)[0]
+    if cert.status is Status.DEGENERATE:
+        raise DegenerateFormError("counting function is identically zero on the contour")
+    return cert
 
 
 def bound_census(order: int, annulus: Annulus, n_draws: int = 200,

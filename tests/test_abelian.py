@@ -75,10 +75,14 @@ def test_interior_lobes_mirror():
 
 
 def test_first_moment_is_exactly_linear():
-    # On an interior lobe I_1(h) = c (4h + 1) with c = +-sqrt(2) pi / 4.
+    # On an interior lobe I_1(h) = c (4h + 1) with c = +-pi / (2 sqrt 2): with
+    # u = x^2, 2 int x y dx = int y du and y^2 = ((4h + 1) - (u - 1)^2) / 2, a
+    # half-ellipse over u in [1 - s, 1 + s], s = sqrt(4h + 1), of area
+    # pi s^2 / (2 sqrt 2).  The measured slope is that constant to rounding.
     slope = i1_slope(Annulus.INTERIOR_RIGHT)
-    assert slope == pytest.approx(math.sqrt(2.0) * math.pi / 4.0, rel=1e-11)
-    assert i1_slope(Annulus.INTERIOR_LEFT) == pytest.approx(-slope, rel=1e-11)
+    exact = math.pi / (2.0 * math.sqrt(2.0))
+    assert slope == pytest.approx(exact, rel=1e-14)
+    assert i1_slope(Annulus.INTERIOR_LEFT) == pytest.approx(-exact, rel=1e-14)
     for h in INTERIOR_LEVELS:
         i1 = oval_integral(1, h, Annulus.INTERIOR_RIGHT)
         assert i1 == pytest.approx(slope * (4.0 * h + 1.0), rel=1e-11, abs=1e-13)

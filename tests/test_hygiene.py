@@ -17,8 +17,10 @@ No module in src/ imports scipy.integrate or scipy.optimize, at module level
 or inside a function, outside the two reference routes listed in ODE_EXEMPT.
 
 Every name the benchmark binds resolves: bench/tracing.py wraps its TARGETS
-by name, and the workloads call a few private functions directly.  The
-benchmark's own smoke test lives under bench/, outside the tier-1 suite.
+by name, and the workloads call a few private functions directly.  Its hooks
+read: with the tracer installed, one call of each package function it counts
+gives every one of that layer's counters a nonzero reading.  The benchmark's
+own smoke test lives under bench/, outside the tier-1 suite.
 """
 
 import ast
@@ -257,3 +259,48 @@ def test_every_name_the_benchmark_binds_resolves(monkeypatch):
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_the_benchmark_tracer_hooks_read_what_they_count(monkeypatch):
+    # the hooks read arguments (f, s, h, fn, n_scan) and result fields
+    # (n_samples, annulus, contour, solutions, s_init) of the functions they wrap
+    import numpy as np
+
+    from duffing_melnikov import abelian, quadrature, zeros
+    from duffing_melnikov.geometry import Annulus
+    from duffing_melnikov.melnikov import MelnikovForm, PerturbationParams
+
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    importlib.import_module(f"{tracing.PACKAGE}.cli")  # install patches every module it binds
+    exterior = Annulus.EXTERIOR
+    lam, gam = [0.0] * 10, [0.0] * 10
+    lam[1], gam[6] = -2.0, 1.0  # M1 = I_2 - 2 I_0, with one real zero near h = 9.1
+    params = PerturbationParams(tuple(lam), tuple(gam), (0.0,) * 10, (0.0,) * 10)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # the zero at h = -10 sits on the circle, so refinement adds samples
+        zeros.winding_count(MelnikovForm(1, Annulus.INTERIOR_RIGHT, (10.0, 1.0), (), ()))
+        ((root, _),) = zeros.certify(params, 1, exterior).real_roots
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zeros.certify(params, 1, exterior, R=root)  # the same on a circle through the root
+        zeros.real_zeros(lambda h: h - 0.3, (0.0, 1.0))
+        quadrature.integrate_endpoint_sqrt(lambda x, t: np.sqrt(t), 0.0, 1.0)
+        quadrature.integrate_smooth(np.cos, 0.0, 1.0)
+        quadrature.integrate_path(np.exp, [0.0, 1.0j])
+        abelian.transport_table([0.5, 0.5 + 0.2j], exterior).values_at([0.0, 0.5])
+        abelian.RealPeriodTable(exterior).values([0.5, 1.0])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    layers = ("quadrature.integrate_endpoint_sqrt", "quadrature.integrate_smooth",
+              "quadrature.integrate_path", "abelian.transport_table",
+              "abelian.PathTable.values_at", "abelian.RealPeriodTable.values",
+              "zeros.contour_table", "zeros.winding_count", "zeros.certify", "zeros.real_zeros")
+    counted = {t.layer: ("calls",) + t.counters for t in tracing.TARGETS if t.layer in layers}
+    assert sorted(counted) == sorted(layers)
+    assert [f"{layer}.{key}" for layer, keys in counted.items() for key in keys
+            if not metrics[f"{layer}.{key}"] > 0] == []

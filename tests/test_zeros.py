@@ -165,6 +165,8 @@ def test_zero_on_the_contour_is_inconclusive(annulus, zero, n_samples):
 def test_degenerate_form_raises():
     with pytest.raises(DegenerateFormError):
         winding_count(_form(Annulus.EXTERIOR, (0.0,)))
+    with pytest.raises(DegenerateFormError):
+        circle_argument(_form(Annulus.INTERIOR_RIGHT, (0.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +332,53 @@ def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     assert s1 == s2
+
+
+def _fibonacci_sphere(n):
+    """n nearly uniform unit vectors in R^3, the Fibonacci lattice on S^2."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    r, phi = np.sqrt(1.0 - z * z), math.pi * (3.0 - math.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def test_exterior_order1_class_over_its_whole_sphere():
+    # every exterior order-1 form is (a + b h) I_0 + c I_2 up to scale, so
+    # directions on S^2 cover the class, not only the census draws: its
+    # windings run up to 3 (the span's dimension), and never further
+    forms = [_form(Annulus.EXTERIOR, (a, b), (), (c,))
+             for a, b, c in _fibonacci_sphere(2000).tolist()]
+    certs = zeros._certify_block(forms, 10.0, 1e-3, 1e-3)
+    assert max(c.winding for c in certs) == 3
+    assert all(c.status in (Status.WITHIN_BOUND, Status.BOUND_VIOLATED) for c in certs)
+    assert all(c.status is Status.BOUND_VIOLATED for c in certs if c.winding == 3)
+
+
+def test_interior_right_order1_class_over_its_whole_sphere():
+    # (a + b h) I_0 + c I_1 + d I_2 over directions of its 4-dimensional span
+    g = np.random.default_rng(0).standard_normal((1000, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    forms = [_form(Annulus.INTERIOR_RIGHT, (a, b), (c,), (d,)) for a, b, c, d in g.tolist()]
+    certs = zeros._certify_block(forms, 10.0, 1e-3, 1e-3)
+    assert max(c.winding for c in certs) == 3
+    assert all(c.status is Status.WITHIN_BOUND for c in certs)
+
+
+def test_three_real_exterior_roots_straddle_h_star():
+    # the exterior order-1 span is Chebyshev on each side of h* in
+    # [0.4229, 0.4242] (test_abelian), so at most two roots lie on each side,
+    # and a draw with three real roots has roots on both sides
+    found = []
+    for seed in range(32):
+        certs, _ = bound_census(1, Annulus.EXTERIOR, 10, seed=seed)
+        for draw, cert in enumerate(certs):
+            roots = [r for r, _ in cert.real_roots]
+            if len(roots) == 3:
+                found.append((seed, draw))
+                below = sum(r < 0.4229 for r in roots)
+                above = sum(r > 0.4242 for r in roots)
+                assert 1 <= below <= 2 and 1 <= above <= 2, roots
+    assert found == [(20, 1), (30, 2)]
 
 
 # ---------------------------------------------------------------------------
