@@ -39,8 +39,8 @@ real first vertices, each path a lane of one lock-step DOP853, to check the
 closed form; transport_table is the dense solve_ivp route tests compare with.
 continue_paths needs no part of scipy.integrate (see _dop853), and
 transport_table, the reference route, is the one function of the package
-that imports scipy's solve_ivp; both import their engine when they are
-called, so importing this module loads scipy.special alone.
+that imports scipy's solve_ivp.  They and closed_form (scipy.special) import
+their engines when called, so importing this module loads no part of scipy.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import elliprd, elliprf
 
 from .geometry import Annulus, DomainError
 from .quadrature import _oval_rows
@@ -219,6 +218,8 @@ def closed_form(h, annulus: Annulus):
     values on the annulus's own cut plane; I_1 is the exact linear form.
     Real levels inside the annulus give real arrays.
     """
+    from scipy.special import elliprd, elliprf
+
     h = np.asarray(h)
     s = np.sqrt(1.0 + 4.0 * h)
     a, b = 1.0 + s, 1.0 - s

@@ -11,7 +11,8 @@ substitution
 turns (x-a)(b-x) into ((b-a)/2 * cos(theta))**2 exactly, so both kinds of
 endpoint behavior become analytic in theta and Gauss-Legendre converges
 spectrally.  Node counts are doubled from 16 up to _MAX_NODES = 4096 until the
-last two estimates differ by at most max(_ABS_TOL, _REL_TOL |value|).
+last two estimates differ by at most max(_ABS_TOL, _REL_TOL |value|), on rules
+of this module's own (_gl_rule), so quadrature loads no part of scipy.
 
 One loop, _doubling, doubles the nodes over rows: each row stops at its own
 node count and only running rows are evaluated again.  The integrators below
@@ -32,7 +33,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .geometry import Annulus, branch_points
 
@@ -60,7 +60,27 @@ class AccuracyError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return roots_legendre(n)
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton on the three-term recurrence from Tricomi's guesses, as sines so
+    that the middle one at odd n is exactly 0, finds the roots x >= 0.  Each
+    weight 2 / ((1 - x^2) P_n'(x)^2) is corrected to first order for the last
+    residual P_n(x), so a node's rounding next to +-1 does not reach it.
+    """
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.sin(np.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
+    while True:
+        p0, p1 = np.ones_like(x), x  # P_{j-1}(x), P_j(x)
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        one_x2 = (1.0 - x) * (1.0 + x)
+        dp = n * (p0 - x * p1) / one_x2
+        dx = p1 / dp
+        if np.abs(dx).max() <= 1e-14:
+            break
+        x = x - dx
+    w = 2.0 / (dp * (one_x2 * dp - 2.0 * x * p1))
+    x, odd = x - dx, n % 2  # at odd n the last root is the middle node
+    return np.concatenate([-x, x[::-1][odd:]]), np.concatenate([w, w[::-1][odd:]])
 
 
 def _doubling(rule, rows: int, where):
@@ -208,12 +228,14 @@ def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
                 x, t = mid + rad * sin_t, (rad * jac) ** 2  # the endpoint substitution
                 sigma = (0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR
                          else 0.5 * (x + lo) * (x + hi))
-                # On each outer piece only one endpoint is a branch point; recover its
-                # stable distance factor from the sub-interval product t (the other
-                # factor of t is O(1) there, so the division is benign).
+                # On each outer piece only one endpoint is a branch point.  On the half
+                # next to it, its distance is t over the other factor of t, which is O(1)
+                # there; on the half next to the cut that factor shrinks and the division
+                # would lose digits, so the distance is taken directly.
                 y = np.sqrt(t * sigma if kind == "whole"
-                            else (t / (-cut - x)) * (hi - x) * sigma if kind == "left"
-                            else (x - lo) * (t / (x - cut)) * sigma)
+                            else np.where(sin_t < 0.0, t / (-cut - x), x - lo) * (hi - x) * sigma
+                            if kind == "left"
+                            else (x - lo) * np.where(sin_t > 0.0, t / (x - cut), hi - x) * sigma)
             y = np.maximum(y, 1e-300)
             out, by_term = [], {}
             for r in live:

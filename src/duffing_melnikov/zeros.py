@@ -397,7 +397,9 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
             mine = rows == d
             vd = np.concatenate([v[d], vm[mine]])
             vd = vd[np.argsort(np.concatenate([s, mid[mine]]), kind="stable")]
-            total[d] = np.sum(np.angle(vd[1:] / vd[:-1]))
+            # a sample exactly 0 (a zero on the contour) divides by 0; its row never converges
+            with np.errstate(divide="ignore", invalid="ignore"):
+                total[d] = np.sum(np.angle(vd[1:] / vd[:-1]))
             peak[d] = np.max(np.abs(vd))
     with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
         closure = np.abs(v[:, -1] - v[:, 0]) / peak

@@ -399,6 +399,18 @@ def test_zeros_single_certificate(capsys, tmp_path):
     assert "real roots: 9.1" in out
 
 
+def test_zero_on_the_contour_is_inconclusive_without_a_warning(capsys, tmp_path):
+    # R is the crafted form's real root, so a refined sample is exactly 0 and the
+    # phase sum once divided by it with a RuntimeWarning
+    path = _write_params(tmp_path / "p.json", _crafted())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["zeros", "--params", path, "--annulus", "exterior", "--order", "1",
+                         "--contour", "9.103104841501189,1e-3,1e-3"])
+    assert code == 3
+    assert "status=inconclusive" in capsys.readouterr().out
+
+
 def test_zeros_census_is_byte_identical(capsys, tmp_path):
     # the first pass builds every cached table and period value, the second
     # reads them: the cache must not change a byte of the output
@@ -512,37 +524,57 @@ def test_coeffs_output_matches_the_byte_pin(capsys, tmp_path):
 # import footprint
 # ---------------------------------------------------------------------------
 
-# Run in a fresh interpreter: a transport, a flow and the commands, then the
-# scipy.integrate and scipy.optimize modules loaded.
+# Run in a fresh interpreter: the integrating calls and commands, then those
+# that evaluate the closed form, with the module count and the scipy
+# subpackages loaded after each group.
 _FOOTPRINT = """
 import contextlib, io, json, sys
-from duffing_melnikov import Annulus, PerturbationParams, abelian, cli, oracle
+from duffing_melnikov import Annulus, PerturbationParams, abelian, cli, melnikov, oracle
 
-seen = {"i0": abs(abelian.continue_paths([[1.0, 0.5 + 0.3j]], [Annulus.EXTERIOR])[0].i0)}
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+def loaded():
+    return [len(sys.modules), [m for m in ("scipy.integrate", "scipy.optimize",
+                                           "scipy.special", "scipy.linalg") if m in sys.modules]]
+
 params = PerturbationParams((0.5,) * 10, (-0.25,) * 10, (0.0,) * 10, (0.0,) * 10)
-seen["d"] = oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d
-with contextlib.redirect_stdout(io.StringIO()):
-    seen["codes"] = [cli.main(["coeffs", "--seed", "1"]), cli.main(["zeros", "--draws", "2"]),
-                     cli.main(["eval", "--seed", "1", "--h", "0.5", "--annulus", "exterior"]),
-                     cli.main(["verify"]),
-                     cli.main(["oracle", "--seed", "3", "--annulus", "exterior", "--h", "1.0"])]
-seen["loaded"] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+with open(sys.argv[1], "w") as fh:
+    fh.write(params.to_json())
+seen = {"i0": abs(abelian.continue_paths([[1.0, 0.5 + 0.3j]], [Annulus.EXTERIOR])[0].i0),
+        "pv": abelian.period_vector(0.5, Annulus.EXTERIOR).i0.real,
+        "m1": melnikov.m1_quadrature(params, 0.5, Annulus.EXTERIOR),
+        "d": oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d,
+        "codes": [run("oracle", "--params", sys.argv[1], "--annulus", "exterior", "--h", "1.0")]}
+seen["integrating"] = loaded()
+seen["codes"] += [run("coeffs", "--seed", "1"),
+                  run("eval", "--seed", "1", "--h", "0.5", "--annulus", "exterior")]
+seen["seeded"] = loaded()
+seen["codes"] += [run("zeros", "--draws", "2"), run("verify")]
+seen["closed_form"] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_integrating_loads_neither_scipy_integrate_nor_optimize():
-    # the DOP853 engine reads scipy's tableau file and polishes crossings with
+def test_integrating_loads_neither_scipy_integrate_nor_optimize(tmp_path):
+    # The DOP853 engine reads scipy's tableau file and polishes crossings with
     # zeros._brentq, so only abelian.transport_table, the solve_ivp reference
-    # route, loads scipy.integrate
+    # route, loads scipy.integrate.  The Gauss-Legendre rule is numpy's, so
+    # scipy.linalg is never loaded and scipy.special only by the closed form,
+    # which zeros and verify evaluate.  (--seed draws load numpy.random, 17
+    # more modules, so the counted oracle command reads its parameters.)
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "p.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["codes"] == [0, 0, 0, 0, 0]
-    assert seen["loaded"] == []
-    assert math.isfinite(seen["i0"]) and seen["i0"] > 0
-    assert math.isfinite(seen["d"]) and seen["d"] != 0.0
+    count, scipy_loaded = seen["integrating"]
+    assert scipy_loaded == [] and count <= 260
+    assert seen["seeded"][1] == []
+    assert seen["closed_form"][1] == ["scipy.special"]
+    assert all(math.isfinite(seen[k]) for k in ("i0", "pv", "m1", "d"))
+    assert seen["i0"] > 0 and seen["pv"] > 0 and seen["d"] != 0.0

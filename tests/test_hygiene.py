@@ -187,21 +187,23 @@ def test_every_private_name_is_read_by_the_program():
                            [p.read_text() for p in PROGRAM]) == []
 
 
-# Functions of src/ that may import scipy.integrate or scipy.optimize, each with
-# its reason; the DOP853 engine and the root polish need neither.
+# Functions of src/ that may import scipy.integrate, scipy.optimize,
+# scipy.special or scipy.linalg, each with its reason; the DOP853 engine, the
+# root polish and the Gauss-Legendre rule need none of them.
 ODE_EXEMPT = {
     "oracle.solve_ivp": "scipy's solve_ivp itself, with no caller in src/: kept only "
                         "because bench/tracing.py binds it by name",
     "abelian.transport_table": "the dense solve_ivp transport that the tests compare "
                                "continue_paths with",
+    "abelian.closed_form": "Carlson's R_F and R_D, the one use of scipy.special",
 }
 
-_ODE_MODULES = ("scipy.integrate", "scipy.optimize")
+_ODE_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg")
 
 
 def ode_imports(source: str) -> list[tuple[str, str]]:
     """(enclosing def, imported name) for each import, at module level or in a
-    function, of scipy.integrate, scipy.optimize or anything inside them."""
+    function, of one of _ODE_MODULES or anything inside them."""
     found = []
 
     def visit(node, scope):
@@ -228,6 +230,8 @@ def test_scan_finds_an_ode_import():
               "class C:\n    def g(self):\n        import scipy.optimize as so\n")
     assert ode_imports(source) == [("<module>", "scipy.integrate"),
                                    ("<module>", "scipy.optimize"),
+                                   ("<module>", "scipy.special"),
+                                   ("<module>", "scipy.special.elliprf"),
                                    ("f", "scipy.integrate._ivp.rk"),
                                    ("C.g", "scipy.optimize")]
 

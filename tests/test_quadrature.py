@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from duffing_melnikov import quadrature
 from duffing_melnikov.geometry import Annulus, branch_points
@@ -20,6 +21,71 @@ from duffing_melnikov.quadrature import (
 
 INTERVALS = st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 4.0)).map(
     lambda ab: (ab[0], ab[0] + ab[1]))
+
+# the node counts of the doubling loop: 16, 32, ..., _MAX_NODES
+LOOP_SIZES = [16 << k for k in range((quadrature._MAX_NODES // 16).bit_length())]
+
+
+def _legendre(n, x):
+    """P_{n-1}(x) and P_n(x) by the three-term recurrence, in the arithmetic of x."""
+    p0, p1 = 1, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p0, p1
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_gl_rule_is_at_least_as_accurate_as_scipy(n):
+    # Reference: each float node x >= 0 refined by Newton at 40 digits, and
+    # its weight 2 / ((1 - x^2) P_n'(x)^2) there.
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = quadrature._gl_rule(n)
+    half = nodes >= 0.0
+    roots, exact = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, nodes[half]):
+            for _ in range(3):
+                p0, p1 = _legendre(n, x)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                x -= p1 / dp
+            roots.append(x)
+            exact.append(2 / ((1 - x * x) * dp * dp))
+
+        def errors(rule):
+            return (max(abs(float(x - r)) for x, r in zip(rule[0][half], roots)),
+                    max(abs(float(w / e - 1)) for w, e in zip(rule[1][half], exact)))
+
+        node_err, weight_err = errors((nodes, weights))
+        scipy_node_err, scipy_weight_err = errors(roots_legendre(n))
+    assert node_err <= scipy_node_err and node_err <= 1.2e-16
+    assert weight_err <= scipy_weight_err and weight_err <= 1e-12
+
+
+def test_gl_rule_matches_scipy():
+    # Every n of the doubling loop, and every n from 16 to 160, across the
+    # n = 150 where scipy changes algorithm (every n up to 4096 would take
+    # minutes).  Nodes agree to 2.5e-16.  Weight by weight, scipy's own error
+    # reaches 2e-7 relative next to +-1 at n = 4096 (against 7e-12 here), so
+    # the weights are compared by the largest move of the rule's value of any
+    # |f| <= 1: sum |w - w_scipy| <= 2.5e-12 of the weight sum 2.
+    for n in sorted(set(range(16, 161)) | set(LOOP_SIZES)):
+        nodes, weights = quadrature._gl_rule(n)
+        scipy_nodes, scipy_weights = roots_legendre(n)
+        assert np.abs(nodes - scipy_nodes).max() <= 2.5e-16, n
+        assert np.abs(weights - scipy_weights).sum() <= 5e-12, n
+
+
+@pytest.mark.parametrize("n", LOOP_SIZES)
+def test_gl_rule_is_exact_to_degree_2n_minus_1(n):
+    nodes, weights = quadrature._gl_rule(n)
+    assert (np.diff(nodes) > 0.0).all()
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert weights.sum() == pytest.approx(2.0, abs=2e-15)
+    # every degree up to 2n - 1 for n <= 256, an odd stride of degrees above
+    degrees = np.unique(np.r_[0:2 * n:2 * (n // 512) + 1, 2 * n - 2, 2 * n - 1])
+    powers = nodes ** degrees[:, None]
+    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1), 0.0)
+    assert (np.abs(powers @ weights - exact) <= 1e-12 * (np.abs(powers) @ weights)).all()
 
 
 @given(ab=INTERVALS)
@@ -122,7 +188,12 @@ def test_path_needs_two_vertices():
 ])
 def test_oval_rule_y_is_the_upper_branch_on_every_piece(annulus, h):
     # A term that records the rule's (x, y) sees y^2 = 2h + x^2 - x^4/2 at every
-    # node of every round, on each piece the level is cut into.
+    # node of every round, on each piece the level is cut into, to 1e-14 of the
+    # terms' size 2|h| + x^2 + x^4/2.  Next to the cut, an outer piece of a
+    # pinched level must take its branch-point distance directly: as t over the
+    # vanishing other factor of t it would be 4e-12 off.  (Relative to y^2 itself no
+    # such bound holds next to a branch point, where the node's own rounding is
+    # a large part of its distance.)
     geom = branch_points(h, annulus)
     calls = []
 
@@ -136,7 +207,8 @@ def test_oval_rule_y_is_the_upper_branch_on_every_piece(annulus, h):
     kinds = set()
     for x, y in calls:
         assert (y > 0.0).all()
-        assert np.allclose(y * y, 2.0 * h + x * x - 0.5 * x ** 4, rtol=1e-10, atol=1e-14)
+        size = 2.0 * abs(h) + x * x + 0.5 * x ** 4
+        assert (np.abs(y * y - (2.0 * h + x * x - 0.5 * x ** 4)) <= 1e-14 * size).all()
         kinds.add(next((kind for kind, (lo, hi) in pieces.items()
                         if annulus is Annulus.EXTERIOR and lo <= x.min() and x.max() <= hi),
                        "whole"))
