@@ -38,9 +38,10 @@ entry point, transports it along polylines from quadrature values at their
 real first vertices, each path a lane of one lock-step DOP853, to check the
 closed form; transport_table is the dense solve_ivp route tests compare with.
 continue_paths needs no part of scipy.integrate (see _dop853), and
-transport_table, the reference route, is the one function of the package
-that imports scipy's solve_ivp.  They and closed_form (scipy.special) import
-their engines when called, so importing this module loads no part of scipy.
+transport_table, the reference route, is the one function of this module
+that imports scipy's solve_ivp (the package's other is oracle.solve_ivp, a
+wrapper with no caller).  They and closed_form (scipy.special) import their
+engines when called, so importing this module loads no part of scipy.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 

@@ -86,13 +86,6 @@ def _draw_count(text: str) -> int:
     return n
 
 
-def _parse_eps_list(text: str) -> tuple[float, ...]:
-    eps = tuple(float(p) for p in text.split(","))
-    if len(eps) < 4:
-        raise ValueError("--eps-list needs at least four values (cubic fit plus a dof)")
-    return checked_eps_ladder(eps)
-
-
 def _parse_h_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -353,7 +346,8 @@ def cmd_oracle(args) -> int:
     if not origin:
         raise ValueError("oracle needs --params or --seed (a zero perturbation has "
                          "nothing to fit)")
-    eps = _parse_eps_list(args.eps_list) if args.eps_list else DEFAULT_EPS_LIST
+    eps = (checked_eps_ladder(float(e) for e in args.eps_list.split(","))
+           if args.eps_list else DEFAULT_EPS_LIST)
     hs = _gather_h(args, annulus)
 
     constrained = m1_vanishes(params, annulus)
@@ -461,12 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a direct-integration oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, annulus_default: str | None = "interior-right"):
+    def common(sp):
         sp.add_argument("--params", metavar="PATH",
                         help="JSON file with arrays lambda1/gamma1/lambda2/gamma2 "
                              "(10 entries each, missing arrays read as zero)")
         sp.add_argument("--annulus", choices=[a.value for a in Annulus],
-                        default=annulus_default)
+                        default="interior-right")
         sp.add_argument("--out", metavar="PATH",
                         help="write one JSON record per line here, plus a "
                              ".config.json sibling")

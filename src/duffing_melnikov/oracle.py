@@ -23,9 +23,7 @@ each lane's attempts and floats are those of scipy's DOP853 at its eps
 alone.  The right-hand side runs per lane in Python floats.  The crossings
 of a round are root-polished together by zeros._brentq, which takes scipy's
 brentq steps on every bracket, so a flow loads neither scipy.integrate nor
-scipy.optimize.  A nonzero-phase anchor (oval_section) is advanced as one
-more lane of the same engine.  flow and oval_section import the engine when
-they are called.
+scipy.optimize.  flow imports the engine when it is called.
 
 The sign convention is not assumed: the flow direction around an oval and
 the orientation built into the loop integrals are calibrated against each
@@ -84,11 +82,6 @@ def solve_ivp(*args, **kwargs):
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def _free_rhs(t, z):
-    x, y = z
-    return (y, x - x * x * x)
-
-
 @dataclass(frozen=True)
 class Section:
     """Oriented local cross-section: the line through point with unit normal.
@@ -108,30 +101,9 @@ class Section:
                 + self.normal[1] * (z[1] - self.point[1]))
 
 
-def oval_section(h: float, annulus: Annulus, phase: float = 0.0) -> Section:
-    """Cross-section anchored on the oval at level h.
-
-    phase slides the anchor along the unperturbed orbit by that fraction of
-    a period, taken modulo 1 and advanced as one lane of the DOP853 engine;
-    the default anchor is the canonical section point.  Any phase gives a
-    transversal, which is how section independence of the fitted
-    coefficients gets tested.
-    """
+def oval_section(h: float, annulus: Annulus) -> Section:
+    """Cross-section through the canonical section point of the oval at level h."""
     z = section_point(h, annulus)
-    phase %= 1.0
-    if phase:
-        from ._dop853 import Lane, run
-        lane = Lane(_free_rhs, z, phase * orbit_period(h, annulus), _FLOW_RTOL, _FLOW_ATOL,
-                    "anchor advance failed")
-
-        def accept(steps):  # the lane ends with the step that reaches t_end
-            if steps and lane.t >= lane.t_end:
-                lane.end = steps[0][3]
-
-        run([lane], _FLOW_RTOL, _FLOW_ATOL, accept)
-        if isinstance(lane.end, str):
-            raise EscapeError(lane.end)
-        z = tuple(lane.end.tolist())
     vx, vy = z[1], z[0] - z[0] ** 3
     norm = math.hypot(vx, vy)
     if norm == 0.0:
@@ -227,11 +199,11 @@ class DisplacementSample:
     return_time: float
 
 
-def _ladder(h: float, params: PerturbationParams, annulus: Annulus, eps_list,
-            phase: float) -> tuple[DisplacementSample, ...]:
+def _ladder(h: float, params: PerturbationParams, annulus: Annulus,
+            eps_list) -> tuple[DisplacementSample, ...]:
     """First-return displacements at every eps of a ladder, from one lock-step flow."""
     annulus.require(h)
-    sec = oval_section(h, annulus, phase)
+    sec = oval_section(h, annulus)
     T0 = orbit_period(h, annulus)
     t_max = min(_TIME_BUDGET, 3.0 * T0 + 10.0)
     ends = flow(sec.point, params, eps_list, sec, t_min=0.5 * T0, t_max=t_max)
@@ -241,7 +213,7 @@ def _ladder(h: float, params: PerturbationParams, annulus: Annulus, eps_list,
 
 
 def displacement(h: float, epsilon: float, params: PerturbationParams,
-                 annulus: Annulus, phase: float = 0.0) -> DisplacementSample:
+                 annulus: Annulus) -> DisplacementSample:
     """First-return displacement d = H(end) - h at one perturbation strength.
 
     A one-lane flow: the same float as the eps's sample in a melnikov_fit
@@ -249,7 +221,7 @@ def displacement(h: float, epsilon: float, params: PerturbationParams,
     sits at the integrator noise floor, a few multiples of the integration
     tolerance 1e-12.
     """
-    return _ladder(h, params, annulus, (epsilon,), phase)[0]
+    return _ladder(h, params, annulus, (epsilon,))[0]
 
 
 def _fit_core(samples):
@@ -297,7 +269,7 @@ def displacement_sign() -> int:
     lam[1] = 1.0
     probe = PerturbationParams(tuple(lam), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10)
     h, annulus = -0.125, Annulus.INTERIOR_RIGHT
-    samples = _ladder(h, probe, annulus, DEFAULT_EPS_LIST, 0.0)
+    samples = _ladder(h, probe, annulus, DEFAULT_EPS_LIST)
     slope = _fit_core(samples)[0][0]
     area = period_vector(h, annulus).i0.real
     return 1 if slope * area > 0 else -1
@@ -336,7 +308,7 @@ def checked_eps_ladder(eps_list) -> tuple[float, ...]:
 
 
 def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
-                 eps_list=DEFAULT_EPS_LIST, phase: float = 0.0) -> MelnikovFit:
+                 eps_list=DEFAULT_EPS_LIST) -> MelnikovFit:
     """Fit d(eps) = a1 eps + a2 eps^2 + a3 eps^3 from direct integrations.
 
     Needs at least four strengths, each finite and nonzero, so the cubic fit
@@ -345,7 +317,7 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     lock-step flow; each sample is the float displacement gives at its eps.
     """
     eps_list = checked_eps_ladder(eps_list)
-    samples = _ladder(h, params, annulus, eps_list, phase)
+    samples = _ladder(h, params, annulus, eps_list)
     coef, err, cond = _fit_core(samples)
     sign = displacement_sign()
     return MelnikovFit(h=float(h), annulus=annulus,

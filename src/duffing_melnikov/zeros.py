@@ -215,8 +215,9 @@ class ContourTable:
 
 
 def _validate_contour(R: float, eta: float, rho: float) -> None:
-    if not (math.isfinite(R) and R > 1.0):
-        raise ValueError(f"contour radius R must be finite and exceed 1, got {R}")
+    if not (math.isfinite(R * R) and R > 1.0):  # keyhole_vertices squares R
+        raise ValueError(f"contour radius R must be finite, with a finite square, "
+                         f"and exceed 1, got {R}")
     if not (MIN_CLEARANCE <= rho <= 1e-2):
         raise ValueError(f"puncture radius rho must lie in [{MIN_CLEARANCE}, 1e-2]")
     if not (MIN_CLEARANCE <= eta <= 1e-2):

@@ -12,6 +12,11 @@ settings.register_profile(
 settings.load_profile("numeric")
 
 
+def pytest_configure(config):
+    # an overflow, invalid operation or division by zero in the numerics fails its test
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

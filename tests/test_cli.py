@@ -91,6 +91,7 @@ def test_short_eps_ladder_rejected(capsys, tmp_path):
     code = cli.main(["oracle", "--params", path, "--annulus", "exterior",
                      "--h", "1.0", "--eps-list", "1e-2,5e-3"])
     assert code == 2
+    assert "the cubic fit needs 4 distinct eps values" in capsys.readouterr().err
 
 
 def test_zero_or_nonfinite_eps_rejected(capsys, monkeypatch):
@@ -116,7 +117,7 @@ def test_repeated_eps_rejected(capsys, monkeypatch):
 
 def test_bad_contour_spec(capsys):
     assert cli.main(["zeros", "--draws", "1", "--contour", "1,2"]) == 2
-    for radius in ("inf", "nan"):
+    for radius in ("inf", "nan", "1e160"):
         assert cli.main(["zeros", "--draws", "2", "--annulus", "exterior",
                          "--contour", f"{radius},1e-3,1e-3"]) == 2
         assert "contour radius R must be finite" in capsys.readouterr().err

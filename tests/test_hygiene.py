@@ -39,7 +39,8 @@ PROGRAM = sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglo
 # Public names kept without a caller in the program, each with its reason.
 EXEMPT = {
     "circle_argument": "acceptance 9's growth diagnostic, the argument gained "
-                       "along the big circle; only the acceptance suite reads it",
+                       "along the big circle; only the acceptance suite and "
+                       "tests/test_zeros.py read it",
 }
 
 # a string constant that spells a dotted name refers to it (bench/tracing.py

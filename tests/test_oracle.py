@@ -8,12 +8,8 @@ The heavier closed-form comparisons live in the acceptance suite.
 
 import dataclasses
 import importlib.util
-import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,6 +26,7 @@ from duffing_melnikov.oracle import (
     DEFAULT_EPS_LIST,
     DisplacementSample,
     EscapeError,
+    Section,
     _FLOW_ATOL,
     _FLOW_RTOL,
     _TIME_BUDGET,
@@ -72,42 +69,12 @@ def test_flipping_eps_and_the_first_tier_leaves_the_flow_unchanged(annulus, h):
 
 
 def test_section_anchor_is_on_level_set():
-    sec = oval_section(-0.1, Annulus.INTERIOR_RIGHT, phase=0.37)
-    x, y = sec.point
-    assert hamiltonian(x, y) == pytest.approx(-0.1, abs=1e-10)
-    assert math.hypot(*sec.normal) == pytest.approx(1.0)
-
-
-def _free_rhs(t, z):
-    return (z[1], z[0] - z[0] * z[0] * z[0])
-
-
-@pytest.mark.parametrize("annulus,h", [
-    (Annulus.INTERIOR_LEFT, -0.2),
-    (Annulus.INTERIOR_RIGHT, -0.1),
-    (Annulus.EXTERIOR, 0.8),
-])
-@pytest.mark.parametrize("phase", [0.3, 0.37])
-def test_section_anchor_equals_a_solve_ivp_advance(annulus, h, phase):
-    # the anchor advance is one lane of the DOP853 engine, with solve_ivp's floats
-    sol = solve_ivp(_free_rhs, (0.0, phase * orbit_period(h, annulus)), section_point(h, annulus),
-                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-    assert oval_section(h, annulus, phase).point == (float(sol.y[0, -1]), float(sol.y[1, -1]))
-
-
-def test_section_phase_is_taken_modulo_one():
-    h, annulus = -0.1, Annulus.INTERIOR_RIGHT
-    quarter = oval_section(h, annulus, 0.25)
-    assert oval_section(h, annulus, 1.25) == quarter
-    assert oval_section(h, annulus, -0.75) == quarter
-    assert oval_section(h, annulus, 1.0) == oval_section(h, annulus)
-
-
-@pytest.mark.parametrize("phase", [math.nan, math.inf])
-def test_a_non_finite_phase_is_rejected(phase):
-    # phase % 1.0 is NaN, an end time the anchor advance would never reach
-    with pytest.raises(ValueError, match="anchor advance failed: end time"):
-        oval_section(-0.1, Annulus.INTERIOR_RIGHT, phase)
+    for annulus, h in ((Annulus.INTERIOR_LEFT, -0.2), (Annulus.INTERIOR_RIGHT, -0.1),
+                       (Annulus.EXTERIOR, 0.8)):
+        sec = oval_section(h, annulus)
+        assert sec.point == section_point(h, annulus)
+        assert hamiltonian(*sec.point) == pytest.approx(h, abs=1e-12)
+        assert math.hypot(*sec.normal) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0])
@@ -115,30 +82,6 @@ def test_flow_rejects_a_time_budget_that_is_not_finite_and_positive(t_max):
     sec = oval_section(-0.125, Annulus.INTERIOR_RIGHT)
     with pytest.raises(ValueError, match="integration failed at eps=0: end time"):
         flow(sec.point, PerturbationParams.zero(), (0.0,), sec, t_max=t_max)
-
-
-_PHASE_FOOTPRINT = """
-import json, sys
-import numpy as np
-from duffing_melnikov import Annulus, PerturbationParams
-from duffing_melnikov.oracle import melnikov_fit
-p = PerturbationParams.random(np.random.default_rng(0), scale=0.5)
-fit = melnikov_fit(0.8, p, Annulus.EXTERIOR, phase=0.3)
-print(json.dumps([fit.m1, "scipy.integrate" in sys.modules]))
-"""
-
-
-def test_a_phase_fit_loads_no_scipy_integrate():
-    # fresh interpreter: this module imports scipy.integrate itself
-    env = dict(os.environ)
-    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PHASE_FOOTPRINT], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    m1, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert math.isfinite(m1)
-    assert loaded is False
 
 
 def test_orientation_calibration():
@@ -159,13 +102,30 @@ def test_fit_matches_closed_form_first_order(rng):
     assert len(fit.samples) == len(DEFAULT_EPS_LIST)
 
 
+def _free_rhs(t, z):
+    return (z[1], z[0] - z[0] * z[0] * z[0])
+
+
 def test_fit_is_section_independent(rng):
+    # a second transversal: the canonical anchor advanced 0.3 T0 along the
+    # unperturbed orbit, its normal the flow direction there
     params = PerturbationParams.random(rng, scale=0.5)
     h, annulus = 0.8, Annulus.EXTERIOR
     f0 = melnikov_fit(h, params, annulus)
-    f1 = melnikov_fit(h, params, annulus, phase=0.3)
-    tol = max(2e-5 * abs(f0.m1), 3.0 * (f0.m1_err + f1.m1_err))
-    assert abs(f0.m1 - f1.m1) < tol
+    T0 = orbit_period(h, annulus)
+    sol = solve_ivp(_free_rhs, (0.0, 0.3 * T0), section_point(h, annulus),
+                    method="DOP853", rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
+    point = tuple(sol.y[:, -1].tolist())
+    v = _free_rhs(0.0, point)
+    sec = Section(point=point, normal=(v[0] / math.hypot(*v), v[1] / math.hypot(*v)))
+    ends = flow(sec.point, params, DEFAULT_EPS_LIST, sec, t_min=0.5 * T0,
+                t_max=min(_TIME_BUDGET, 3.0 * T0 + 10.0))
+    samples = [DisplacementSample(h, e, hamiltonian(*end) - h, t)
+               for e, (end, t) in zip(DEFAULT_EPS_LIST, ends)]
+    coef, err, _ = _fit_core(samples)
+    m1 = displacement_sign() * coef[0]
+    tol = max(2e-5 * abs(f0.m1), 3.0 * (f0.m1_err + err[0]))
+    assert abs(f0.m1 - m1) < tol
 
 
 def test_residual_scales_linearly_in_eps(rng):
