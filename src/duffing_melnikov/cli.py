@@ -109,13 +109,20 @@ def _load_params(path: str | None) -> PerturbationParams:
     return PerturbationParams.from_json(pathlib.Path(path).read_text())
 
 
-def _resolve_params(args) -> tuple[PerturbationParams, dict]:
-    """Parameter set from --params, or a uniform draw from --seed, or zeros."""
+def _resolve_params(args, annulus: Annulus) -> tuple[PerturbationParams, dict]:
+    """Parameter set from --params, or a uniform draw from --seed, or zeros.
+
+    An --order 2 draw is projected onto M_1 = 0 on the annulus, since the
+    second-order function is defined only there.
+    """
     if args.params is not None:
         return _load_params(args.params), {"params_file": args.params}
     if args.seed is not None:
-        rng = np.random.default_rng(args.seed)
-        return PerturbationParams.uniform(rng), {"draw": "uniform", "seed": args.seed}
+        params = PerturbationParams.uniform(np.random.default_rng(args.seed))
+        if getattr(args, "order", None) == 2:
+            return (enforce_m1_zero(params, annulus),
+                    {"constrained": True, "draw": "uniform", "seed": args.seed})
+        return params, {"draw": "uniform", "seed": args.seed}
     return PerturbationParams.zero(), {}
 
 
@@ -189,10 +196,7 @@ def _agreement_rows(params, form, annulus, oracle, order: int) -> list[dict]:
 
 def cmd_coeffs(args) -> int:
     annulus = Annulus.from_label(args.annulus)
-    params, origin = _resolve_params(args)
-    if args.order == 2 and "draw" in origin:
-        params = enforce_m1_zero(params, annulus)
-        origin["constrained"] = True
+    params, origin = _resolve_params(args, annulus)
     config = {"command": "coeffs", "annulus": annulus.value, "order": args.order,
               "params": params.to_dict(), **origin, "out": args.out}
     _print_config(config)
@@ -342,7 +346,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_oracle(args) -> int:
     annulus = Annulus.from_label(args.annulus)
-    params, origin = _resolve_params(args)
+    params, origin = _resolve_params(args, annulus)
     if not origin:
         raise ValueError("oracle needs --params or --seed (a zero perturbation has "
                          "nothing to fit)")
@@ -352,15 +356,10 @@ def cmd_oracle(args) -> int:
 
     constrained = m1_vanishes(params, annulus)
     if args.order == 2 and not constrained:
-        if "draw" in origin:
-            params = enforce_m1_zero(params, annulus)
-            origin["constrained"] = True
-            constrained = True
-        else:
-            raise ConstraintError(
-                "--order 2 needs parameters with a vanishing first-order function; "
-                "residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
-                                          sort_keys=True))
+        raise ConstraintError(
+            "--order 2 needs parameters with a vanishing first-order function; "
+            "residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
+                                      sort_keys=True))
     with_m2 = constrained and args.order != 1
 
     config = {"command": "oracle", "annulus": annulus.value, "order": args.order,
@@ -405,7 +404,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_eval(args) -> int:
     annulus = Annulus.from_label(args.annulus)
-    params, origin = _resolve_params(args)
+    params, origin = _resolve_params(args, annulus)
     hs = _gather_h(args, annulus)
     config = {"command": "eval", "annulus": annulus.value, "h": hs,
               "params": params.to_dict(), **origin, "out": args.out}

@@ -291,9 +291,7 @@ class MelnikovFit:
     m2: float
     m1_err: float
     m2_err: float
-    cubic: float
     condition: float
-    sign: int
     samples: tuple[DisplacementSample, ...]
 
 
@@ -323,5 +321,4 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     return MelnikovFit(h=float(h), annulus=annulus,
                        m1=sign * float(coef[0]), m2=sign * float(coef[1]),
                        m1_err=float(err[0]), m2_err=float(err[1]),
-                       cubic=sign * float(coef[2]), condition=cond,
-                       sign=sign, samples=samples)
+                       condition=cond, samples=samples)

@@ -20,8 +20,8 @@ samples, and the real scan of the physical interval, its grid, the 9-point
 window around each grid point and the periods at all of those levels.
 
 Forms are certified in blocks: bound_census certifies all its draws as one
-block, and certify and winding_count are blocks of one; circle_argument
-runs the phase refinement, and real_zeros the real scan, on one function.
+block, and certify and winding_count are blocks of one; real_zeros runs
+the real scan on one function.
 Per block, the counting functions of all forms are evaluated in one
 broadcast pass at every cached keyhole sample and scan grid level, then at
 the cached window levels each form's scan picks, one coefficient row per
@@ -79,7 +79,6 @@ __all__ = [
     "winding_count",
     "certify",
     "bound_census",
-    "circle_argument",
 ]
 
 # Zero-count ceilings per (order, annulus) for the one-parameter cubic
@@ -190,7 +189,6 @@ class ContourTable:
     eta: float
     rho: float
     vertices: np.ndarray  # closed loop, first == last
-    s_circle: tuple       # parameter sub-range of the big-circle portion
     s_init: np.ndarray    # initial sample parameters over the whole loop
     init_values: tuple = field(init=False)  # (h, I_0, I_1, I_2) at s_init
 
@@ -293,7 +291,6 @@ def contour_table(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
     loop = keyhole_vertices(annulus, R, eta, rho)
     ct = ContourTable(annulus=annulus, R=float(R), eta=float(eta), rho=float(rho),
                       vertices=_read_only(np.asarray(loop)),
-                      s_circle=(1.0, 1.0 + _N_CIRCLE),
                       s_init=_read_only(_initial_samples(loop)))
     _CONTOUR_CACHE[key] = ct
     return ct
@@ -361,7 +358,8 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
     v = _counting_rows(tuple(c[:, None, :] for c in coeffs), exterior, h, i0, i1, i2)
     n = v.shape[0]
     scale = np.max(np.abs(v), axis=1)
-    degenerate = scale < _DEGENERATE_TOL * (1.0 + float(np.max(np.abs(i0))))
+    # zero to within rounding, in the counting function's units (I_0 / I_0 = 1 on the exterior)
+    degenerate = scale < _DEGENERATE_TOL * (1.0 + (1.0 if exterior else float(np.max(np.abs(i0)))))
     limit = 1e-13 * scale
     steps, fail = _phase_steps_fail(v[:, :-1], v[:, 1:], limit[:, None])
     fail[degenerate] = False
@@ -406,24 +404,6 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
         closure = np.abs(v[:, -1] - v[:, 0]) / peak
     return _Phases(degenerate=degenerate, converged=converged, total=total,
                    closure=closure, n_samples=n_samples)
-
-
-def circle_argument(form: MelnikovForm) -> float:
-    """Argument increase (radians) of the form along the big circle |h| = 10.
-
-    Growth diagnostic: a form dominated by h^p times the leading period
-    growth accumulates about 2 pi (p + growth exponent) here.  Interior
-    forms are measured raw, exterior ones with the same normalization the
-    winding uses.
-    """
-    ct = contour_table(form.annulus)
-    lo, hi = ct.s_circle
-    on_circle = (ct.s_init >= lo) & (ct.s_init <= hi)
-    ph = _phase_block(ct, _coeff_rows([form]), ct.s_init[on_circle],
-                      tuple(x[on_circle] for x in ct.init_values))
-    if not ph.converged[0]:  # a numerically zero form is never refined, so never converges
-        raise DegenerateFormError("counting function zero, or its refinement failed, on the circle")
-    return float(ph.total[0])
 
 
 # ---------------------------------------------------------------------------

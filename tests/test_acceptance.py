@@ -28,7 +28,7 @@ from duffing_melnikov.melnikov import (
     m_eval,
 )
 from duffing_melnikov.oracle import melnikov_fit
-from duffing_melnikov.zeros import BOUNDS, Status, bound_census, circle_argument
+from duffing_melnikov.zeros import BOUNDS, Status, bound_census
 
 SEED = 20260815
 ANNULI = (Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR)
@@ -212,7 +212,7 @@ def test_acceptance_8_nonvanishing_and_wronskian():
                    f"{jump_dev:.2e}, {elapsed:.1f}s")
 
 
-def test_acceptance_9_growth_and_argument_budgets():
+def test_acceptance_9_growth_and_argument_budgets(circle_argument):
     t0 = time.monotonic()
     slope, _ = exterior_slope()
     slope_err = abs(slope - 0.75)

@@ -521,6 +521,43 @@ def test_coeffs_output_matches_the_byte_pin(capsys, tmp_path):
     _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("coeffs_pin.jsonl"))
 
 
+_SYMMETRIC_LADDER = "0.0025,-0.0025,0.00125,-0.00125,0.000625,-0.000625,0.0003125,-0.0003125"
+# first-tier entries outside the M_1 residuals, so M_1 = 0 exactly and eval prints m2
+_EVAL_PIN_PARAMS = {"lambda1": [0.5, 0, -0.25, 0.75, 0, 1, 0, 0, 0, -0.5],
+                    "gamma1": [0.25, -1, 0, 0, 0.5, 0, 0, 0.75, -0.25, 0],
+                    "lambda2": [0, 1, 0, 0, 0, 0, 0, 0.5, 0, 0],
+                    "gamma2": [0, 0, 0.5, 0, 0, 0, -1, 0, 0, 0]}
+
+
+def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
+    r"""oracle_pin.jsonl holds the --out files of these three commands, in this order.
+
+    A change that moves any digit of a displacement fit or a point value
+    fails here.  To re-record the pin, from the repository root:
+
+        d=$(mktemp -d); export PYTHONPATH=src
+        python -m duffing_melnikov.cli oracle --seed 3 --h -0.125 \
+            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        python -m duffing_melnikov.cli oracle --seed 3 --order 2 --annulus exterior \
+            --h 1.0 --eps-list=0.0025,-0.0025,0.00125,-0.00125,0.000625,-0.000625,0.0003125,-0.0003125 \
+            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        echo '{"lambda1": [0.5, 0, -0.25, 0.75, 0, 1, 0, 0, 0, -0.5],
+               "gamma1": [0.25, -1, 0, 0, 0.5, 0, 0, 0.75, -0.25, 0],
+               "lambda2": [0, 1, 0, 0, 0, 0, 0, 0.5, 0, 0],
+               "gamma2": [0, 0, 0.5, 0, 0, 0, -1, 0, 0, 0]}' > $d/p.json
+        python -m duffing_melnikov.cli eval --params $d/p.json --h -0.2 --h -0.05 \
+            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        cp $d/pin.jsonl tests/data/oracle_pin.jsonl
+    """
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(_EVAL_PIN_PARAMS))
+    runs = [["oracle", "--seed", "3", "--h", "-0.125"],
+            ["oracle", "--seed", "3", "--order", "2", "--annulus", "exterior", "--h", "1.0",
+             "--eps-list=" + _SYMMETRIC_LADDER],
+            ["eval", "--params", str(params), "--h", "-0.2", "--h", "-0.05"]]
+    _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("oracle_pin.jsonl"))
+
+
 # ---------------------------------------------------------------------------
 # import footprint
 # ---------------------------------------------------------------------------

@@ -36,13 +36,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 PROGRAM = sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
 
-# Public names kept without a caller in the program, each with its reason.
-EXEMPT = {
-    "circle_argument": "acceptance 9's growth diagnostic, the argument gained "
-                       "along the big circle; only the acceptance suite and "
-                       "tests/test_zeros.py read it",
-}
-
 # a string constant that spells a dotted name refers to it (bench/tracing.py
 # binds its targets as "module", "Class.method")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
@@ -145,9 +138,7 @@ def test_scan_finds_an_unreferenced_export():
 def test_every_export_has_a_program_reference():
     found = unreferenced_exports([p.read_text() for p in PROGRAM if p.name != "__init__.py"],
                                  [p.read_text() for p in PROGRAM if p.name == "__init__.py"])
-    assert [name for name in found if name not in EXEMPT] == []
-    # an exemption that has gained a caller is stale
-    assert set(EXEMPT) <= set(found)
+    assert found == []
 
 
 def _is_private(name: str) -> bool:

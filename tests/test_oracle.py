@@ -97,7 +97,6 @@ def test_fit_matches_closed_form_first_order(rng):
                                   h, period_vector(h, annulus))))
     tol = max(2e-5 * abs(closed), 3.0 * fit.m1_err)
     assert abs(fit.m1 - closed) < tol
-    assert fit.sign == 1
     assert fit.condition < 1e12
     assert len(fit.samples) == len(DEFAULT_EPS_LIST)
 

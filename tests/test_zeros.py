@@ -33,7 +33,6 @@ from duffing_melnikov.zeros import (
     _suspect_positions,
     bound_census,
     certify,
-    circle_argument,
     contour_table,
     keyhole_vertices,
     real_zeros,
@@ -165,8 +164,6 @@ def test_zero_on_the_contour_is_inconclusive(annulus, zero, n_samples):
 def test_degenerate_form_raises():
     with pytest.raises(DegenerateFormError):
         winding_count(_form(Annulus.EXTERIOR, (0.0,)))
-    with pytest.raises(DegenerateFormError):
-        circle_argument(_form(Annulus.INTERIOR_RIGHT, (0.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +209,22 @@ def test_certify_zero_params_is_degenerate():
     cert = certify(PerturbationParams.zero(), 1, Annulus.INTERIOR_RIGHT)
     assert cert.status is Status.DEGENERATE
     assert cert.winding == 0
+
+
+def test_a_huge_exterior_contour_is_not_degenerate():
+    # I_0 grows like R^(3/4), but the exterior counting function of
+    # M1 = I_0 + I_2 is divided by it, so its degeneracy threshold does not
+    # grow with R: on R = 1e100 the refinement runs and gives up
+    cert = certify(_single_param(lambda1_1=1.0, gamma1_6=1.0), 1, Annulus.EXTERIOR, R=1e100)
+    assert cert.status is Status.INCONCLUSIVE
+    assert cert.n_samples > 0
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_zero_and_projected_first_order_forms_stay_degenerate(annulus):
+    draw = enforce_m1_zero(PerturbationParams.uniform(np.random.default_rng(5)), annulus)
+    for params in (PerturbationParams.zero(), draw):
+        assert certify(params, 1, annulus).status is Status.DEGENERATE
 
 
 def test_certify_rejects_bad_order(rng):
@@ -448,7 +461,7 @@ def test_imaginary_part_on_cut_is_real_for_real_coefficients():
     assert abs(complex(val).imag) < 1e-6 * abs(complex(val).real)
 
 
-def test_circle_argument_tracks_growth():
+def test_circle_argument_tracks_growth(circle_argument):
     # I_0 alone grows like h^(3/4) on the big circle: about 1.5 pi of phase
     arg = circle_argument(_form(Annulus.INTERIOR_RIGHT, (1.0,)))
     assert arg / math.pi == pytest.approx(1.5, abs=0.15)
