@@ -55,7 +55,7 @@ def moment_reduction(annuli) -> dict:
         hs = _grid_for(annulus, 12)
         grid = oval_integrals([(0, 1), (1, 1), (2, 1), (4, 1), (6, 1), (2, -1), (4, -1), (6, -1)],
                               hs, annulus).tolist()
-        for h, i0, i1, i2, i4, i6, d2, d4, d6 in zip(hs, *grid):
+        for h, i0, i1, i2, i4, i6, d2, d4, d6 in zip(hs.tolist(), *grid):
             pv = PeriodVector(h, annulus, i0, i1, i2)
             den = 4.0 * h + 1.0
             pairs = [

@@ -35,12 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Annulus, DomainError
+from .geometry import Annulus
 from .quadrature import AccuracyError
 from . import checks
 from .abelian import PathError, PoleError, period_vector
 from .melnikov import (
-    ConstraintError,
     PerturbationParams,
     enforce_m1_zero,
     m1_form,
@@ -139,18 +138,8 @@ def _gather_h(args, annulus: Annulus) -> list[float]:
     return hs
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _print_config(config: dict) -> None:
-    print("# config " + json.dumps(config, sort_keys=True, default=_jsonable))
+    print("# config " + json.dumps(config, sort_keys=True))
 
 
 def _emit(args, config: dict, records: list[dict]) -> None:
@@ -159,13 +148,31 @@ def _emit(args, config: dict, records: list[dict]) -> None:
     path = pathlib.Path(args.out)
     with path.open("w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=_jsonable) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     sidecar = path.with_name(path.name + ".config.json")
-    sidecar.write_text(json.dumps(config, sort_keys=True, indent=2, default=_jsonable) + "\n")
+    sidecar.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:
     return f"{x: .12e}"
+
+
+def _table_line(header: list[str], row: dict) -> str:
+    """The row's cells under header, tab-separated: h and tolerances as %g,
+    fit sigmas and relative deviations as .3e, every other value by _fmt."""
+    def cell(key: str) -> str:
+        if key in ("h", "quad_rel_tol"):
+            return f"{row[key]:g}"
+        return f"{row[key]:.3e}" if key.endswith(("_sigma", "_rel_dev")) else _fmt(row[key])
+    return "\t".join(cell(key) for key in header)
+
+
+def _second_order(params: PerturbationParams, annulus: Annulus, order: int | None):
+    """The M_2 form for --order 2, or for no --order where M_1 vanishes, else None:
+    M_2 is defined only where M_1 = 0, which m2_form enforces (ConstraintError)."""
+    if order == 2 or (order is None and m1_vanishes(params, annulus)):
+        return m2_form(params, annulus)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +209,21 @@ def cmd_coeffs(args) -> int:
     _print_config(config)
 
     records: list[dict] = []
-    f1 = m1_form(params, annulus)
-    res = m1_vanishing_residuals(params, annulus)
-    constrained = m1_vanishes(params, annulus)
+    f2 = _second_order(params, annulus, args.order)
     if args.order != 2:
+        f1 = m1_form(params, annulus)
         records.append({"record": "m1-table", "annulus": annulus.value,
                         "slots": _form_slots(f1)})
-        records.append({"record": "m1-residuals", "annulus": annulus.value, **res})
-        if not constrained:
+        records.append({"record": "m1-residuals", "annulus": annulus.value,
+                        **m1_vanishing_residuals(params, annulus)})
+        if not m1_vanishes(params, annulus):
             records.extend(_agreement_rows(params, f1, annulus, m1_quadrature, 1))
-    if args.order != 1:
-        if constrained:
-            f2 = m2_form(params, annulus)
-            records.append({"record": "m2-table", "annulus": annulus.value,
-                            "slots": _form_slots(f2), "pole": f2.pole})
-            dev = m2_deviation_report(params, annulus)
-            records.append({"record": "m2-deviation", **dev})
+    if f2 is not None:
+        records.append({"record": "m2-table", "annulus": annulus.value,
+                        "slots": _form_slots(f2), "pole": f2.pole})
+        records.append({"record": "m2-deviation", **m2_deviation_report(params, annulus)})
+        if any(f2.poly0 + f2.poly1 + f2.poly2):  # against M_2 = 0 only rounding is left
             records.extend(_agreement_rows(params, f2, annulus, m2_iliev_quadrature, 2))
-        elif args.order == 2:
-            raise ConstraintError(
-                "second-order table needs the first-order conditions; residuals "
-                + json.dumps(res, sort_keys=True))
 
     _emit(args, config, records)
     for rec in records:
@@ -242,7 +243,8 @@ def cmd_coeffs(args) -> int:
         elif kind == "quadrature-agreement":
             print(f"agreement order {rec['order']} h={rec['h']:g}: closed {_fmt(rec['closed_form'])}"
                   f"  quadrature {_fmt(rec['quadrature'])}  rel {rec['rel_dev']:.3e}")
-    return 0
+    return 3 if any(rec["rel_dev"] > rec["tol"] for rec in records
+                    if rec["record"] == "quadrature-agreement") else 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,45 +356,29 @@ def cmd_oracle(args) -> int:
            if args.eps_list else DEFAULT_EPS_LIST)
     hs = _gather_h(args, annulus)
 
-    constrained = m1_vanishes(params, annulus)
-    if args.order == 2 and not constrained:
-        raise ConstraintError(
-            "--order 2 needs parameters with a vanishing first-order function; "
-            "residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
-                                      sort_keys=True))
-    with_m2 = constrained and args.order != 1
-
+    f2 = _second_order(params, annulus, args.order)
     config = {"command": "oracle", "annulus": annulus.value, "order": args.order,
               "h": hs, "eps_list": list(eps), "params": params.to_dict(),
               **origin, "out": args.out}
     _print_config(config)
 
     f1 = m1_form(params, annulus)
-    f2 = m2_form(params, annulus) if with_m2 else None
     records = []
     header = ["h", "m1_closed", "m1_fit", "m1_sigma", "m1_rel_dev"]
-    if with_m2:
+    if f2 is not None:
         header += ["m2_closed", "m2_fit", "m2_sigma", "m2_rel_dev"]
     print("\t".join(header))
     for h in hs:
         fit = melnikov_fit(h, params, annulus, eps_list=eps)
         pv = period_vector(h, annulus)
-        m1c = float(np.real(m_eval(f1, h, pv)))
-        row = {"record": "oracle-row", "h": h, "m1_closed": m1c, "m1_fit": fit.m1,
-               "m1_sigma": fit.m1_err,
-               "m1_rel_dev": abs(fit.m1 - m1c) / max(abs(m1c), fit.m1_err, 1e-300),
-               "condition": fit.condition}
-        cells = [f"{h:g}", _fmt(m1c), _fmt(fit.m1), f"{fit.m1_err:.3e}",
-                 f"{row['m1_rel_dev']:.3e}"]
-        if with_m2:
-            m2c = float(np.real(m_eval(f2, h, pv)))
-            row.update({"m2_closed": m2c, "m2_fit": fit.m2, "m2_sigma": fit.m2_err,
-                        "m2_rel_dev": abs(fit.m2 - m2c) / max(abs(m2c), fit.m2_err,
-                                                              1e-300)})
-            cells += [_fmt(m2c), _fmt(fit.m2), f"{fit.m2_err:.3e}",
-                      f"{row['m2_rel_dev']:.3e}"]
+        row = {"record": "oracle-row", "h": h, "condition": fit.condition}
+        for k, form, value, err in ((1, f1, fit.m1, fit.m1_err), (2, f2, fit.m2, fit.m2_err)):
+            if form is not None:
+                closed = float(np.real(m_eval(form, h, pv)))
+                row.update({f"m{k}_closed": closed, f"m{k}_fit": value, f"m{k}_sigma": err,
+                            f"m{k}_rel_dev": abs(value - closed) / max(abs(closed), err, 1e-300)})
         records.append(row)
-        print("\t".join(cells))
+        print(_table_line(header, row))
     _emit(args, config, records)
     return 0
 
@@ -411,29 +397,23 @@ def cmd_eval(args) -> int:
     _print_config(config)
 
     f1 = m1_form(params, annulus)
-    f2 = m2_form(params, annulus) if m1_vanishes(params, annulus) else None
+    f2 = _second_order(params, annulus, None)
 
     records = []
     header = ["h", "i0", "i1", "i2", "m1"] + (["m2"] if f2 else []) + ["quad_rel_tol"]
     print("\t".join(header))
     for h in hs:
         pv = period_vector(h, annulus)
-        m1v = float(np.real(m_eval(f1, h, pv)))
         row = {"record": "eval-row", "h": h, "i0": pv.i0.real, "i1": pv.i1.real,
-               "i2": pv.i2.real, "m1": m1v, "quad_rel_tol": 1e-10}
-        cells = [f"{h:g}", _fmt(pv.i0.real), _fmt(pv.i1.real), _fmt(pv.i2.real),
-                 _fmt(m1v)]
+               "i2": pv.i2.real, "m1": float(np.real(m_eval(f1, h, pv))),
+               "quad_rel_tol": 1e-10}
         if f2 is not None:
-            m2v = float(np.real(m_eval(f2, h, pv)))
-            row["m2"] = m2v
-            cells.append(_fmt(m2v))
-        cells.append("1e-10")
+            row["m2"] = float(np.real(m_eval(f2, h, pv)))
         records.append(row)
-        print("\t".join(cells))
+        print(_table_line(header, row))
     if f2 is None:
-        print("# m2 column omitted: first-order function does not vanish "
-              "(residuals " + json.dumps(m1_vanishing_residuals(params, annulus),
-                                         sort_keys=True) + ")")
+        res = json.dumps(m1_vanishing_residuals(params, annulus), sort_keys=True)
+        print(f"# m2 column omitted: first-order function does not vanish (residuals {res})")
     _emit(args, config, records)
     return 0
 
@@ -526,7 +506,7 @@ def main(argv=None) -> int:
     except (AccuracyError, EscapeError, PathError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, ConstraintError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError and ConstraintError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -229,9 +229,20 @@ def test_repeated_main_calls_share_no_parse_state(capsys):
 
 
 def test_order_two_table_needs_constraint(capsys, tmp_path):
+    # m2_form owns the M_1 = 0 precondition, so every command states it alike;
+    # oracle fails before its config line, coeffs just after it
     rng = np.random.default_rng(0)
     path = _write_params(tmp_path / "q.json", PerturbationParams.random(rng))
-    assert cli.main(["coeffs", "--params", path, "--order", "2"]) == 2
+    outs, errs = {}, set()
+    for command in ("coeffs", "oracle", "zeros"):
+        assert cli.main([command, "--params", path, "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        outs[command] = captured.out.splitlines()
+        errs.add(captured.err)
+    assert len(errs) == 1
+    assert errs.pop().startswith("error: second-order form needs M1 = 0 on interior-right; ")
+    assert outs["oracle"] == []
+    assert len(outs["coeffs"]) == 1 and outs["coeffs"][0].startswith("# config ")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,30 @@ def test_coeffs_seeded_draw_writes_agreement_records(capsys, tmp_path):
     config = json.loads(sidecar.read_text())
     assert config["seed"] == 42
     assert config["constrained"] is True
+
+
+def test_coeffs_agreement_outside_its_tol_exits_3(capsys, monkeypatch, tmp_path):
+    argv = ["coeffs", "--seed", "7", "--order", "1", "--out", str(tmp_path / "rows.jsonl")]
+    assert cli.main(argv) == 0
+    quad = cli.m1_quadrature
+    monkeypatch.setattr(cli, "m1_quadrature", lambda *a: quad(*a) * (1.0 + 1e-6))
+    assert cli.main(argv) == 3
+    records = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+    agreement = [r for r in records if r["record"] == "quadrature-agreement"]
+    assert len(agreement) == 3 and all(r["rel_dev"] > r["tol"] for r in agreement)
+
+
+def test_coeffs_lists_no_agreement_for_an_identically_zero_m2(capsys, tmp_path):
+    # lambda2[0] enters neither M_1 nor M_2, so the quadrature holds only
+    # rounding and no agreement row can read it relative to a zero closed form
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"lambda2": [1] + [0] * 9}))
+    out = tmp_path / "rows.jsonl"
+    for annulus in Annulus:
+        assert cli.main(["coeffs", "--params", str(path), "--annulus", annulus.value,
+                         "--out", str(out)]) == 0
+        kinds = [json.loads(line)["record"] for line in out.read_text().splitlines()]
+        assert kinds == ["m1-table", "m1-residuals", "m2-table", "m2-deviation"]
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +565,29 @@ _EVAL_PIN_PARAMS = {"lambda1": [0.5, 0, -0.25, 0.75, 0, 1, 0, 0, 0, -0.5],
 
 
 def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
-    r"""oracle_pin.jsonl holds the --out files of these three commands, in this order.
+    r"""oracle_pin.jsonl holds the --out files of the first three of these
+    commands, in this order, and stdout_pin.txt the stdout of all seven.
 
-    A change that moves any digit of a displacement fit or a point value
-    fails here.  To re-record the pin, from the repository root:
+    A change that moves any digit of a displacement fit, a point value or a
+    printed table cell fails here.  The run directory reads TMP in the config
+    lines.  To re-record both pins, from the repository root:
 
-        d=$(mktemp -d); export PYTHONPATH=src
-        python -m duffing_melnikov.cli oracle --seed 3 --h -0.125 \
-            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
-        python -m duffing_melnikov.cli oracle --seed 3 --order 2 --annulus exterior \
-            --h 1.0 --eps-list=0.0025,-0.0025,0.00125,-0.00125,0.000625,-0.000625,0.0003125,-0.0003125 \
-            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
+        d=$(mktemp -d); export PYTHONPATH=src; m="python -m duffing_melnikov.cli"
         echo '{"lambda1": [0.5, 0, -0.25, 0.75, 0, 1, 0, 0, 0, -0.5],
                "gamma1": [0.25, -1, 0, 0, 0.5, 0, 0, 0.75, -0.25, 0],
                "lambda2": [0, 1, 0, 0, 0, 0, 0, 0.5, 0, 0],
                "gamma2": [0, 0, 0.5, 0, 0, 0, -1, 0, 0, 0]}' > $d/p.json
-        python -m duffing_melnikov.cli eval --params $d/p.json --h -0.2 --h -0.05 \
-            --out $d/run.jsonl; cat $d/run.jsonl >> $d/pin.jsonl
-        cp $d/pin.jsonl tests/data/oracle_pin.jsonl
+        { $m oracle --seed 3 --h -0.125 --out $d/run0.jsonl
+          $m oracle --seed 3 --order 2 --annulus exterior --h 1.0 \
+              --eps-list=0.0025,-0.0025,0.00125,-0.00125,0.000625,-0.000625,0.0003125,-0.0003125 \
+              --out $d/run1.jsonl
+          $m eval --params $d/p.json --h -0.2 --h -0.05 --out $d/run2.jsonl
+          $m eval --seed 4 --annulus exterior
+          $m coeffs --seed 7
+          $m coeffs --seed 7 --order 2 --annulus exterior
+          $m coeffs --params $d/p.json
+        } | sed "s|$d|TMP|g" > tests/data/stdout_pin.txt
+        cat $d/run0.jsonl $d/run1.jsonl $d/run2.jsonl > tests/data/oracle_pin.jsonl
     """
     params = tmp_path / "p.json"
     params.write_text(json.dumps(_EVAL_PIN_PARAMS))
@@ -556,6 +596,12 @@ def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
              "--eps-list=" + _SYMMETRIC_LADDER],
             ["eval", "--params", str(params), "--h", "-0.2", "--h", "-0.05"]]
     _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("oracle_pin.jsonl"))
+    for argv in (["eval", "--seed", "4", "--annulus", "exterior"], ["coeffs", "--seed", "7"],
+                 ["coeffs", "--seed", "7", "--order", "2", "--annulus", "exterior"],
+                 ["coeffs", "--params", str(params)]):
+        assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+    assert stdout == _PIN.with_name("stdout_pin.txt").read_text()
 
 
 # ---------------------------------------------------------------------------
