@@ -13,7 +13,8 @@ verify   structural checks of the period integrals: system-matrix residuals
 zeros    argument-principle zero certificates for one parameter set or a
          seeded census of random draws
 oracle   displacement fits from direct integration of the perturbed flow,
-         tabulated against the closed forms with their fit sigmas
+         tabulated against the closed forms with their fit sigmas; each --out
+         row also lists its per-rung displacements [eps, d]
 eval     point evaluation of the periods and the Melnikov functions
 
 Every run prints its resolved configuration as a single '# config' comment
@@ -371,7 +372,8 @@ def cmd_oracle(args) -> int:
     for h in hs:
         fit = melnikov_fit(h, params, annulus, eps_list=eps)
         pv = period_vector(h, annulus)
-        row = {"record": "oracle-row", "h": h, "condition": fit.condition}
+        row = {"record": "oracle-row", "h": h, "condition": fit.condition,
+               "samples": [[s.epsilon, s.d] for s in fit.samples]}
         for k, form, value, err in ((1, f1, fit.m1, fit.m1_err), (2, f2, fit.m2, fit.m2_err)):
             if form is not None:
                 closed = float(np.real(m_eval(form, h, pv)))

@@ -89,14 +89,15 @@ class Section:
     The normal is chosen as the unperturbed flow direction at the anchor
     point, so the crossing function normal . (z - point) increases through
     zero exactly at passages in flow direction; crossings of the same line
-    elsewhere on the orbit run the other way and are rejected by the event
-    direction filter.
+    elsewhere on the orbit run the other way, and flow, which takes a
+    crossing only on a step where the function goes from g <= 0 to
+    g_new >= 0, rejects them.
     """
 
     point: tuple[float, float]
     normal: tuple[float, float]
 
-    def crossing(self, t, z):
+    def crossing(self, z):
         return (self.normal[0] * (z[0] - self.point[0])
                 + self.normal[1] * (z[1] - self.point[1]))
 
@@ -149,7 +150,7 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
     """
     from ._dop853 import Lane, interpolant, run
 
-    t_max, g = float(t_max), section.crossing(0.0, state)
+    t_max, g = float(t_max), section.crossing(state)
     lanes = [Lane(_perturbed_rhs(params, e), state, t_max, _FLOW_RTOL, _FLOW_ATOL,
                   f"integration failed at eps={e:g}") for e in epsilons]
     for lane, e in zip(lanes, epsilons):
@@ -161,7 +162,7 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
         # that ends by t_min holds no root that is taken, so it is not polished
         crossed = []
         for lane, t_old, y_old, y_new, K in steps:
-            g, lane.g = lane.g, section.crossing(lane.t, y_new)
+            g, lane.g = lane.g, section.crossing(y_new)
             if g <= 0 and lane.g >= 0 and lane.t > t_min:
                 at = interpolant(lane.rhs, K, t_old, lane.t, lane.h, y_old, y_new)
                 crossed.append((lane, t_old, lane.t, at))
@@ -169,7 +170,7 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
             hit, a, b, ats = zip(*crossed)
 
             def f(x, k):  # brentq's calls, one Python float per bracket
-                return [section.crossing(s, ats[i](s)) for s, i in zip(x.tolist(), k.tolist())]
+                return [section.crossing(ats[i](s)) for s, i in zip(x.tolist(), k.tolist())]
 
             every = np.arange(len(crossed))
             roots = _brentq(f, a, b, f(np.array(a), every), f(np.array(b), every),
@@ -245,11 +246,7 @@ def _fit_core(samples):
             f"displacement fit is ill-conditioned (cond={cond:.3g}); "
             "spread the eps ladder", err_est=cond)
     coef, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    dof = len(d) - 3
-    if dof > 0:
-        sigma2 = float(np.sum((rhs - design @ coef) ** 2)) / dof
-    else:
-        sigma2 = 0.0
+    sigma2 = float(np.sum((rhs - design @ coef) ** 2)) / (len(d) - 3)
     cov = sigma2 * np.linalg.inv(design.T @ design)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return coef, err, cond
@@ -285,8 +282,6 @@ class MelnikovFit:
     default ladder, so treat them as order-of-magnitude).
     """
 
-    h: float
-    annulus: Annulus
     m1: float
     m2: float
     m1_err: float
@@ -296,10 +291,13 @@ class MelnikovFit:
 
 
 def checked_eps_ladder(eps_list) -> tuple[float, ...]:
-    """The ladder as floats; ValueError unless it holds 4 distinct, finite, nonzero eps."""
+    """The ladder as floats; ValueError unless it holds 4 or more eps, all
+    distinct, finite and nonzero.  A repeated eps would run a second lane with
+    the same floats, narrowing the error bars without adding information."""
     eps_list = tuple(float(e) for e in eps_list)
-    if len(set(eps_list)) < 4:
-        raise ValueError(f"the cubic fit needs 4 distinct eps values, got {list(eps_list)}")
+    if len(set(eps_list)) < max(4, len(eps_list)):
+        raise ValueError(f"the cubic fit needs 4 distinct eps values, none repeated, "
+                         f"got {list(eps_list)}")
     if not all(math.isfinite(e) and e != 0.0 for e in eps_list):
         raise ValueError(f"every eps must be finite and nonzero, got {list(eps_list)}")
     return eps_list
@@ -318,7 +316,6 @@ def melnikov_fit(h: float, params: PerturbationParams, annulus: Annulus,
     samples = _ladder(h, params, annulus, eps_list)
     coef, err, cond = _fit_core(samples)
     sign = displacement_sign()
-    return MelnikovFit(h=float(h), annulus=annulus,
-                       m1=sign * float(coef[0]), m2=sign * float(coef[1]),
+    return MelnikovFit(m1=sign * float(coef[0]), m2=sign * float(coef[1]),
                        m1_err=float(err[0]), m2_err=float(err[1]),
                        condition=cond, samples=samples)

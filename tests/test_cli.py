@@ -107,9 +107,11 @@ def test_zero_or_nonfinite_eps_rejected(capsys, monkeypatch):
 def test_repeated_eps_rejected(capsys, monkeypatch):
     # a ladder of fewer than four distinct eps cannot fit the cubic; once it
     # integrated every flow and then failed, or fitted a residual of duplicates,
-    # and later printed the config line and the table header before failing
+    # and later printed the config line and the table header before failing.
+    # A repeat beside four distinct eps once ran a duplicate lane that narrowed
+    # the fit sigmas without adding information.
     monkeypatch.setattr(oracle, "_ladder", None)  # a call would raise TypeError
-    for ladder in ("1e-3,1e-3,1e-3,1e-3", "1e-3,1e-3,2e-3,3e-3"):
+    for ladder in ("1e-3,1e-3,1e-3,1e-3", "1e-3,1e-3,2e-3,3e-3", "1e-2,5e-3,2.5e-3,1.25e-3,1e-2"):
         assert cli.main(["oracle", "--seed", "0", f"--eps-list={ladder}"]) == 2
         out, err = capsys.readouterr()
         assert "needs 4 distinct eps values" in err and "# config" not in out
@@ -569,8 +571,10 @@ def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
     commands, in this order, and stdout_pin.txt the stdout of all seven.
 
     A change that moves any digit of a displacement fit, a point value or a
-    printed table cell fails here.  The run directory reads TMP in the config
-    lines.  To re-record both pins, from the repository root:
+    printed table cell fails here.  Each oracle row's samples are, in the
+    config's eps_list order, the [eps, d] of melnikov_fit's samples on the
+    same inputs.  The run directory reads TMP in the config lines.  To
+    re-record both pins, from the repository root:
 
         d=$(mktemp -d); export PYTHONPATH=src; m="python -m duffing_melnikov.cli"
         echo '{"lambda1": [0.5, 0, -0.25, 0.75, 0, 1, 0, 0, 0, -0.5],
@@ -596,6 +600,13 @@ def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
              "--eps-list=" + _SYMMETRIC_LADDER],
             ["eval", "--params", str(params), "--h", "-0.2", "--h", "-0.05"]]
     _assert_runs_match_pin(tmp_path, runs, _PIN.with_name("oracle_pin.jsonl"))
+    for k in (0, 1):
+        config = json.loads((tmp_path / f"run{k}.jsonl.config.json").read_text())
+        (row,) = map(json.loads, (tmp_path / f"run{k}.jsonl").read_text().splitlines())
+        fit = oracle.melnikov_fit(row["h"], PerturbationParams.from_dict(config["params"]),
+                                  Annulus.from_label(config["annulus"]), config["eps_list"])
+        assert row["samples"] == [[s.epsilon, s.d] for s in fit.samples]
+        assert [e for e, _ in row["samples"]] == config["eps_list"]
     for argv in (["eval", "--seed", "4", "--annulus", "exterior"], ["coeffs", "--seed", "7"],
                  ["coeffs", "--seed", "7", "--order", "2", "--annulus", "exterior"],
                  ["coeffs", "--params", str(params)]):

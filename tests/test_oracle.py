@@ -7,9 +7,7 @@ The heavier closed-form comparisons live in the acceptance suite.
 """
 
 import dataclasses
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -244,7 +242,7 @@ def test_flow_end_state_equals_a_polyval2d_integration(annulus, h):
     t_min, t_max = 0.5 * T0, 3.0 * T0 + 10.0
 
     def event(t, z):
-        return sec.crossing(t, z)
+        return sec.crossing(z)
 
     event.direction = 1.0
     event.terminal = 2  # the start on the section, then the return
@@ -331,17 +329,3 @@ def test_flow_stops_at_the_return_whatever_the_time_budget(monkeypatch, annulus,
     assert runs[0] == runs[1]
     assert max(calls) < 2.0 * T0
 
-
-def test_convergence_script_prints_one_row_per_rung(monkeypatch, capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "oracle_convergence.py"
-    spec = importlib.util.spec_from_file_location("oracle_convergence", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr("sys.argv", ["oracle_convergence.py", "--rungs", "4"])
-    assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    header = next(k for k, line in enumerate(lines) if line.split()[:1] == ["eps"])
-    rows = lines[header + 1:lines.index("", header)]
-    assert len(rows) == 4
-    assert all(len(row.split()) == 4 for row in rows)
-    assert sum(line.startswith("cubic fit: M1 = ") for line in lines) == 1
