@@ -6,10 +6,11 @@ and error sums are np.matmul over the lane's own (n, s) slice, the gemv of
 DOP853's np.dot; squared norms are per-lane dots as in np.linalg.norm; step
 factors use scalar pow, never array **; and each rhs runs on Python floats.
 
-No part of scipy.integrate is loaded: the tableau is scipy's coefficient
-file, read by its location (it imports numpy alone) and sliced as scipy's
-DOP853 class slices it, and the first step is scipy's select_initial_step
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4).
+No scipy module is loaded: the tableau is scipy's coefficient file, found
+through the scipy package's import spec without importing the package, read
+by its location (it imports numpy alone) and sliced as scipy's DOP853 class
+slices it, and the first step is scipy's select_initial_step (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.4).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import math
 import os
 
 import numpy as np
-import scipy
 
 _SPEC = importlib.util.spec_from_file_location("dop853_coefficients", os.path.join(
-    os.path.dirname(scipy.__file__), "integrate", "_ivp", "dop853_coefficients.py"))
+    os.path.dirname(importlib.util.find_spec("scipy").origin), "integrate", "_ivp",
+    "dop853_coefficients.py"))
 _TABLEAU = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(_TABLEAU)
 _STAGES = _TABLEAU.N_STAGES

@@ -16,9 +16,12 @@ period_vector); the rule owns the endpoint substitution and the split of a
 pinched exterior oval.
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
-Carlson's symmetric form (closed_form).  It is the evaluator of the zero
-counts, the root scans (RealPeriodTable), the cut boundary values and the
-nonvanishing survey, at real or complex levels.
+Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), and both come from
+one arithmetic-geometric mean (_rf_rd; DLMF 19.8(i) and 19.25), with Gauss's
+right choice of each geometric mean at complex levels (closed_form).  It is
+the evaluator of the zero counts, the root scans (RealPeriodTable), the cut
+boundary values and the nonvanishing survey, at real or complex levels; the
+root polish's few real levels run the same operations on Python floats.
 
 Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
 Picard-Fuchs system)
@@ -37,11 +40,10 @@ transport right-hand side both apply.  continue_paths, the one continuation
 entry point, transports it along polylines from quadrature values at their
 real first vertices, each path a lane of one lock-step DOP853, to check the
 closed form; transport_table is the dense solve_ivp route tests compare with.
-continue_paths needs no part of scipy.integrate (see _dop853), and
+continue_paths (see _dop853) and closed_form load no scipy module, and
 transport_table, the reference route, is the one function of this module
 that imports scipy's solve_ivp (the package's other is oracle.solve_ivp, a
-wrapper with no caller).  They and closed_form (scipy.special) import their
-engines when called, so importing this module loads no part of scipy.
+wrapper with no caller), when it is called.
 I_1 needs neither route: on an interior lobe it is exactly linear,
 I_1(h) = c (4h + 1), and it vanishes identically on the exterior annulus.
 
@@ -192,15 +194,127 @@ def _i1_at(h, annulus: Annulus):
 
 
 # ---------------------------------------------------------------------------
-# closed form in Carlson symmetric integrals
+# closed form: complete Carlson integrals by the arithmetic-geometric mean
 # ---------------------------------------------------------------------------
+
+_AGM_TOL = 2.0 ** -26  # sqrt(eps): one more round after |c_n| <= _AGM_TOL |a_n| converges
+_AGM_ROUNDS = 32       # levels 1e-300 from a singular level stop after 13 rounds
+_FLOAT_LEVELS = 32     # real level arrays up to this size run on Python floats
+
+
+def _agm_floats(y: float, z: float) -> tuple[float, float, float]:
+    """_rf_rd at one positive real pair: the array loop's operations, on floats."""
+    c2 = z - y
+    q = 0.25 * c2
+    go = abs(c2) > _AGM_TOL * _AGM_TOL * abs(z)
+    a, b = math.sqrt(z), math.sqrt(y)
+    a, b = (a + b) * 0.5, math.sqrt(a * b)
+    e = 0.25 / a
+    v = ee = e * e
+    p = 1.0
+    for _ in range(_AGM_ROUNDS):
+        if not go:
+            break
+        go = abs(e * q / a) > 0.25 * _AGM_TOL
+        a, b = (a + b) * 0.5, math.sqrt(a * b)
+        e = ee * q / a
+        ee = e * e
+        p *= 2.0
+        v = v + p * ee
+    f = math.pi / (2.0 * a)
+    return f, 3.0 * f * (0.5 + c2 * v) / z, v
+
+
+def _rf_rd(y, z):
+    """(R_F(0, y, z), R_D(0, y, z), V) for arrays y, z of one shape, by one AGM.
+
+    With a_0 = sqrt(z), b_0 = sqrt(y) (principal roots), a_{n+1} =
+    (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n) and c_{n+1} = c_n^2 / (4 a_{n+1})
+    from c_0^2 = z - y, the means converge to M(sqrt(y), sqrt(z)) and
+
+        R_F(0, y, z) = pi / (2 M),   R_D(0, y, z) = 3 R_F S / (z (z - y)),
+
+    with S = sum_{n>=0} 2^(n-1) c_n^2 (DLMF 19.8(i) and 19.25; Carlson,
+    Numer. Algorithms 10 (1995) 13-26).  The recursion for c_n has no
+    difference of means, so nothing cancels next to y = z.  The loop carries
+    e_n = c_n / (z - y) and the tail V = sum_{n>=1} 2^(n-1) e_n^2, finite at
+    y = z, so that R_D = 3 R_F (1/2 + (z - y) V) / z.  At complex levels each
+    b_{n+1} is Gauss's right choice, |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|,
+    that is Re(a_{n+1} conj(b_{n+1})) >= 0, which gives the principal branches
+    on the cut plane (D. A. Cox, L'Enseignement Math. 30 (1984) 275-330).
+
+    Each element runs one more round after |c_n| <= sqrt(eps) |a_n|, which
+    leaves c_{n+1} at rounding level, and at most _AGM_ROUNDS; so an
+    element's floats never depend on the array it is in.  _agm_floats runs
+    the same operations on one real pair of Python floats.
+    """
+    shape = y.shape
+    y, z = y.ravel(), z.ravel()
+    c2 = z - y
+    q = 0.25 * c2
+    go = np.abs(c2) > _AGM_TOL * _AGM_TOL * np.abs(z)
+    a, b = np.sqrt(z), np.sqrt(y)
+    a, b = _agm_step(a, b)
+    e = 0.25 / a
+    v = ee = e * e
+    a_end, v_end = np.empty_like(a), np.empty_like(v)
+    live, p = np.arange(y.size), 1.0
+    for _ in range(_AGM_ROUNDS):
+        if np.count_nonzero(go) < live.size:
+            done = live[~go]
+            a_end[done], v_end[done] = a[~go], v[~go]
+            live, a, b, e, ee, v, q = (t[go] for t in (live, a, b, e, ee, v, q))
+            if not live.size:
+                break
+        go = np.abs(e * q / a) > 0.25 * _AGM_TOL
+        a, b = _agm_step(a, b)
+        e = ee * q / a
+        ee = e * e
+        p *= 2.0
+        v = v + p * ee
+    a_end[live], v_end[live] = a, v
+    f = np.pi / (2.0 * a_end)
+    d = 3.0 * f * (0.5 + c2 * v_end) / z
+    return tuple(t.reshape(shape)[()] for t in (f, d, v_end))
+
+
+def _agm_step(a, b):
+    a, b = (a + b) * 0.5, np.sqrt(a * b)
+    if a.dtype.kind == "c":
+        flip = (a * b.conj()).real < 0.0
+        if np.count_nonzero(flip):
+            b = np.where(flip, -b, b)
+    return a, b
+
+
+def _periods(h, annulus: Annulus, sqrt, rf_rd):
+    """(I_0, I_2, I_0', I_2') of closed_form: on arrays with np.sqrt and _rf_rd,
+    or on one float with math.sqrt and _agm_floats, by the same operations."""
+    s = sqrt(1.0 + 4.0 * h)
+    a = 1.0 + s
+    b = -4.0 * h / a
+    if annulus is Annulus.EXTERIOR:
+        f, d, _ = rf_rd(-b, 2.0 * s)
+        c = 2.0 * math.sqrt(2.0)
+        g = f - (2.0 / 3.0) * d
+    else:
+        f, d, v = rf_rd(b, a)
+        c = math.sqrt(2.0)
+        g = s * (f * (1.0 - 4.0 * v) / a)
+    i0 = (2.0 / 3.0) * c * a * s * g
+    i2 = (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d))
+    d0 = 2.0 * c * f
+    d2 = 2.0 * c * a * (f - (2.0 / 3.0) * s * d)
+    return i0, i2, d0, d2
 
 
 def closed_form(h, annulus: Annulus):
     """(I_0, I_1, I_2, I_0', I_2') at real or complex levels h, vectorized.
 
     With u = x^2 the oval runs between roots of (a - u)(u - b) u, where
-    s = sqrt(1 + 4h) and a, b = 1 +- s.  For roots e1 > e2 > e3 write
+    s = sqrt(1 + 4h), a = 1 + s and b = 1 - s, formed as -4h / (1 + s) so
+    that nothing cancels next to the saddle level h = 0.  For roots
+    e1 > e2 > e3 write
 
         J0 = 2 R_F(0, e2 - e3, e1 - e3)
         J1 = (2/3) (e1 - e2)(e1 - e3) R_D(0, e2 - e3, e1 - e3)
@@ -213,26 +327,25 @@ def closed_form(h, annulus: Annulus):
 
         I_0 = (2/3) c a s G,   I_2 = (2/15) c a s (G + s (3 F - 2 s D)),
 
-    with G = F - (2/3) D and c the factor above.  Taking the factor s out by
-    hand keeps the relative accuracy of I_0 and I_2 near the centre level
-    -1/4, where both vanish like s^2.  scipy's principal branches give the
-    values on the annulus's own cut plane; I_1 is the exact linear form.
-    Real levels inside the annulus give real arrays.
+    with G = F - (2/3) D and c the factor above.  F and D come from one
+    arithmetic-geometric mean (_rf_rd), whose principal branches are the
+    values on the annulus's own cut plane.  On an interior lobe G vanishes
+    like s at the centre level -1/4; there it is formed from the AGM tail V
+    as G = s F (1 - 4V) / a, so that I_0 and I_2, which vanish like s^2,
+    keep their relative accuracy.  I_1 is the exact linear form.  Real
+    levels inside the annulus give real arrays; up to _FLOAT_LEVELS of them
+    (the root polish's steps) run on Python floats, which is faster there
+    and gives the same floats.
     """
-    from scipy.special import elliprd, elliprf
-
     h = np.asarray(h)
-    s = np.sqrt(1.0 + 4.0 * h)
-    a, b = 1.0 + s, 1.0 - s
-    if annulus is Annulus.EXTERIOR:
-        f, d, c = elliprf(0.0, -b, a - b), elliprd(0.0, -b, a - b), 2.0 * math.sqrt(2.0)
-    else:
-        f, d, c = elliprf(0.0, b, a), elliprd(0.0, b, a), math.sqrt(2.0)
-    g = f - (2.0 / 3.0) * d
-    i0 = (2.0 / 3.0) * c * a * s * g
-    i2 = (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d))
-    d0 = 2.0 * c * f
-    d2 = 2.0 * c * a * (f - (2.0 / 3.0) * s * d)
+    if h.dtype == np.float64 and 0 < h.size <= _FLOAT_LEVELS:
+        xs = h.ravel().tolist()
+        lo, hi = (0.0, math.inf) if annulus is Annulus.EXTERIOR else (-0.25, 0.0)
+        if all(lo < x < hi for x in xs):
+            rows = zip(*(_periods(x, annulus, math.sqrt, _agm_floats) for x in xs))
+            i0, i2, d0, d2 = (np.array(t).reshape(h.shape)[()] for t in rows)
+            return i0, _i1_at(h, annulus), i2, d0, d2
+    i0, i2, d0, d2 = _periods(h, annulus, np.sqrt, _rf_rd)
     return i0, _i1_at(h, annulus), i2, d0, d2
 
 

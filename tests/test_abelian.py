@@ -21,8 +21,10 @@ from duffing_melnikov.abelian import (
     SADDLE_LOG_I2,
     PathError,
     RealPeriodTable,
+    _FLOAT_LEVELS,
     _check_path,
     _pf_matrix,
+    _rf_rd,
     closed_form,
     continue_paths,
     cut_values,
@@ -42,7 +44,7 @@ from duffing_melnikov.abelian import (
 )
 from duffing_melnikov.geometry import Annulus, DomainError
 from duffing_melnikov.quadrature import AccuracyError
-from duffing_melnikov.zeros import contour_table
+from duffing_melnikov.zeros import contour_table, keyhole_vertices
 
 INTERIOR_LEVELS = (-0.23, -0.18, -0.125, -0.07, -0.02)
 EXTERIOR_LEVELS = (0.02, 0.2, 1.0, 3.0, 9.0)
@@ -446,13 +448,134 @@ def test_closed_form_matches_quadrature(annulus):
 
 
 def test_closed_form_is_vectorized_and_real_on_real_levels():
-    hs = np.array(EXTERIOR_LEVELS)
-    values = closed_form(hs, Annulus.EXTERIOR)
-    for k, h in enumerate(hs):
-        single = closed_form(h, Annulus.EXTERIOR)
-        for vec, one in zip(values, single):
-            assert vec.dtype == np.float64
-            assert vec[k] == one
+    # 40 levels run the array AGM; one level, or a slice of up to
+    # _FLOAT_LEVELS, runs on Python floats; every level gets the same floats
+    for annulus in Annulus:
+        if annulus is Annulus.EXTERIOR:
+            hs = np.geomspace(1e-7, 1e3, 40)
+        else:
+            hs = np.linspace(-0.25 + 1e-9, -1e-7, 40)
+        assert hs.size > _FLOAT_LEVELS
+        values = closed_form(hs, annulus)
+        for k, h in enumerate(hs):
+            single = closed_form(h, annulus)
+            for vec, one in zip(values, single):
+                assert vec.dtype == np.float64
+                assert vec[k] == one
+        for lo in range(0, hs.size, 8):
+            for vec, part in zip(values, closed_form(hs[lo:lo + 8], annulus)):
+                assert np.array_equal(vec[lo:lo + 8], part)
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+def test_closed_form_is_batch_independent_on_the_keyhole(annulus):
+    # the AGM stops each level on its own, so a level's floats do not depend
+    # on the array it is evaluated in
+    h = contour_table(annulus).init_values[0]
+    values = closed_form(h, annulus)
+    for k in range(h.size):
+        for vec, one in zip(values, closed_form(h[k:k + 1], annulus)):
+            assert vec[k] == one[0]
+
+
+def test_closed_form_ends_on_extreme_levels():
+    # 1e-300 from a singular level, the lobe centre itself (y = z, no AGM
+    # round needed) and a level far out on the exterior
+    for h, annulus in ((1e-300, Annulus.EXTERIOR), (1e150, Annulus.EXTERIOR),
+                       (-1e-300, Annulus.INTERIOR_RIGHT), (-0.25, Annulus.INTERIOR_RIGHT)):
+        i0, _, i2, d0, d2 = closed_form(h, annulus)
+        assert all(math.isfinite(v) for v in (i0, i2, d0, d2))
+        assert d0 > 0.0 and i0 >= 0.0
+    i0, _, i2, d0, _ = closed_form(-0.25, Annulus.INTERIOR_RIGHT)
+    assert i0 == 0.0 and i2 == 0.0 and d0 == pytest.approx(math.sqrt(2.0) * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# closed form against 40-digit references
+# ---------------------------------------------------------------------------
+
+_ULPS = 16 * np.finfo(float).eps  # next to the saddle F and D cancel by about log(1/|h|)
+
+
+def _scipy_closed_form(h, annulus):
+    """(I_0, I_2, I_0', I_2') by the earlier form: b = 1 - s and scipy's R_F, R_D."""
+    from scipy.special import elliprd, elliprf
+
+    h = np.asarray(h)
+    s = np.sqrt(1.0 + 4.0 * h)
+    a, b = 1.0 + s, 1.0 - s
+    if annulus is Annulus.EXTERIOR:
+        y, z, c = -b, a - b, 2.0 * math.sqrt(2.0)
+    else:
+        y, z, c = b, a, math.sqrt(2.0)
+    f, d = elliprf(0.0, y, z), elliprd(0.0, y, z)
+    g = f - (2.0 / 3.0) * d
+    return ((2.0 / 3.0) * c * a * s * g,
+            (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d)),
+            2.0 * c * f, 2.0 * c * a * (f - (2.0 / 3.0) * s * d))
+
+
+def _mpmath_closed_form(mpmath, h, annulus):
+    """The same formulas at 40 digits, from the level's exact binary value."""
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(1 + 4 * mpmath.mpmathify(h))
+        a, b = 1 + s, 1 - s
+        if annulus is Annulus.EXTERIOR:
+            y, z, c = -b, a - b, 2 * mpmath.sqrt(2)
+        else:
+            y, z, c = b, a, mpmath.sqrt(2)
+        f, d = mpmath.elliprf(0, y, z), mpmath.elliprd(0, y, z)
+        g = f - 2 * d / 3
+        return (2 * c * a * s * g / 3, 2 * c * a * s * (g + s * (3 * f - 2 * s * d)) / 15,
+                2 * c * f, 2 * c * a * (f - 2 * s * d / 3))
+
+
+def _real_reference_levels(annulus):
+    """Next to the saddle, and on a lobe next to its centre too."""
+    if annulus is Annulus.EXTERIOR:
+        return [1e-7, 1e-6, 1e-4, 1e3]
+    return [-0.25 + 1e-12, -0.25 + 1e-9, -0.25 + 1e-6, -1e-7, -1e-6, -1e-4]
+
+
+def _complex_reference_levels(annulus, stride=1):
+    """Keyhole vertices for R = 10 and 1e6, and the cut sides cut_values reads."""
+    loops = [keyhole_vertices(annulus, R)[::stride] for R in (10.0, 1e6)]
+    cut = (-0.1, -0.24, -0.26, -0.6, -5.0) if annulus is Annulus.EXTERIOR else (0.5, 3.0, 100.0)
+    sides = [h + side for h in cut for side in (1e-15j, -1e-15j)]
+    return [complex(h) for loop in loops for h in loop] + sides
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_closed_form_matches_40_digit_references(annulus):
+    # Every eighth keyhole vertex for R = 10 and 1e6, the cut sides of
+    # cut_values and real levels next to both singular levels: within 16 ulps
+    # of mpmath, so at least as close as the scipy-based form with b = 1 - s
+    # wherever that is off by more, as it is next to a singular level (up to
+    # 3.4e-11 next to the centre and 2.4e-11 next to the saddle).
+    mpmath = pytest.importorskip("mpmath")
+    levels = _real_reference_levels(annulus) + _complex_reference_levels(annulus, 8)
+    worst_scipy = 0.0
+    for h in levels:
+        i0, _, i2, d0, d2 = closed_form(np.array([h]), annulus)
+        old = _scipy_closed_form(h, annulus)
+        for got, was, ref in zip((i0[0], i2[0], d0[0], d2[0]), old,
+                                 _mpmath_closed_form(mpmath, h, annulus)):
+            assert float(abs(got - ref) / abs(ref)) <= _ULPS, h
+            worst_scipy = max(worst_scipy, float(abs(was - ref) / abs(ref)))
+    assert worst_scipy > 1e3 * _ULPS
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
+def test_agm_matches_scipys_carlson_integrals_on_complex_levels(annulus):
+    from scipy.special import elliprd, elliprf
+
+    h = np.array(_complex_reference_levels(annulus))
+    s = np.sqrt(1.0 + 4.0 * h)
+    b = -4.0 * h / (1.0 + s)  # closed_form's arguments of R_F and R_D
+    y, z = (-b, 2.0 * s) if annulus is Annulus.EXTERIOR else (b, 1.0 + s)
+    f, d, _ = _rf_rd(y, z)
+    assert np.all(np.abs(f - elliprf(0.0, y, z)) <= _ULPS * np.abs(f))
+    assert np.all(np.abs(d - elliprd(0.0, y, z)) <= _ULPS * np.abs(d))
 
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
