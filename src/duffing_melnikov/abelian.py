@@ -340,7 +340,7 @@ def closed_form(h, annulus: Annulus):
     h = np.asarray(h)
     if h.dtype == np.float64 and 0 < h.size <= _FLOAT_LEVELS:
         xs = h.ravel().tolist()
-        lo, hi = (0.0, math.inf) if annulus is Annulus.EXTERIOR else (-0.25, 0.0)
+        lo, hi = annulus.sigma
         if all(lo < x < hi for x in xs):
             rows = zip(*(_periods(x, annulus, math.sqrt, _agm_floats) for x in xs))
             i0, i2, d0, d2 = (np.array(t).reshape(h.shape)[()] for t in rows)

@@ -27,9 +27,11 @@ broadcast pass at every cached keyhole sample and scan grid level, then at
 the cached window levels each form's scan picks, one coefficient row per
 form, in numpy's polyval operation order.  Phase refinement then runs in
 lock-step, with one period evaluation per round for the bisection midpoints
-of every form; and every sign change of the block is polished at once by a
-lock-step copy of scipy's brentq iteration, with one period evaluation per
-step.  Those midpoints and steps are the only periods evaluated per block.
+of every form, each the mean of its step's two end levels, and the two
+halves of each bisected step replace it in its form's phase sum; and every
+sign change of the block is polished at once by a lock-step copy of scipy's
+brentq iteration, with one period evaluation per step.  Those midpoints and
+steps are the only periods evaluated per block.
 Each certificate is then built once, with its final status.  Each value is
 computed point by point and form by form, so a value read from the table or
 computed in a block is the same float a single evaluation returns, and a
@@ -173,15 +175,14 @@ class ContourTable:
     """Everything a certificate on one contour reads that no parameter changes.
 
     The keyhole loop is a polyline parameterized by s in [0, n], n =
-    len(vertices) - 1; segment k covers [k, k+1] linearly.  values_at maps s
-    to its level h on the polyline and evaluates the closed-form periods
-    there, point by point.  init_values caches values_at(s_init), the
-    periods at the initial loop samples.  scan, built by the first
-    certification, holds the real scan of the physical interval clipped to
-    the contour: its levels as _scan_levels gives them and (I_0, I_1, I_2)
-    there.  Every cached value is the float a per-draw evaluation would
-    return, and every cached array is read-only: every later draw reads
-    them.
+    len(vertices) - 1; segment k covers [k, k+1] linearly.  s_init only
+    seeds the initial samples: init_values holds their levels h on the
+    polyline and the closed-form periods there, point by point.  scan, built
+    by the first certification, holds the real scan of the physical interval
+    clipped to the contour: its levels as _scan_levels gives them and (I_0,
+    I_1, I_2) there.  Every cached value is the float a per-draw evaluation
+    would return, and every cached array is read-only: every later draw
+    reads them.
     """
 
     annulus: Annulus
@@ -193,16 +194,10 @@ class ContourTable:
     init_values: tuple = field(init=False)  # (h, I_0, I_1, I_2) at s_init
 
     def __post_init__(self):
-        self.init_values = tuple(_read_only(x) for x in self.values_at(self.s_init))
-
-    def values_at(self, s):
-        """(h, I_0, I_1, I_2) arrays at loop parameters s (ascending or not)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        k = np.minimum(np.floor(s).astype(int), self.vertices.size - 2)
-        t = s - k
+        k = np.minimum(np.floor(self.s_init).astype(int), self.vertices.size - 2)
+        t = self.s_init - k
         h = (1.0 - t) * self.vertices[k] + t * self.vertices[k + 1]
-        i0, i1, i2, _, _ = closed_form(h, self.annulus)
-        return h, i0, i1, i2
+        self.init_values = tuple(_read_only(x) for x in (h, *closed_form(h, self.annulus)[:3]))
 
     @cached_property
     def scan(self) -> tuple:
@@ -239,26 +234,17 @@ def keyhole_vertices(annulus: Annulus, R: float = 10.0, eta: float = 1e-3,
     x_R = math.sqrt(R ** 2 - eta ** 2)
     th0 = math.asin(eta / rho_arc)
     thR = math.asin(eta / R)
-    if annulus is Annulus.EXTERIOR:
-        # cut along (-inf, 0]; boundary starts just below the cut near 0
-        start = complex(-x_rho, -eta)
-        circle = np.linspace(-math.pi + thR, math.pi - thR, _N_CIRCLE + 1)
-        punct = np.linspace(math.pi - th0, th0 - math.pi, _N_PUNCT + 1)
-        loop = [start, complex(-x_R, -eta)]
-        loop += [R * complex(math.cos(t), math.sin(t)) for t in circle[1:]]
-        loop += [complex(-x_rho, eta)]
-        loop += [rho_arc * complex(math.cos(t), math.sin(t)) for t in punct[1:]]
-    else:
-        # cut along [0, inf); boundary starts just above the cut near 0
-        start = complex(x_rho, eta)
-        circle = np.linspace(thR, 2.0 * math.pi - thR, _N_CIRCLE + 1)
-        punct = np.linspace(-th0, th0 - 2.0 * math.pi, _N_PUNCT + 1)
-        loop = [start, complex(x_R, eta)]
-        loop += [R * complex(math.cos(t), math.sin(t)) for t in circle[1:]]
-        loop += [complex(x_rho, -eta)]
-        loop += [rho_arc * complex(math.cos(t), math.sin(t)) for t in punct[1:]]
+    # interior cut along [0, inf); boundary starts just above the cut near 0
+    start = complex(x_rho, eta)
+    circle = np.linspace(thR, 2.0 * math.pi - thR, _N_CIRCLE + 1)
+    punct = np.linspace(-th0, th0 - 2.0 * math.pi, _N_PUNCT + 1)
+    loop = [start, complex(x_R, eta)]
+    loop += [R * complex(math.cos(t), math.sin(t)) for t in circle[1:]]
+    loop += [complex(x_rho, -eta)]
+    loop += [rho_arc * complex(math.cos(t), math.sin(t)) for t in punct[1:]]
     loop[-1] = start
-    return loop
+    # the exterior cut is (-inf, 0]: its loop is this one turned by pi (negation is exact)
+    return [-z for z in loop] if annulus is Annulus.EXTERIOR else loop
 
 
 def _initial_samples(loop) -> np.ndarray:
@@ -342,19 +328,20 @@ def _phase_steps_fail(vl, vr, limit):
     return steps, (np.abs(steps) >= 0.5 * math.pi) | (np.abs(vr) < limit) | (np.abs(vl) < limit)
 
 
-def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) -> _Phases:
-    """Sample every form's counting function on s, bisecting until phase steps < pi/2.
+def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
+    """Sample every form's counting function on the loop until phase steps < pi/2.
 
-    coeffs holds the coefficient rows of the forms and values (h, I_0, I_1,
-    I_2) at s.  All forms refine in lock-step: each round bisects the failing
-    steps of every form with one period evaluation.  A step that passes stays
-    passed, since its two values and the scale (fixed by the initial samples)
-    do not change, so each round tests only the halves of the steps it
-    bisected.  Non-convergence signals a zero on or numerically touching the
-    contour.
+    coeffs holds the coefficient rows of the forms; sampling starts at the
+    table's initial samples.  All forms refine in lock-step: each round
+    bisects the failing steps of every form at the mean of their end levels,
+    with one period evaluation, and the two halves replace the step in its
+    form's phase sum.  A step that passes stays passed, since its two values
+    and the scale (fixed by the initial samples) do not change, so each round
+    tests only the halves of the steps it bisected.  Non-convergence signals
+    a zero on or numerically touching the contour.
     """
     exterior = ct.annulus is Annulus.EXTERIOR
-    h, i0, i1, i2 = values
+    h, i0, i1, i2 = ct.init_values
     v = _counting_rows(tuple(c[:, None, :] for c in coeffs), exterior, h, i0, i1, i2)
     n = v.shape[0]
     scale = np.max(np.abs(v), axis=1)
@@ -364,42 +351,34 @@ def _phase_block(ct: ContourTable, coeffs: tuple, s: np.ndarray, values: tuple) 
     steps, fail = _phase_steps_fail(v[:, :-1], v[:, 1:], limit[:, None])
     fail[degenerate] = False
     rows, k = np.nonzero(fail)
-    sl, vl, sr, vr = s[k], v[rows, k], s[k + 1], v[rows, k + 1]
-    n_samples = np.full(n, s.size)
+    hl, vl, hr, vr, step = h[k], v[rows, k], h[k + 1], v[rows, k + 1], steps[rows, k]
+    total = np.sum(steps, axis=1)
+    peak = scale.copy()
+    n_samples = np.full(n, h.size)
     active = ~degenerate
     converged = np.zeros(n, dtype=bool)
-    added = []
     for _ in range(_MAX_REFINE):
         count = np.bincount(rows, minlength=n)
         converged |= active & (count == 0)
         active &= (count > 0) & (n_samples + count <= _MAX_SAMPLES)
         keep = active[rows]
-        rows, sl, vl, sr, vr = rows[keep], sl[keep], vl[keep], sr[keep], vr[keep]
+        rows, hl, vl, hr, vr, step = (x[keep] for x in (rows, hl, vl, hr, vr, step))
         if rows.size == 0:
             break
-        mid = 0.5 * (sl + sr)
-        hm, j0, j1, j2 = ct.values_at(mid)
-        vm = _counting_rows(tuple(c[rows] for c in coeffs), exterior, hm, j0, j1, j2)
+        hm = 0.5 * (hl + hr)
+        vm = _counting_rows(tuple(c[rows] for c in coeffs), exterior, hm,
+                            *closed_form(hm, ct.annulus)[:3])
         n_samples += np.bincount(rows, minlength=n)
-        added.append((rows, mid, vm))
-        # the two halves of every bisected step; the failing ones go on
+        np.maximum.at(peak, rows, np.abs(vm))
+        # the two halves of every bisected step replace it in the phase sum;
+        # the failing ones go on
+        m = rows.size
         rows = np.concatenate([rows, rows])
-        sl, vl = np.concatenate([sl, mid]), np.concatenate([vl, vm])
-        sr, vr = np.concatenate([mid, sr]), np.concatenate([vm, vr])
-        _, fail = _phase_steps_fail(vl, vr, limit[rows])
-        rows, sl, vl, sr, vr = rows[fail], sl[fail], vl[fail], sr[fail], vr[fail]
-    total = np.sum(steps, axis=1)
-    peak = scale.copy()
-    if added:
-        rows, mid, vm = (np.concatenate(x) for x in zip(*added))
-        for d in np.unique(rows).tolist():
-            mine = rows == d
-            vd = np.concatenate([v[d], vm[mine]])
-            vd = vd[np.argsort(np.concatenate([s, mid[mine]]), kind="stable")]
-            # a sample exactly 0 (a zero on the contour) divides by 0; its row never converges
-            with np.errstate(divide="ignore", invalid="ignore"):
-                total[d] = np.sum(np.angle(vd[1:] / vd[:-1]))
-            peak[d] = np.max(np.abs(vd))
+        hl, vl = np.concatenate([hl, hm]), np.concatenate([vl, vm])
+        hr, vr = np.concatenate([hm, hr]), np.concatenate([vm, vr])
+        halves, fail = _phase_steps_fail(vl, vr, limit[rows])
+        np.add.at(total, rows[:m], halves[:m] + halves[m:] - step)
+        rows, hl, vl, hr, vr, step = (x[fail] for x in (rows, hl, vl, hr, vr, halves))
     with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
         closure = np.abs(v[:, -1] - v[:, 0]) / peak
     return _Phases(degenerate=degenerate, converged=converged, total=total,
@@ -606,7 +585,7 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     order, annulus = forms[0].order, forms[0].annulus
     ct = contour_table(annulus, R, eta, rho)
     coeffs = _coeff_rows(forms)
-    ph = _phase_block(ct, coeffs, ct.s_init, ct.init_values)
+    ph = _phase_block(ct, coeffs)
     live = np.flatnonzero(~ph.degenerate)
     levels, periods = ct.scan
     points = levels[0]

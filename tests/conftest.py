@@ -22,6 +22,11 @@ def pytest_configure(config):
     # any warning fails its test: a numpy overflow, invalid operation or division
     # by zero, a deprecation, an unraisable exception
     config.addinivalue_line("filterwarnings", "error")
+    # except one raised by Hypothesis's own reporting of a failing @given test
+    # (it imports libcst, which imports mypy_extensions.TypedDict): as an
+    # error it aborts the session with INTERNALERROR and hides the failure
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from duffing_melnikov import abelian, zeros
-from duffing_melnikov.abelian import BASE_POINTS, cut_values, transport_table
+from duffing_melnikov.abelian import BASE_POINTS, closed_form, cut_values, transport_table
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import (
     MONOMIALS,
@@ -78,6 +78,10 @@ def test_keyhole_is_closed_and_clear_of_poles(annulus):
     else:
         on_cut = (verts.real > 0) & (np.abs(verts.imag) < 1e-3 * (1 - 1e-12))
     assert not np.any(on_cut)
+    # the exterior loop is the interior one turned by pi, float for float
+    for kw in ({}, {"R": 1e6, "eta": 2e-3, "rho": 5e-3}):
+        interior = keyhole_vertices(Annulus.INTERIOR_RIGHT, **kw)
+        assert keyhole_vertices(Annulus.EXTERIOR, **kw) == [-z for z in interior]
 
 
 def test_contour_table_is_cached():
@@ -220,6 +224,16 @@ def test_a_huge_exterior_contour_is_not_degenerate():
     assert cert.n_samples > 0
 
 
+@pytest.mark.parametrize("R", [1e20, 1e25])
+def test_a_large_exterior_contour_refines_next_to_the_puncture(R):
+    # the upper cut side runs from -R to the puncture; bisecting its levels
+    # splits the step next to the puncture, which one ulp of the loop
+    # parameter (about 5.7e-14 R of h there) could not
+    cert = certify(_single_param(lambda1_1=1.0, gamma1_6=1.0), 1, Annulus.EXTERIOR, R=R)
+    assert cert.status is Status.WITHIN_BOUND
+    assert cert.winding == 0
+
+
 @pytest.mark.parametrize("annulus", list(Annulus))
 def test_zero_and_projected_first_order_forms_stay_degenerate(annulus):
     draw = enforce_m1_zero(PerturbationParams.uniform(np.random.default_rng(5)), annulus)
@@ -318,7 +332,10 @@ def test_census_rejects_an_unknown_order(n_draws):
     (2, Annulus.EXTERIOR)])
 def test_census_certificates_equal_certify_alone(order, annulus):
     # the block engine gives every draw the certificate it gets in a block of one
-    certs, _ = bound_census(order, annulus, n_draws=12, seed=4)
+    certs, _ = bound_census(order, annulus, n_draws=50, seed=4)
+    # some draw of every class refines (the first at draw 38 to 43 on the
+    # interior and order-1 exterior), so the halvings' phase sums are covered
+    assert any(c.n_samples > contour_table(annulus).s_init.size for c in certs)
     rng = np.random.default_rng(4)
     for cert in certs:
         params = PerturbationParams.uniform(rng)
@@ -662,8 +679,8 @@ def _assert_subset_matches(evaluate, points, seed):
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
-    ct = contour_table(annulus)
-    _assert_subset_matches(ct.values_at, ct.s_init, seed)
+    _assert_subset_matches(lambda h: closed_form(h, annulus),
+                           contour_table(annulus).init_values[0], seed)
 
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
@@ -676,7 +693,7 @@ def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
 @pytest.mark.parametrize("annulus", _CENSUS_ANNULI)
 def test_cached_periods_equal_a_fresh_evaluation(annulus):
     ct = _scanned_table(annulus)
-    for cached, fresh in zip(ct.init_values, ct.values_at(ct.s_init)):
+    for cached, fresh in zip(ct.init_values[1:], closed_form(ct.init_values[0], annulus)):
         assert np.array_equal(cached, fresh)
     levels, cached = ct.scan
     for c, fresh in zip(cached, _real_table(annulus).values(levels[0])):
