@@ -19,9 +19,9 @@ Closed form: with u = x^2 every period is a complete elliptic integral in
 Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), and both come from
 one arithmetic-geometric mean (_rf_rd; DLMF 19.8(i) and 19.25), with Gauss's
 right choice of each geometric mean at complex levels (closed_form).  It is
-the evaluator of the zero counts, the root scans (RealPeriodTable), the cut
-boundary values and the nonvanishing survey, at real or complex levels; the
-root polish's few real levels run the same operations on Python floats.
+the evaluator of the zero counts, the root scans and their polish, the cut
+boundary values and the nonvanishing survey, at real or complex levels, all
+through the one array loop.
 
 Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
 Picard-Fuchs system)
@@ -199,30 +199,6 @@ def _i1_at(h, annulus: Annulus):
 
 _AGM_TOL = 2.0 ** -26  # sqrt(eps): one more round after |c_n| <= _AGM_TOL |a_n| converges
 _AGM_ROUNDS = 32       # levels 1e-300 from a singular level stop after 13 rounds
-_FLOAT_LEVELS = 32     # real level arrays up to this size run on Python floats
-
-
-def _agm_floats(y: float, z: float) -> tuple[float, float, float]:
-    """_rf_rd at one positive real pair: the array loop's operations, on floats."""
-    c2 = z - y
-    q = 0.25 * c2
-    go = abs(c2) > _AGM_TOL * _AGM_TOL * abs(z)
-    a, b = math.sqrt(z), math.sqrt(y)
-    a, b = (a + b) * 0.5, math.sqrt(a * b)
-    e = 0.25 / a
-    v = ee = e * e
-    p = 1.0
-    for _ in range(_AGM_ROUNDS):
-        if not go:
-            break
-        go = abs(e * q / a) > 0.25 * _AGM_TOL
-        a, b = (a + b) * 0.5, math.sqrt(a * b)
-        e = ee * q / a
-        ee = e * e
-        p *= 2.0
-        v = v + p * ee
-    f = math.pi / (2.0 * a)
-    return f, 3.0 * f * (0.5 + c2 * v) / z, v
 
 
 def _rf_rd(y, z):
@@ -245,8 +221,7 @@ def _rf_rd(y, z):
 
     Each element runs one more round after |c_n| <= sqrt(eps) |a_n|, which
     leaves c_{n+1} at rounding level, and at most _AGM_ROUNDS; so an
-    element's floats never depend on the array it is in.  _agm_floats runs
-    the same operations on one real pair of Python floats.
+    element's floats never depend on the array it is in.
     """
     shape = y.shape
     y, z = y.ravel(), z.ravel()
@@ -287,27 +262,6 @@ def _agm_step(a, b):
     return a, b
 
 
-def _periods(h, annulus: Annulus, sqrt, rf_rd):
-    """(I_0, I_2, I_0', I_2') of closed_form: on arrays with np.sqrt and _rf_rd,
-    or on one float with math.sqrt and _agm_floats, by the same operations."""
-    s = sqrt(1.0 + 4.0 * h)
-    a = 1.0 + s
-    b = -4.0 * h / a
-    if annulus is Annulus.EXTERIOR:
-        f, d, _ = rf_rd(-b, 2.0 * s)
-        c = 2.0 * math.sqrt(2.0)
-        g = f - (2.0 / 3.0) * d
-    else:
-        f, d, v = rf_rd(b, a)
-        c = math.sqrt(2.0)
-        g = s * (f * (1.0 - 4.0 * v) / a)
-    i0 = (2.0 / 3.0) * c * a * s * g
-    i2 = (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d))
-    d0 = 2.0 * c * f
-    d2 = 2.0 * c * a * (f - (2.0 / 3.0) * s * d)
-    return i0, i2, d0, d2
-
-
 def closed_form(h, annulus: Annulus):
     """(I_0, I_1, I_2, I_0', I_2') at real or complex levels h, vectorized.
 
@@ -333,19 +287,24 @@ def closed_form(h, annulus: Annulus):
     like s at the centre level -1/4; there it is formed from the AGM tail V
     as G = s F (1 - 4V) / a, so that I_0 and I_2, which vanish like s^2,
     keep their relative accuracy.  I_1 is the exact linear form.  Real
-    levels inside the annulus give real arrays; up to _FLOAT_LEVELS of them
-    (the root polish's steps) run on Python floats, which is faster there
-    and gives the same floats.
+    levels inside the annulus give real arrays.
     """
     h = np.asarray(h)
-    if h.dtype == np.float64 and 0 < h.size <= _FLOAT_LEVELS:
-        xs = h.ravel().tolist()
-        lo, hi = annulus.sigma
-        if all(lo < x < hi for x in xs):
-            rows = zip(*(_periods(x, annulus, math.sqrt, _agm_floats) for x in xs))
-            i0, i2, d0, d2 = (np.array(t).reshape(h.shape)[()] for t in rows)
-            return i0, _i1_at(h, annulus), i2, d0, d2
-    i0, i2, d0, d2 = _periods(h, annulus, np.sqrt, _rf_rd)
+    s = np.sqrt(1.0 + 4.0 * h)
+    a = 1.0 + s
+    b = -4.0 * h / a
+    if annulus is Annulus.EXTERIOR:
+        f, d, _ = _rf_rd(-b, 2.0 * s)
+        c = 2.0 * math.sqrt(2.0)
+        g = f - (2.0 / 3.0) * d
+    else:
+        f, d, v = _rf_rd(b, a)
+        c = math.sqrt(2.0)
+        g = s * (f * (1.0 - 4.0 * v) / a)
+    i0 = (2.0 / 3.0) * c * a * s * g
+    i2 = (2.0 / 15.0) * c * a * s * (g + s * (3.0 * f - 2.0 * s * d))
+    d0 = 2.0 * c * f
+    d2 = 2.0 * c * a * (f - (2.0 / 3.0) * s * d)
     return i0, _i1_at(h, annulus), i2, d0, d2
 
 
@@ -582,11 +541,11 @@ def wronskian_cut(h: float) -> complex:
 
 
 class RealPeriodTable:
-    """(I_0, I_1, I_2) on the real interval of an annulus, for root scans.
+    """(I_0, I_1, I_2) on the real interval of an annulus, range-checked.
 
     Covers the interval up to 1e-7 from the singular levels, and the whole
-    ray h > 1e-7 on the exterior annulus, so a real scan reaches the rim of
-    every contour; values are the closed form.
+    ray h > 1e-7 on the exterior annulus; values are the closed form, which
+    the root scans read directly (every level they pass lies in this range).
     """
 
     def __init__(self, annulus: Annulus):

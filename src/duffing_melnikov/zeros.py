@@ -27,11 +27,12 @@ broadcast pass at every cached keyhole sample and scan grid level, then at
 the cached window levels each form's scan picks, one coefficient row per
 form, in numpy's polyval operation order.  Phase refinement then runs in
 lock-step, with one period evaluation per round for the bisection midpoints
-of every form, each the mean of its step's two end levels, and the two
-halves of each bisected step replace it in its form's phase sum; and every
-sign change of the block is polished at once by a lock-step copy of scipy's
-brentq iteration, with one period evaluation per step.  Those midpoints and
-steps are the only periods evaluated per block.
+of every form, each the mean of its step's two end levels; the two halves
+of each bisected step replace it in its form's phase sum and keep the
+small-value limit of its initial step.  Every sign change of the block is
+polished at once by a lock-step copy of scipy's brentq iteration, with one
+period evaluation per step.  Those midpoints and steps are the only periods
+evaluated per block.
 Each certificate is then built once, with its final status.  Each value is
 computed point by point and form by form, so a value read from the table or
 computed in a block is the same float a single evaluation returns, and a
@@ -203,7 +204,7 @@ class ContourTable:
     def scan(self) -> tuple:
         """(_scan_levels of the real scan, (I_0, I_1, I_2) at its levels)."""
         levels = _scan_levels(*_scan_interval(self.annulus, self.R, self.rho), _N_SCAN)
-        periods = _real_table(self.annulus).values(levels[0])
+        periods = closed_form(levels[0], self.annulus)[:3]
         return levels, tuple(_read_only(x) for x in periods)
 
 
@@ -335,23 +336,28 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
     table's initial samples.  All forms refine in lock-step: each round
     bisects the failing steps of every form at the mean of their end levels,
     with one period evaluation, and the two halves replace the step in its
-    form's phase sum.  A step that passes stays passed, since its two values
-    and the scale (fixed by the initial samples) do not change, so each round
-    tests only the halves of the steps it bisected.  Non-convergence signals
-    a zero on or numerically touching the contour.
+    form's phase sum.  A step fails at a phase change of pi/2 or more, or
+    with an end below 1e-13 times the larger |v| at the ends of the initial
+    step it comes from, a limit its halves inherit; so the limit follows the
+    counting function's growth along the loop.  A passed step stays passed,
+    so each round tests only the halves of the steps it bisected.
+    Non-convergence signals a zero on or numerically touching the contour.
     """
     exterior = ct.annulus is Annulus.EXTERIOR
     h, i0, i1, i2 = ct.init_values
     v = _counting_rows(tuple(c[:, None, :] for c in coeffs), exterior, h, i0, i1, i2)
     n = v.shape[0]
-    scale = np.max(np.abs(v), axis=1)
+    mag = np.abs(v)
+    scale = np.max(mag, axis=1)
     # zero to within rounding, in the counting function's units (I_0 / I_0 = 1 on the exterior)
     degenerate = scale < _DEGENERATE_TOL * (1.0 + (1.0 if exterior else float(np.max(np.abs(i0)))))
-    limit = 1e-13 * scale
-    steps, fail = _phase_steps_fail(v[:, :-1], v[:, 1:], limit[:, None])
+    limit = 1e-13 * np.maximum(mag[:, :-1], mag[:, 1:])
+    del mag  # one full-size array fewer while the steps are formed: fewer page faults
+    steps, fail = _phase_steps_fail(v[:, :-1], v[:, 1:], limit)
     fail[degenerate] = False
     rows, k = np.nonzero(fail)
-    hl, vl, hr, vr, step = h[k], v[rows, k], h[k + 1], v[rows, k + 1], steps[rows, k]
+    hl, vl, hr, vr, step, lim = (h[k], v[rows, k], h[k + 1], v[rows, k + 1], steps[rows, k],
+                                 limit[rows, k])
     total = np.sum(steps, axis=1)
     peak = scale.copy()
     n_samples = np.full(n, h.size)
@@ -362,7 +368,7 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
         converged |= active & (count == 0)
         active &= (count > 0) & (n_samples + count <= _MAX_SAMPLES)
         keep = active[rows]
-        rows, hl, vl, hr, vr, step = (x[keep] for x in (rows, hl, vl, hr, vr, step))
+        rows, hl, vl, hr, vr, step, lim = (x[keep] for x in (rows, hl, vl, hr, vr, step, lim))
         if rows.size == 0:
             break
         hm = 0.5 * (hl + hr)
@@ -373,12 +379,12 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
         # the two halves of every bisected step replace it in the phase sum;
         # the failing ones go on
         m = rows.size
-        rows = np.concatenate([rows, rows])
+        rows, lim = np.concatenate([rows, rows]), np.concatenate([lim, lim])
         hl, vl = np.concatenate([hl, hm]), np.concatenate([vl, vm])
         hr, vr = np.concatenate([hm, hr]), np.concatenate([vm, vr])
-        halves, fail = _phase_steps_fail(vl, vr, limit[rows])
+        halves, fail = _phase_steps_fail(vl, vr, lim)
         np.add.at(total, rows[:m], halves[:m] + halves[m:] - step)
-        rows, hl, vl, hr, vr, step = (x[fail] for x in (rows, hl, vl, hr, vr, halves))
+        rows, hl, vl, hr, vr, step, lim = (x[fail] for x in (rows, hl, vl, hr, vr, halves, lim))
     with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
         closure = np.abs(v[:, -1] - v[:, 0]) / peak
     return _Phases(degenerate=degenerate, converged=converged, total=total,
@@ -591,12 +597,11 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     points = levels[0]
     coeffs = tuple(c[live] for c in coeffs)
     exterior = annulus is Annulus.EXTERIOR
-    table = _real_table(annulus)
 
     def polish(x, r):
         # root polishing evaluates the periods afresh at its steps
         rows = tuple(c[r] for c in coeffs)
-        return np.real(_counting_rows(rows, exterior, x, *table.values(x)))
+        return np.real(_counting_rows(rows, exterior, x, *closed_form(x, annulus)[:3]))
 
     def at_levels(r, i):
         return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],

@@ -21,7 +21,6 @@ from duffing_melnikov.abelian import (
     SADDLE_LOG_I2,
     PathError,
     RealPeriodTable,
-    _FLOAT_LEVELS,
     _check_path,
     _pf_matrix,
     _rf_rd,
@@ -448,14 +447,12 @@ def test_closed_form_matches_quadrature(annulus):
 
 
 def test_closed_form_is_vectorized_and_real_on_real_levels():
-    # 40 levels run the array AGM; one level, or a slice of up to
-    # _FLOAT_LEVELS, runs on Python floats; every level gets the same floats
+    # every level gets the same floats alone, in a slice of 8 and among 40
     for annulus in Annulus:
         if annulus is Annulus.EXTERIOR:
             hs = np.geomspace(1e-7, 1e3, 40)
         else:
             hs = np.linspace(-0.25 + 1e-9, -1e-7, 40)
-        assert hs.size > _FLOAT_LEVELS
         values = closed_form(hs, annulus)
         for k, h in enumerate(hs):
             single = closed_form(h, annulus)
@@ -465,6 +462,20 @@ def test_closed_form_is_vectorized_and_real_on_real_levels():
         for lo in range(0, hs.size, 8):
             for vec, part in zip(values, closed_form(hs[lo:lo + 8], annulus)):
                 assert np.array_equal(vec[lo:lo + 8], part)
+
+
+@pytest.mark.parametrize("annulus", [Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT,
+                                     Annulus.EXTERIOR])
+def test_closed_form_on_a_few_scan_levels_equals_the_scan_table(annulus):
+    # the root polish evaluates 1 to 9 real levels at a time, brackets from
+    # the table's scan values, and must read the same floats there
+    (points, _, _), cached = contour_table(annulus).scan
+    rng = np.random.default_rng(7)
+    for size in range(1, 10):
+        idx = rng.choice(points.size, size=size, replace=False)
+        for fresh, table in zip(closed_form(points[idx], annulus)[:3], cached):
+            assert fresh.dtype == np.float64
+            assert np.array_equal(fresh, table[idx])
 
 
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])

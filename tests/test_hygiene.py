@@ -19,8 +19,9 @@ function, outside the two reference routes listed in ODE_EXEMPT.
 Every name the benchmark binds resolves: bench/tracing.py wraps its TARGETS
 by name, and the workloads call a few private functions directly.  Its hooks
 read: with the tracer installed, one call of each package function it counts
-gives every one of that layer's counters a nonzero reading.  The benchmark's
-own smoke test lives under bench/, outside the tier-1 suite.
+gives every one of that layer's counters a nonzero reading.  The names it
+binds that no program code reads are exactly those listed in BENCH_ONLY.
+The benchmark's own smoke test lives under bench/, outside the tier-1 suite.
 """
 
 import ast
@@ -75,12 +76,12 @@ def exported(source: str) -> list[str]:
             for name in ast.literal_eval(node.value)]
 
 
-def references(source: str, imports: bool = True) -> set[str]:
-    """Names a module reads: loaded names, attributes, imported names (unless
-    imports is False) and dotted-name string constants.  Docstrings and
-    __all__ do not count, nor does a function's or class's mention of its own
-    name."""
-    tree = ast.parse(source)
+def references(source, imports: bool = True) -> set[str]:
+    """Names a module (source text) or a node reads: loaded names, attributes,
+    imported names (unless imports is False) and dotted-name string constants.
+    Docstrings and __all__ do not count, nor does a function's or class's
+    mention of its own name."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     docstrings = {id(n.body[0].value) for n in ast.walk(tree)
                   if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                     ast.AsyncFunctionDef))
@@ -241,11 +242,17 @@ _BENCH_CALLS = (("zeros", "_real_table"), ("abelian", "_base_values"),
                 ("oracle", "displacement_sign"))
 
 
-def test_every_name_the_benchmark_binds_resolves(monkeypatch):
+def _bench_tracing(monkeypatch):
+    """bench/tracing.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_benchmark_binds_resolves(monkeypatch):
+    tracing = _bench_tracing(monkeypatch)
     bound = [(t.module, t.attr) for t in tracing.TARGETS] + list(_BENCH_CALLS)
     missing = []
     for module, attr in bound:
@@ -266,10 +273,7 @@ def test_the_benchmark_tracer_hooks_read_what_they_count(monkeypatch):
     from duffing_melnikov.geometry import Annulus
     from duffing_melnikov.melnikov import MelnikovForm, PerturbationParams
 
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up
-    spec.loader.exec_module(tracing)
+    tracing = _bench_tracing(monkeypatch)
     importlib.import_module(f"{tracing.PACKAGE}.cli")  # install patches every module it binds
     exterior = Annulus.EXTERIOR
     lam, gam = [0.0] * 10, [0.0] * 10
@@ -300,3 +304,77 @@ def test_the_benchmark_tracer_hooks_read_what_they_count(monkeypatch):
     assert sorted(counted) == sorted(layers)
     assert [f"{layer}.{key}" for layer, keys in counted.items() for key in keys
             if not metrics[f"{layer}.{key}"] > 0] == []
+
+
+# Names the benchmark binds that no top-level definition in src/ outside this
+# set reads, each with its reason; they go when the benchmark stops binding
+# them, and this set empties.
+BENCH_ONLY = {
+    "quadrature.integrate_endpoint_sqrt": "one-interval rule; the oval rows run _doubling",
+    "quadrature.integrate_smooth": "one-interval rule; the oval rows run _doubling",
+    "quadrature.integrate_path": "polyline rule; nothing integrates along a complex path",
+    "abelian.oval_integral": "one level of oval_integrals, which is the route",
+    "abelian.transport_table": "the dense solve_ivp transport the tests compare with",
+    "abelian.PathTable": "the record transport_table returns",
+    "abelian.RealPeriodTable": "a range-checked closed_form; the root scans read closed_form",
+    "oracle.solve_ivp": "scipy's solve_ivp; the flows step the lock-step DOP853",
+    "oracle.displacement": "one displacement; melnikov_fit steps its whole ladder in one flow",
+    "zeros.winding_count": "a block of one; certificates come from _certify_block",
+    "zeros.real_zeros": "the scan of one function; certificates scan in _certify_block",
+    "zeros._real_table": "builds a RealPeriodTable",
+}
+
+# the command's entry point is read by the console script, not by src/
+_ENTRY_POINTS = ("cli.main",)
+
+
+def bench_only(bound, sources: dict, entry=()) -> set[str]:
+    """The "module.name" of each bound "module.attr" (name the first part of
+    attr) that no top-level definition of sources ({module: text}) reads,
+    imports and __all__ aside, unless that definition is in the result
+    itself; entry points are never in it."""
+    readers = []  # (defined "module.name" entries, names read), one per statement
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = [getattr(t, "id", "") for t in getattr(node, "targets", [])]
+            readers.append(({f"{module}.{n}" for n in names}, references(node)))
+    found = {f"{m}.{a.split('.')[0]}" for m, a in (b.split(".", 1) for b in bound)} - set(entry)
+    while True:
+        read = set().union(*(refs for defined, refs in readers if not defined & found))
+        kept = {name for name in found if name.split(".", 1)[1] not in read}
+        if kept == found:
+            return found
+        found = kept
+
+
+def test_scan_finds_names_only_the_benchmark_reaches():
+    lib = ('"""traced and helper"""\n__all__ = ["run", "traced"]\n'
+           "import os\n"
+           "def run():\n    return helper()\n"
+           "def helper():\n    return os.sep\n"
+           "def traced():\n    return Table().values()\n"
+           "class Table:\n    def values(self):\n        return Table\n"
+           "def main():\n    return run()\n"
+           "LIMIT = 2\n")
+    user = "from lib import traced\nSCALE = 2 * LIMIT\n"
+    bound = ["lib.run", "lib.helper", "lib.traced", "lib.Table.values", "lib.main", "lib.LIMIT"]
+    # run is read by the entry point, helper only by run: neither is in;
+    # Table is read only by traced, which is, and traced only by an import
+    assert bench_only(bound, {"lib": lib, "user": user}, ["lib.main"]) == {
+        "lib.traced", "lib.Table"}
+    assert bench_only(bound, {"lib": lib}, ["lib.main"]) == {"lib.traced", "lib.Table",
+                                                             "lib.LIMIT"}
+    assert bench_only(bound, {"lib": lib}) == set(bound) - {"lib.Table.values"} | {"lib.Table"}
+
+
+def test_the_names_only_the_benchmark_reaches_are_listed(monkeypatch):
+    tracing = _bench_tracing(monkeypatch)
+    bound = [f"{t.module}.{t.attr}" for t in tracing.TARGETS] + [
+        f"{module}.{attr}" for module, attr in _BENCH_CALLS]
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert bench_only(bound, sources, _ENTRY_POINTS) == set(BENCH_ONLY)

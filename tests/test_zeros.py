@@ -29,7 +29,6 @@ from duffing_melnikov.zeros import (
     BOUNDS,
     DegenerateFormError,
     Status,
-    _real_table,
     _suspect_positions,
     bound_census,
     certify,
@@ -154,11 +153,11 @@ def test_winding_exterior_nonvanishing_form():
 
 
 @pytest.mark.parametrize("annulus,zero,n_samples", [
-    (Annulus.INTERIOR_RIGHT, -10.0, 1077), (Annulus.EXTERIOR, 10.0, 1071)])
+    (Annulus.INTERIOR_RIGHT, -10.0, 1041), (Annulus.EXTERIOR, 10.0, 1041)])
 def test_zero_on_the_contour_is_inconclusive(annulus, zero, n_samples):
-    # the big circle meets the real axis at a vertex: a zero there keeps the
-    # adjacent phase steps failing until refinement runs out; the sample
-    # count is the one the form-by-form refinement reached
+    # the big circle meets the real axis at a vertex: a zero there keeps an
+    # end of the adjacent phase steps below their limit until refinement
+    # runs out of rounds; the sample count is the one the refinement reached
     with np.errstate(divide="ignore", invalid="ignore"):
         cert = winding_count(_form(annulus, (-zero, 1.0)))
     assert cert.status is Status.INCONCLUSIVE
@@ -224,14 +223,27 @@ def test_a_huge_exterior_contour_is_not_degenerate():
     assert cert.n_samples > 0
 
 
-@pytest.mark.parametrize("R", [1e20, 1e25])
+@pytest.mark.parametrize("R", [1e20, 1e25, 1e30])
 def test_a_large_exterior_contour_refines_next_to_the_puncture(R):
     # the upper cut side runs from -R to the puncture; bisecting its levels
     # splits the step next to the puncture, which one ulp of the loop
-    # parameter (about 5.7e-14 R of h there) could not
+    # parameter (about 5.7e-14 R of h there) could not.  v = 1 + I_2 / I_0
+    # grows like sqrt|h| along the circle (|v| about 5e14 on R = 1e30) and is
+    # about 2 next to the puncture, so the small-value limit of a step must
+    # follow its own ends, not the loop's largest |v|
     cert = certify(_single_param(lambda1_1=1.0, gamma1_6=1.0), 1, Annulus.EXTERIOR, R=R)
     assert cert.status is Status.WITHIN_BOUND
     assert cert.winding == 0
+
+
+@pytest.mark.parametrize("order,annulus,R,seed", [(2, Annulus.EXTERIOR, 1e6, 0),
+                                                  (1, Annulus.INTERIOR_RIGHT, 1e8, 20260815)])
+def test_a_large_contour_census_certifies_with_few_samples(order, annulus, R, seed):
+    # counting functions that grow along a large circle keep every step next
+    # to the puncture above its own limit, so refinement stays local
+    certs, summary = bound_census(order, annulus, n_draws=20, seed=seed, R=R)
+    assert summary["status_counts"]["within-bound"] == 20
+    assert max(c.n_samples for c in certs) < 2000
 
 
 @pytest.mark.parametrize("annulus", list(Annulus))
@@ -464,6 +476,21 @@ def test_winding_never_falls_as_the_contour_grows(order, annulus):
             assert list(by_radius) == sorted(by_radius), (seed, draw, by_radius)
 
 
+@pytest.mark.parametrize("order,annulus", [(1, Annulus.EXTERIOR), (1, Annulus.INTERIOR_RIGHT),
+                                           (2, Annulus.EXTERIOR), (2, Annulus.INTERIOR_RIGHT)])
+def test_winding_never_falls_out_to_a_huge_contour(order, annulus):
+    # D_R holds D_R' for R' < R at fixed eta and rho, so out to R = 1e8 every
+    # draw certifies and its zero count never falls
+    by_radius = []
+    for R in (2.0, 10.0, 100.0, 1e4, 1e8):
+        certs, summary = bound_census(order, annulus, n_draws=20, seed=16, R=R)
+        assert summary["status_counts"]["inconclusive"] == 0, R
+        assert summary["status_counts"]["degenerate"] == 0, R
+        by_radius.append([c.winding for c in certs])
+    for draw, windings in enumerate(zip(*by_radius)):
+        assert list(windings) == sorted(windings), (draw, windings)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
@@ -687,7 +714,7 @@ def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
     (points, _, _), _ = _scanned_table(annulus).scan
-    _assert_subset_matches(_real_table(annulus).values, points, seed)
+    _assert_subset_matches(lambda h: closed_form(h, annulus)[:3], points, seed)
 
 
 @pytest.mark.parametrize("annulus", _CENSUS_ANNULI)
@@ -696,7 +723,7 @@ def test_cached_periods_equal_a_fresh_evaluation(annulus):
     for cached, fresh in zip(ct.init_values[1:], closed_form(ct.init_values[0], annulus)):
         assert np.array_equal(cached, fresh)
     levels, cached = ct.scan
-    for c, fresh in zip(cached, _real_table(annulus).values(levels[0])):
+    for c, fresh in zip(cached, closed_form(levels[0], annulus)[:3]):
         assert np.array_equal(c, fresh)
     # the table holds the whole grid and every densification window of the
     # interval certify scans
