@@ -13,7 +13,9 @@ There are three routes to these values, and the tests compare them.
 Quadrature: on the real annuli, the oval integrals themselves as terms of
 quadrature's oval rule, whole level grids at once (oval_integrals,
 period_vector); the rule owns the endpoint substitution and the split of a
-pinched exterior oval.
+pinched exterior oval.  period_vector is memoized per level, about 0.3 KB an
+entry, so a sweep of parameters at fixed levels runs each level's quadrature
+once per process.
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
 Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), and both come from
@@ -163,8 +165,14 @@ def orbit_period(h: float, annulus: Annulus) -> float:
     return float(oval_integrals([(0, -1)], [h], annulus)[0, 0])
 
 
+@lru_cache(maxsize=None)
 def period_vector(h: float, annulus: Annulus) -> PeriodVector:
-    """(I_0, I_1, I_2) at a real level, by direct quadrature."""
+    """(I_0, I_1, I_2) at a real level, by direct quadrature, memoized per level.
+
+    A level's quadrature runs once per process: a float and an np.float64 h
+    of one value share an entry (about 0.3 KB), whose h is a float.
+    """
+    h = float(h)
     i0, i1, i2 = oval_integrals([(0, 1), (1, 1), (2, 1)], [h], annulus)[:, 0].tolist()
     return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
 
@@ -497,7 +505,7 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
 # boundary values on the cut
 # ---------------------------------------------------------------------------
 
-def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
+def cut_values(h, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     """Boundary values (plus side, minus side) of the periods on the branch cut.
 
     The cut is [0, +inf) for the interior families and (-inf, 0] for the
@@ -505,34 +513,37 @@ def cut_values(h: float, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     zero imaginary part does not select a side, an offset this small does
     and moves the values by far less than their rounding error.  For real
     coefficients the two sides are complex conjugates; both are computed
-    independently so that tests can check this rather than assume it.
+    independently so that tests can check this rather than assume it.  h is
+    one level or an array of levels, all through one closed_form call; for
+    an array each field of the two PeriodVectors is a list over the levels.
     """
-    h = float(h)
-    if annulus is Annulus.EXTERIOR:
-        if h >= 0.0:
-            raise DomainError(f"exterior cut is the ray h <= 0, got h={h}")
-    else:
-        if h <= 0.0:
-            raise DomainError(f"interior cut is the ray h >= 0, got h={h}")
-    if abs(h) < MIN_CLEARANCE or abs(h + 0.25) < MIN_CLEARANCE:
-        raise PathError(
-            f"cut point h={h} within the clearance {MIN_CLEARANCE} of a singular level")
-    i0, _, i2, _, _ = closed_form(h + np.array([1e-15j, -1e-15j]), annulus)
-    i1 = complex(_i1_at(h, annulus))
-    plus, minus = (PeriodVector(h=h, annulus=annulus, i0=complex(i0[k]), i1=i1,
-                                i2=complex(i2[k])) for k in (0, 1))
+    h = np.asarray(h, dtype=float)
+    exterior = annulus is Annulus.EXTERIOR
+    off = h >= 0.0 if exterior else h <= 0.0
+    if np.any(off):
+        ray = "exterior cut is the ray h <= 0" if exterior else "interior cut is the ray h >= 0"
+        raise DomainError(f"{ray}, got h={h[off].flat[0]}")
+    near = (np.abs(h) < MIN_CLEARANCE) | (np.abs(h + 0.25) < MIN_CLEARANCE)
+    if np.any(near):
+        raise PathError(f"cut point h={h[near].flat[0]} within the clearance "
+                        f"{MIN_CLEARANCE} of a singular level")
+    i0, _, i2, _, _ = closed_form(h[..., None] + np.array([1e-15j, -1e-15j]), annulus)
+    i1 = _i1_at(h, annulus).astype(complex).tolist()
+    plus, minus = (PeriodVector(h=h.tolist(), annulus=annulus, i0=i0[..., k].tolist(), i1=i1,
+                                i2=i2[..., k].tolist()) for k in (0, 1))
     return plus, minus
 
 
-def wronskian_cut(h: float) -> complex:
+def wronskian_cut(hs) -> list[complex]:
     """Wronskian of the two cut-side determinations, W = I_2^+ I_0^- - I_2^- I_0^+.
 
-    On the exterior cut W(h) equals a constant times h (4h + 1) on each
-    maximal interval where the boundary values are analytic, with the
-    constant doubling when h crosses -1/4.
+    One value per exterior cut level of hs, each in Python complex arithmetic
+    from one cut_values call.  On the exterior cut W(h) equals a constant
+    times h (4h + 1) on each maximal interval where the boundary values are
+    analytic, with the constant doubling when h crosses -1/4.
     """
-    plus, minus = cut_values(h, Annulus.EXTERIOR)
-    return plus.i2 * minus.i0 - minus.i2 * plus.i0
+    plus, minus = cut_values(hs, Annulus.EXTERIOR)
+    return [p2 * m0 - m2 * p0 for p0, p2, m0, m2 in zip(plus.i0, plus.i2, minus.i0, minus.i2)]
 
 
 # ---------------------------------------------------------------------------

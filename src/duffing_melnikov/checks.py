@@ -140,11 +140,11 @@ def area_nonvanishing(annuli) -> dict:
 
 def wronskian_jump(annuli) -> dict:
     """W/(h(4h+1)) constant on each cut segment, doubling across h = -1/4."""
-    segments = (np.linspace(-2.0, -0.35, 8), np.linspace(-0.2, -0.05, 8))
+    hs = np.concatenate((np.linspace(-2.0, -0.35, 8), np.linspace(-0.2, -0.05, 8)))
+    ratios = np.array([w / (h * (4.0 * h + 1.0)) for h, w in zip(hs, wronskian_cut(hs))])
     means = []
     const_dev = 0.0
-    for hs in segments:
-        vals = np.array([wronskian_cut(h) / (h * (4.0 * h + 1.0)) for h in hs])
+    for vals in (ratios[:8], ratios[8:]):  # the two cut segments
         mean = vals.mean()
         const_dev = max(const_dev, float(np.max(np.abs(vals - mean)) / abs(mean)))
         means.append(mean)

@@ -418,22 +418,25 @@ def pole_cleared_rows(coeffs, h, periods):
 
 def _across(phi):
     """The oval rule's term phi(x, y) - phi(x, -y), whose integral is the contour
-    integral of phi dx, flow orientation; phi maps x and (y, -y) to both branches."""
+    integral of phi dx, flow orientation.  phi maps x and the stacked branches
+    np.array((y, -y)) to both values stacked the same way, in one array pass;
+    each element takes its own real float operations, as on its branch alone."""
     def term(x, y):
-        up, down = phi(x, (y, -y))
+        up, down = phi(x, np.array((y, -y)))
         return up - down
     return term
 
 
 def _on_branches(c, x, ys):
-    """npoly.polyval2d(x, y, c) for each y in ys, in its operation order.
+    """npoly.polyval2d(x, y, c) for each branch y of the stack ys, in its operation order.
 
     c is a grid, c[i, j] the coefficient of x^i y^j, or a stack of grids
-    along a leading axis.  The x-stage (polyval's tensor pass, one row per
-    power of y) does not depend on the branch and runs once.
+    along a leading axis, which comes before the branch axis of the result.
+    The x-stage (polyval's tensor pass, one row per power of y) does not
+    depend on the branch and runs once; the y-stage runs once on the stack.
     """
     cx = _horner(np.swapaxes(c, -1, -2)[..., None, :], x)
-    return [_horner(np.swapaxes(cx, -1, -2), y) for y in ys]
+    return _horner(np.swapaxes(cx, -1, -2)[..., None, :, :], ys)
 
 
 def _tier_term(cf, cg):
@@ -441,8 +444,8 @@ def _tier_term(cf, cg):
     grids = np.stack([cg, cf])
 
     def phi(x, ys):
-        dx = x - x ** 3
-        return [g - f * dx / y for (g, f), y in zip(_on_branches(grids, x, ys), ys)]
+        g, f = _on_branches(grids, x, ys)
+        return g - f * (x - x ** 3) / ys
     return _across(phi)
 
 
@@ -503,11 +506,10 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) 
         p2 = (E * (2.0 * h * x + x ** 3 / 3.0 - x ** 5 / 10.0)
               + W * (h * x * x + x ** 4 / 4.0 - x ** 6 / 12.0))
         p2h, q = 2.0 * E * x + W * x * x, A + B * x + C * x * x
-        return [(q + 3.0 * D * y * y) * p2 / y - y * (q + D * y * y) * p2h for y in ys]
+        return (q + 3.0 * D * ys * ys) * p2 / ys - ys * (q + D * ys * ys) * p2h
 
     def div_term(x, ys):
-        return [-pf / y * pd for pf, pd, y in zip(_on_branches(F, x, ys),
-                                                  _on_branches(div, x, ys), ys)]
+        return -_on_branches(F, x, ys) / ys * _on_branches(div, x, ys)
 
     terms = (_across(g1_term), _across(div_term),
              _tier_term(params.coeff_grid("lambda2"), params.coeff_grid("gamma2")))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duffing_melnikov import quadrature
 from duffing_melnikov.abelian import (
     BASE_POINTS,
     MIN_CLEARANCE,
@@ -110,6 +111,27 @@ def test_level_grid_is_bit_for_bit_the_one_level_calls(annulus):
                     for k, power in pairs])
     assert grid.shape == (len(pairs), len(hs))
     assert np.array_equal(grid.view(np.int64), one.view(np.int64))
+
+
+def test_period_vector_runs_a_levels_quadrature_once(monkeypatch):
+    # The memo's entry is the uncached call's PeriodVector, bit for bit; a
+    # float and an np.float64 level share it, and its h is a float whichever
+    # filled it; a repeated level runs no Gauss-Legendre round.
+    sizes = []
+    rule = quadrature._gl_rule
+    monkeypatch.setattr(quadrature, "_gl_rule", lambda n: sizes.append(n) or rule(n))
+    period_vector.cache_clear()
+    for annulus, h in ((Annulus.INTERIOR_LEFT, -0.0917), (Annulus.EXTERIOR, 0.0123),
+                       (Annulus.EXTERIOR, 7.5)):
+        ref = period_vector.__wrapped__(h, annulus)
+        first = period_vector(np.float64(h), annulus)
+        sizes.clear()
+        again = period_vector(h, annulus)
+        assert again is first and sizes == []
+        assert type(first.h) is float and first.h == h and first.annulus is annulus
+        got, want = (np.array([pv.i0, pv.i1, pv.i2]).view(np.int64) for pv in (first, ref))
+        assert np.array_equal(got, want)
+    assert period_vector.cache_info().currsize == 3
 
 
 def test_level_grid_fails_on_a_level_as_that_level_alone():
@@ -421,6 +443,24 @@ def test_cut_values_reject_off_cut_levels():
         cut_values(-0.5, Annulus.INTERIOR_RIGHT)
     with pytest.raises(DomainError):
         cut_values(0.5, Annulus.EXTERIOR)
+    # an array of levels is checked level by level
+    with pytest.raises(DomainError, match="got h=0.5"):
+        wronskian_cut([-0.5, 0.5])
+    with pytest.raises(PathError, match="h=-0.2502"):
+        wronskian_cut([-0.5, -0.2502, -0.1])
+
+
+def test_wronskian_cut_takes_each_level_as_cut_values_alone():
+    # one closed_form call for the array; each level's W is the Python complex
+    # product of its own two cut sides
+    hs = np.concatenate((np.linspace(-2.0, -0.35, 8), np.linspace(-0.2, -0.05, 8)))
+    ws = wronskian_cut(hs)
+    assert len(ws) == len(hs)
+    for h, w in zip(hs, ws):
+        plus, minus = cut_values(h, Annulus.EXTERIOR)
+        alone = plus.i2 * minus.i0 - minus.i2 * plus.i0
+        assert type(w) is complex and (w.real.hex(), w.imag.hex()) == (alone.real.hex(),
+                                                                      alone.imag.hex())
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +650,8 @@ def test_cut_wronskian_constants_are_exact():
     for hs, const in (((-0.24, -0.2, -0.1, -0.06, -0.01, -0.002), 128j * math.pi / 15.0),
                       ((-0.26, -0.4, -0.6, -0.8, -1.5, -2.0, -8.0, -50.0),
                        64j * math.pi / 15.0)):
-        for h in hs:
-            w = wronskian_cut(h) / (h * (4.0 * h + 1.0))
+        for h, w in zip(hs, wronskian_cut(hs)):
+            w /= h * (4.0 * h + 1.0)
             assert abs(w - const) <= 1e-10 * abs(const)
 
 

@@ -18,12 +18,15 @@ from numpy.polynomial import polynomial as npoly
 from duffing_melnikov import quadrature
 from duffing_melnikov.abelian import PoleError, closed_form, period_vector
 from duffing_melnikov.geometry import Annulus, branch_points
-from duffing_melnikov.quadrature import integrate_endpoint_sqrt
+from duffing_melnikov.quadrature import _oval_rows, integrate_endpoint_sqrt
 from duffing_melnikov.zeros import bound_census
 from duffing_melnikov.melnikov import (
     MONOMIALS,
     ConstraintError,
+    _across,
     _iliev_pieces,
+    _on_branches,
+    _tier_term,
     PerturbationParams,
     enforce_m1_zero,
     m1_form,
@@ -187,7 +190,7 @@ def test_m2_against_iliev_quadrature(annulus, levels):
 # The reference integrates each term in a one-row loop of its own, with
 # numpy.polynomial evaluating and building the coefficient grids on each
 # branch separately; the library runs the terms as rows of one loop and
-# evaluates both branches per call.
+# evaluates both branches as one stacked array.
 
 
 def _reference_integral(phi, h, annulus):
@@ -266,6 +269,42 @@ def test_quadratures_equal_the_term_by_term_reference_bit_for_bit(annulus):
             want += [_reference_integral(ref_m1, h, annulus),
                      _reference_m2(constrained, h, annulus)]
     assert (_bits(got) == _bits(want)).all()
+
+
+def _oval_nodes(h, annulus):
+    """Every (x, y) the oval rule hands a term at level h, all pieces and rounds."""
+    seen = []
+    _oval_rows([lambda x, y: seen.append((x, y)) or y], [h], annulus)
+    return seen
+
+
+@pytest.mark.parametrize("annulus,h", [(Annulus.INTERIOR_RIGHT, -0.2499),
+                                       (Annulus.INTERIOR_LEFT, -0.001),
+                                       (Annulus.EXTERIOR, 0.001), (Annulus.EXTERIOR, 0.01),
+                                       (Annulus.EXTERIOR, 50.0)])
+def test_stacked_branches_equal_polyval2d_on_each_branch_bit_for_bit(annulus, h):
+    # _on_branches and _across run both branches as one stacked array; each
+    # element must be npoly.polyval2d's float on its own branch, signed zeros
+    # included.  The split exterior levels pass the left, neck and right nodes.
+    rng = np.random.default_rng(17)
+    grids = rng.standard_normal((3, 4, 4))
+    grids[1] = np.where(np.abs(grids[1]) > 0.7, grids[1], np.copysign(0.0, grids[1]))
+    grids[2] = -0.0
+    nodes = _oval_nodes(h, annulus)
+    assert len(nodes) >= (6 if annulus is Annulus.EXTERIOR and h < 0.05 else 2)
+    for x, y in nodes:
+        ys = np.array((y, -y))
+        stack = _on_branches(grids, x, ys)
+        for k, c in enumerate(grids):
+            want = [npoly.polyval2d(x, b, c) for b in (y, -y)]
+            assert (_bits(_on_branches(c, x, ys)) == _bits(want)).all()
+            assert (_bits(stack[k]) == _bits(want)).all()
+            across = _across(lambda x, ys, c=c: _on_branches(c, x, ys))(x, y)
+            assert (_bits(across) == _bits(want[0] - want[1])).all()
+        for cf, cg in ((grids[0], grids[1]), (grids[2], grids[2])):
+            reference = _reference_tier(cf, cg)
+            assert (_bits(_tier_term(cf, cg)(x, y))
+                    == _bits(reference(x, y) - reference(x, -y))).all()
 
 
 @pytest.mark.parametrize("h", [1e-5, 1e-4, 1e-3, 0.01, 0.0499])
