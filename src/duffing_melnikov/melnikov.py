@@ -431,12 +431,12 @@ def _on_branches(c, x, ys):
     """npoly.polyval2d(x, y, c) for each branch y of the stack ys, in its operation order.
 
     c is a grid, c[i, j] the coefficient of x^i y^j, or a stack of grids
-    along a leading axis, which comes before the branch axis of the result.
-    The x-stage (polyval's tensor pass, one row per power of y) does not
-    depend on the branch and runs once; the y-stage runs once on the stack.
+    along a leading axis, ahead of the result's branch axis; x holds one or
+    more levels' nodes.  The x-stage (polyval's tensor pass, one row per power
+    of y, ahead of x's axes) runs once; the y-stage runs once on the stack.
     """
-    cx = _horner(np.swapaxes(c, -1, -2)[..., None, :], x)
-    return _horner(np.swapaxes(cx, -1, -2)[..., None, :, :], ys)
+    cx = _horner(np.swapaxes(c, -1, -2)[(..., *(None,) * x.ndim, slice(None))], x)
+    return _horner(np.swapaxes(cx[..., None], -2 - x.ndim, -1), ys)
 
 
 def _tier_term(cf, cg):
@@ -503,6 +503,7 @@ def m2_iliev_quadrature(params: PerturbationParams, h: float, annulus: Annulus) 
     F, div, (A, B, C, D), (E, W) = _iliev_pieces(params)
 
     def g1_term(x, ys):
+        """One level only: P2 and P2h close over this call's h."""
         p2 = (E * (2.0 * h * x + x ** 3 / 3.0 - x ** 5 / 10.0)
               + W * (h * x * x + x ** 4 / 4.0 - x ** 6 / 12.0))
         p2h, q = 2.0 * E * x + W * x * x, A + B * x + C * x * x

@@ -15,14 +15,20 @@ last two estimates differ by at most max(_ABS_TOL, _REL_TOL |value|), on rules
 of this module's own (_gl_rule), so quadrature loads no part of scipy.
 
 One loop, _doubling, doubles the nodes over rows: each row stops at its own
-node count and only running rows are evaluated again.  The integrators below
-are its one-row case.  _oval_rows is the oval rule built on it, the one place
-that knows the endpoint substitution, the upper branch y = sqrt(t sigma(x)),
-the split of a pinched exterior oval and the per-piece sums; the periods
+node count and only running rows are evaluated again.  Its first rule call
+takes the 16-, 32- and 64-node rules on their concatenated nodes, as no row
+stops on its first estimate and most stop by 64 nodes, where a call costs its
+numpy overhead, not its nodes.  Per benchmark cycle, rows stop at 32/64/128/256
+nodes: crosscheck 400/237/88/75, verify 768/154/65/6; rule calls 524 and 31,
+against 1124 and 68 one rule per call.  The integrators below are its one-row
+case.  _oval_rows is the oval rule built on it, the one place that knows the
+endpoint substitution, the upper branch y = sqrt(t sigma(x)), the split of a
+pinched exterior oval and the per-piece sums; the periods
 (abelian.oval_integrals) and both Melnikov quadrature oracles are terms run
 through it, one row per term and level.
-Each row is summed by its own 1-D np.dot (ddot), so it does not depend on the
-other rows; a matrix product F @ w (gemv) sums in another order.
+Each row is summed on each rule by its own ddot (np.dot, or np.vecdot on a
+stack of rows), so it does not depend on the other rows or rules; a matrix
+product F @ w (gemv) sums in another order.
 
 Integrands must be vectorized (accept an ndarray of abscissae).
 """
@@ -83,38 +89,45 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[::-1][odd:]]), np.concatenate([w, w[::-1][odd:]])
 
 
-def _doubling(rule, rows: int, where):
-    """Evaluate rule(live, nodes, weights) on 16, 32, ... Gauss-Legendre nodes.
+@lru_cache(maxsize=None)
+def _nodes(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the Gauss-Legendre rules of sizes, concatenated, and the endpoint
+    substitution's cos(theta) and sin(theta) at them, each taken rule by rule."""
+    parts = [(x, np.cos(0.5 * np.pi * x), np.sin(0.5 * np.pi * x)) for x, _ in map(_gl_rule, sizes)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
-    live lists the running rows, ascending; rule returns their values in that
-    order.  A row stops when its last two estimates agree to tolerance.
+
+def _doubling(rule, rows: int, where):
+    """Evaluate rule(live, nodes, rules) on 16, 32, ... Gauss-Legendre nodes.
+
+    live lists the running rows, ascending; nodes is _nodes(sizes), and rules
+    one (slice of nodes, weights) per size: 16, 32 and 64 in the first call,
+    then one.  rule returns each live row's estimates in that order.  A row
+    stops at the first rule where its last two estimates agree to tolerance.
     Returns one (value, err_est) per row, err_est being that difference.  The
     first row still running at _MAX_NODES raises AccuracyError naming where(row).
     """
     values, errs = [None] * rows, [np.inf] * rows
     live, n = list(range(rows)), 16
     while live and n <= _MAX_NODES:
+        sizes = tuple(m for m in (16, 32, 64) if n <= m <= _MAX_NODES) or (n,)
+        # the rules before the m-node rule hold m - n nodes
+        rules = [(slice(m - n, 2 * m - n), _gl_rule(m)[1]) for m in sizes]
         running = []
-        for i, value in zip(live, rule(live, *_gl_rule(n))):
-            prev, values[i] = values[i], value
-            if prev is not None:
-                errs[i] = abs(value - prev)
+        for i, estimates in zip(live, rule(live, _nodes(sizes), rules)):
+            for value in estimates:
+                prev, values[i] = values[i], value
+                errs[i] = np.inf if prev is None else abs(value - prev)
                 if errs[i] <= max(_ABS_TOL, _REL_TOL * abs(value)):
-                    continue
-            running.append(i)
-        live, n = running, 2 * n
+                    break
+            else:
+                running.append(i)
+        live, n = running, 2 * sizes[-1]
     if live:
         i = live[0]
         raise AccuracyError(f"no convergence with {_MAX_NODES} nodes on {where(i)} "
                             f"(err~{errs[i]:.3g})", value=values[i], err_est=errs[i])
     return list(zip(values, errs))
-
-
-@lru_cache(maxsize=None)
-def _sines(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and sin(theta) of the endpoint substitution at n Gauss-Legendre nodes."""
-    theta = 0.5 * np.pi * _gl_rule(n)[0]
-    return np.cos(theta), np.sin(theta)
 
 
 def integrate_endpoint_sqrt(f, a: float, b: float):
@@ -133,10 +146,10 @@ def integrate_endpoint_sqrt(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(live, nodes, weights):
-        cos_t, sin_t = _sines(len(nodes))
-        fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float)
-        return [float(np.dot(weights, fx * cos_t) * 0.5 * np.pi * rad)]
+    def rule(live, nodes, rules):
+        _, cos_t, sin_t = nodes
+        fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float) * cos_t
+        return [[float(np.dot(w, fx[span]) * 0.5 * np.pi * rad) for span, w in rules]]
 
     return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
@@ -152,9 +165,9 @@ def integrate_smooth(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(live, nodes, weights):
-        fx = np.asarray(f(mid + rad * nodes), dtype=float)
-        return [float(np.dot(weights, fx) * rad)]
+    def rule(live, nodes, rules):
+        fx = np.asarray(f(mid + rad * nodes[0]), dtype=float)
+        return [[float(np.dot(w, fx[span]) * rad) for span, w in rules]]
 
     return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
@@ -174,9 +187,9 @@ def integrate_path(f, path) -> complex:
             continue
         dz = z1 - z0
 
-        def rule(live, nodes, weights):
-            fz = np.asarray(f(z0 + 0.5 * (nodes + 1.0) * dz), dtype=complex)
-            return [complex(np.dot(weights, fz) * 0.5 * dz)]
+        def rule(live, nodes, rules):
+            fz = np.asarray(f(z0 + 0.5 * (nodes[0] + 1.0) * dz), dtype=complex)
+            return [[complex(np.dot(w, fz[span]) * 0.5 * dz) for span, w in rules]]
 
         value, _ = _doubling(rule, 1, lambda i: f"segment {z0} -> {z1}")[0]
         total += value
@@ -214,17 +227,17 @@ def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
         table = [(g.h, g.x_lo, g.x_hi, math.sqrt(1.0 + 4.0 * g.h), 0.5 * (a + b), 0.5 * (b - a))
                  for g, (a, b) in zip(gs, ends)]
         # one level keeps plain floats and 1-D arrays, as in its own rule
-        cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], [r[5] for r in table]
+        cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], np.array(table)[:, 5]
 
-        def rule(live, nodes, weights):
+        def rule(live, nodes, rules):
             run = sorted({r % size for r in live}) if size > 1 else [0]
             h, lo, hi, s, mid, rad = cols if len(run) == size else cols[:, run]
             if kind == "neck":
-                u, c = mid + rad * nodes, np.sqrt(2.0 * h)
+                u, c = mid + rad * nodes[0], np.sqrt(2.0 * h)
                 x, ch = c * np.sinh(u), np.cosh(u)
                 y, jac = c * ch * np.sqrt(1.0 - x ** 4 / (4.0 * h * ch * ch)), c * ch
             else:
-                jac, sin_t = _sines(len(nodes))
+                _, jac, sin_t = nodes
                 x, t = mid + rad * sin_t, (rad * jac) ** 2  # the endpoint substitution
                 sigma = (0.5 * (x * x + s - 1.0) if annulus is Annulus.EXTERIOR
                          else 0.5 * (x + lo) * (x + hi))
@@ -244,9 +257,10 @@ def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
                 q = [run.index(i) for i in levels] if levels != run else None
                 xs, ys = (x, y) if q is None else (x[q], y[q])
                 fx = terms[j](xs, ys) * (jac[q] if q is not None and kind == "neck" else jac)
-                # each row its own ddot, then the rule's scale (d * 0.5 * pi is d * (0.5 * pi))
-                out += [float(np.dot(weights, f) * scale * rads[i])
-                        for f, i in zip(fx if size > 1 else [fx], levels)]
+                # each row its own ddot per rule (np.vecdot over the nodes), then
+                # the rule's scale (d * 0.5 * pi is d * (0.5 * pi)); a row per level
+                sums = np.array([np.vecdot(fx[..., span], w) for span, w in rules])
+                out += (sums.reshape(len(rules), -1) * scale * rads[levels]).T.tolist()
             return out
 
         rows = _doubling(rule, len(terms) * size,

@@ -291,7 +291,9 @@ def test_stacked_branches_equal_polyval2d_on_each_branch_bit_for_bit(annulus, h)
     grids[1] = np.where(np.abs(grids[1]) > 0.7, grids[1], np.copysign(0.0, grids[1]))
     grids[2] = -0.0
     nodes = _oval_nodes(h, annulus)
-    assert len(nodes) >= (6 if annulus is Annulus.EXTERIOR and h < 0.05 else 2)
+    # at least the 16-, 32- and 64-node rules on each piece
+    pieces = 3 if annulus is Annulus.EXTERIOR and h < 0.05 else 1
+    assert sum(x.size for x, _ in nodes) >= pieces * (16 + 32 + 64)
     for x, y in nodes:
         ys = np.array((y, -y))
         stack = _on_branches(grids, x, ys)
@@ -337,20 +339,42 @@ def test_iliev_pieces_equal_polyint_and_polyder_bit_for_bit():
 
 
 def test_m2_rows_take_as_many_rounds_as_the_slowest_term(monkeypatch):
-    # the three terms are rows of one doubling loop, not three loops in turn
-    sizes = []
-    rule = quadrature._gl_rule
+    # the three terms are rows of one doubling loop, not three loops in turn,
+    # and that loop evaluates as many Gauss-Legendre rules as the slowest term
+    sizes, loops = [], []
+    rule, doubling = quadrature._gl_rule, quadrature._doubling
     monkeypatch.setattr(quadrature, "_gl_rule", lambda n: sizes.append(n) or rule(n))
+    monkeypatch.setattr(quadrature, "_doubling", lambda *a: loops.append(1) or doubling(*a))
     for annulus, h in ((Annulus.INTERIOR_RIGHT, -0.2499), (Annulus.EXTERIOR, 0.3)):
         params = enforce_m1_zero(PerturbationParams.random(np.random.default_rng(3)), annulus)
         alone = []
+        loops.clear()
         for phi in _reference_m2_terms(params, h):
             sizes.clear()
             _reference_integral(phi, h, annulus)
             alone.append(len(sizes))
+        assert len(loops) == 3
         sizes.clear()
+        loops.clear()
         m2_iliev_quadrature(params, h, annulus)
+        assert len(loops) == 1
         assert len(sizes) == max(alone) < sum(alone)
+
+
+@pytest.mark.parametrize("annulus,hs", [(Annulus.INTERIOR_RIGHT, (-0.2, -0.05)),
+                                        (Annulus.INTERIOR_RIGHT, (-0.2, -0.15, -0.1, -0.05)),
+                                        (Annulus.EXTERIOR, (0.3, 1.0, 4.0, 20.0))])
+def test_oracle_terms_on_several_levels_equal_each_level_alone_bit_for_bit(annulus, hs):
+    # Terms are elementwise over levels: the grid's power of y must not land on
+    # a level axis of x (4 levels against 4 powers of y once broadcast silently).
+    params = PerturbationParams.random(np.random.default_rng(3))
+    F, div, _, _ = _iliev_pieces(params)
+    terms = [_tier_term(params.coeff_grid("lambda1"), params.coeff_grid("gamma1")),
+             _across(lambda x, ys: -_on_branches(F, x, ys) / ys * _on_branches(div, x, ys))]
+    grid = _oval_rows(terms, hs, annulus)
+    alone = np.array([_oval_rows(terms, [h], annulus)[:, 0] for h in hs]).T
+    assert (_bits(grid) == _bits(alone)).all()
+    assert (_bits(grid[0]) == _bits([m1_quadrature(params, h, annulus) for h in hs])).all()
 
 
 def test_crosscheck_loop_makes_no_polyval_call(monkeypatch):

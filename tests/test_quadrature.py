@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from duffing_melnikov import quadrature
+from duffing_melnikov.abelian import oval_integral, oval_integrals, period_vector
+from duffing_melnikov.checks import _grid_for
 from duffing_melnikov.geometry import Annulus, branch_points
+from duffing_melnikov.melnikov import (
+    PerturbationParams,
+    enforce_m1_zero,
+    m1_quadrature,
+    m2_iliev_quadrature,
+)
 from duffing_melnikov.quadrature import (
     AccuracyError,
     _PINCH_SPLIT_H,
@@ -215,3 +223,97 @@ def test_oval_rule_y_is_the_upper_branch_on_every_piece(annulus, h):
         assert geom.x_lo < x.min() and x.max() < geom.x_hi
     pinched = annulus is Annulus.EXTERIOR and h < _PINCH_SPLIT_H
     assert kinds == ({"left", "neck", "right"} if pinched else {"whole"})
+
+
+# ---------------------------------------------------------------------------
+# the first rule call covers 16, 32 and 64 nodes, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _one_rule_per_call(rule, rows, where):
+    """The doubling loop driving rule one Gauss-Legendre rule per call."""
+    values, errs = [None] * rows, [np.inf] * rows
+    live, n = list(range(rows)), 16
+    while live and n <= quadrature._MAX_NODES:
+        running = []
+        one = [(slice(0, n), quadrature._gl_rule(n)[1])]
+        for i, (value,) in zip(live, rule(live, quadrature._nodes((n,)), one)):
+            prev, values[i] = values[i], value
+            if prev is not None:
+                errs[i] = abs(value - prev)
+                if errs[i] <= max(quadrature._ABS_TOL, quadrature._REL_TOL * abs(value)):
+                    continue
+            running.append(i)
+        live, n = running, 2 * n
+    if live:
+        i = live[0]
+        raise AccuracyError(f"no convergence with {quadrature._MAX_NODES} nodes on {where(i)} "
+                            f"(err~{errs[i]:.3g})", value=values[i], err_est=errs[i])
+    return list(zip(values, errs))
+
+
+def _outcome(doubling, rule, rows, where):
+    """Every (value, err_est) as bits, or the AccuracyError's message, value and err_est."""
+    def bits(v, e):
+        return complex(v).real.hex(), complex(v).imag.hex(), float(e).hex()
+    try:
+        return [bits(v, e) for v, e in doubling(rule, rows, where)]
+    except AccuracyError as exc:
+        return str(exc), bits(exc.value, exc.err_est)
+
+
+@pytest.fixture
+def against_one_rule_per_call(monkeypatch):
+    """Runs every doubling loop both ways; lists (rule calls, merged outcome, reference outcome)."""
+    loops, doubling = [], quadrature._doubling
+
+    def both(rule, rows, where):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return rule(*args)
+        loops.append((calls, _outcome(doubling, counted, rows, where),
+                       _outcome(_one_rule_per_call, rule, rows, where)))
+        return doubling(rule, rows, where)
+    monkeypatch.setattr(quadrature, "_doubling", both)
+    return loops
+
+
+def test_first_call_of_three_rules_is_one_rule_per_call_bit_for_bit(against_one_rule_per_call):
+    loops = against_one_rule_per_call
+    moments = [(0, 1), (1, 1), (2, 1), (0, -1), (2, -1)]
+    for annulus, h in ((Annulus.INTERIOR_LEFT, -0.1), (Annulus.INTERIOR_RIGHT, -0.2499),
+                       (Annulus.EXTERIOR, 0.3), (Annulus.EXTERIOR, 50.0),
+                       (Annulus.EXTERIOR, 0.001), (Annulus.EXTERIOR, 0.01)):
+        oval_integrals(moments, [h], annulus)
+    for annulus in Annulus:  # verify's picard-fuchs-residual grids
+        oval_integrals([(0, 1), (2, 1), (0, -1), (2, -1)], _grid_for(annulus, 50), annulus)
+    raw = PerturbationParams.random(np.random.default_rng(35))
+    for annulus, h in ((Annulus.INTERIOR_RIGHT, -0.2), (Annulus.EXTERIOR, 0.02),
+                       (Annulus.EXTERIOR, 2.0)):
+        m1_quadrature(raw, h, annulus)
+        m2_iliev_quadrature(enforce_m1_zero(raw, annulus), h, annulus)
+    integrate_endpoint_sqrt(lambda x, t: np.exp(x) * np.sqrt(t), -0.3, 1.1)
+    integrate_smooth(lambda x: np.cos(40.0 * x), 0.0, 1.0)
+    integrate_path(lambda z: 1.0 / z, [1 + 1j, -1 + 1j, -1 - 1j])
+    for _, got, want in loops:
+        assert got == want
+    # a whole 50-level grid is one loop, and some loops run past 64 nodes
+    assert any(len(got) == 4 * 50 for _, got, _ in loops)
+    assert any(len(calls) > 1 for calls, _, _ in loops)
+
+
+def test_interior_level_takes_one_rule_call(against_one_rule_per_call):
+    period_vector.__wrapped__(-0.2, Annulus.INTERIOR_RIGHT)
+    [(calls, got, want)] = against_one_rule_per_call
+    assert len(calls) == 1 and got == want
+
+
+def test_failure_at_max_nodes_is_one_rule_per_call_bit_for_bit(against_one_rule_per_call):
+    # I_3 vanishes on the exterior annulus; at h = 1e4 its row never stops
+    with pytest.raises(AccuracyError, match="no convergence with 4096 nodes"):
+        oval_integral(3, 1e4, Annulus.EXTERIOR)
+    [(calls, got, want)] = against_one_rule_per_call
+    assert got == want and isinstance(got[0], str)
+    assert len(calls) == 1 + int(math.log2(quadrature._MAX_NODES // 64))
