@@ -26,9 +26,10 @@ endpoint substitution, the upper branch y = sqrt(t sigma(x)), the split of a
 pinched exterior oval and the per-piece sums; the periods
 (abelian.oval_integrals) and both Melnikov quadrature oracles are terms run
 through it, one row per term and level.
-Each row is summed on each rule by its own ddot (np.dot, or np.vecdot on a
-stack of rows), so it does not depend on the other rows or rules; a matrix
-product F @ w (gemv) sums in another order.
+Rules hand _doubling their integrand rows; it alone slices out each rule and
+sums each row on it by its own ddot, independent of the other rows and rules:
+np.matmul takes the weights against a stack of (n, 1) columns as one ddot per
+1 x 1 product, as np.dot does; F @ w (gemv) sums in another order.
 
 Integrands must be vectorized (accept an ndarray of abscissae).
 """
@@ -98,24 +99,28 @@ def _nodes(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _doubling(rule, rows: int, where):
-    """Evaluate rule(live, nodes, rules) on 16, 32, ... Gauss-Legendre nodes.
+    """Integrate rows on 16, 32, ... Gauss-Legendre nodes, each to its own count.
 
-    live lists the running rows, ascending; nodes is _nodes(sizes), and rules
-    one (slice of nodes, weights) per size: 16, 32 and 64 in the first call,
-    then one.  rule returns each live row's estimates in that order.  A row
-    stops at the first rule where its last two estimates agree to tolerance.
-    Returns one (value, err_est) per row, err_est being that difference.  The
-    first row still running at _MAX_NODES raises AccuracyError naming where(row).
+    rule(live, nodes) gets the running rows, ascending, and nodes = _nodes(sizes):
+    the 16-, 32- and 64-node rules in the first call (no row stops on its first
+    estimate, most by 64 nodes), then one.  It returns (f, c, r); row k's estimate
+    on a rule is the ddot of its own row f[k] on the rule's slice, times c, times
+    r[k], in Python scalars (numpy's complex array product may fuse).  A row stops
+    at the first rule where its last two estimates agree to tolerance.  Returns
+    one (value, err_est) per row, err_est that difference; the first row still
+    running at _MAX_NODES raises AccuracyError naming where(row).
     """
     values, errs = [None] * rows, [np.inf] * rows
     live, n = list(range(rows)), 16
     while live and n <= _MAX_NODES:
         sizes = tuple(m for m in (16, 32, 64) if n <= m <= _MAX_NODES) or (n,)
+        f, c, r = rule(live, _nodes(sizes))
         # the rules before the m-node rule hold m - n nodes
-        rules = [(slice(m - n, 2 * m - n), _gl_rule(m)[1]) for m in sizes]
+        sums = [np.matmul(_gl_rule(m)[1], f[:, m - n:2 * m - n, None])[:, 0].tolist() for m in sizes]
         running = []
-        for i, estimates in zip(live, rule(live, _nodes(sizes), rules)):
-            for value in estimates:
+        for k, i in enumerate(live):
+            for d in sums:
+                value = d[k] * c * r[k]
                 prev, values[i] = values[i], value
                 errs[i] = np.inf if prev is None else abs(value - prev)
                 if errs[i] <= max(_ABS_TOL, _REL_TOL * abs(value)):
@@ -146,10 +151,10 @@ def integrate_endpoint_sqrt(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(live, nodes, rules):
+    def rule(live, nodes):
         _, cos_t, sin_t = nodes
-        fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float) * cos_t
-        return [[float(np.dot(w, fx[span]) * 0.5 * np.pi * rad) for span, w in rules]]
+        fx = np.asarray(f(mid + rad * sin_t, (rad * cos_t) ** 2), dtype=float)
+        return (fx * cos_t)[None], 0.5 * np.pi, [rad]
 
     return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
@@ -165,9 +170,8 @@ def integrate_smooth(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
 
-    def rule(live, nodes, rules):
-        fx = np.asarray(f(mid + rad * nodes[0]), dtype=float)
-        return [[float(np.dot(w, fx[span]) * rad) for span, w in rules]]
+    def rule(live, nodes):
+        return np.asarray(f(mid + rad * nodes[0]), dtype=float)[None], 1.0, [rad]
 
     return _doubling(rule, 1, lambda i: f"[{a}, {b}]")[0]
 
@@ -187,9 +191,8 @@ def integrate_path(f, path) -> complex:
             continue
         dz = z1 - z0
 
-        def rule(live, nodes, rules):
-            fz = np.asarray(f(z0 + 0.5 * (nodes[0] + 1.0) * dz), dtype=complex)
-            return [[complex(np.dot(w, fz[span]) * 0.5 * dz) for span, w in rules]]
+        def rule(live, nodes):
+            return np.asarray(f(z0 + 0.5 * (nodes[0] + 1.0) * dz), dtype=complex)[None], 0.5, [dz]
 
         value, _ = _doubling(rule, 1, lambda i: f"segment {z0} -> {z1}")[0]
         total += value
@@ -227,9 +230,9 @@ def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
         table = [(g.h, g.x_lo, g.x_hi, math.sqrt(1.0 + 4.0 * g.h), 0.5 * (a + b), 0.5 * (b - a))
                  for g, (a, b) in zip(gs, ends)]
         # one level keeps plain floats and 1-D arrays, as in its own rule
-        cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], np.array(table)[:, 5]
+        cols, rads = table[0] if size == 1 else np.array(table).T[:, :, None], [r[5] for r in table]
 
-        def rule(live, nodes, rules):
+        def rule(live, nodes):
             run = sorted({r % size for r in live}) if size > 1 else [0]
             h, lo, hi, s, mid, rad = cols if len(run) == size else cols[:, run]
             if kind == "neck":
@@ -257,11 +260,8 @@ def _oval_rows(terms, hs, annulus: Annulus) -> np.ndarray:
                 q = [run.index(i) for i in levels] if levels != run else None
                 xs, ys = (x, y) if q is None else (x[q], y[q])
                 fx = terms[j](xs, ys) * (jac[q] if q is not None and kind == "neck" else jac)
-                # each row its own ddot per rule (np.vecdot over the nodes), then
-                # the rule's scale (d * 0.5 * pi is d * (0.5 * pi)); a row per level
-                sums = np.array([np.vecdot(fx[..., span], w) for span, w in rules])
-                out += (sums.reshape(len(rules), -1) * scale * rads[levels]).T.tolist()
-            return out
+                out.append(fx if size > 1 else fx[None])  # a row per level
+            return np.concatenate(out), scale, [rads[r % size] for r in live]
 
         rows = _doubling(rule, len(terms) * size,
                          lambda r: "[{}, {}]".format(*ends[r % size]))

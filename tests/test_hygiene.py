@@ -16,6 +16,9 @@ bench/ outside its own definition.
 No module in src/ imports any part of scipy, at module level or inside a
 function, outside the two reference routes listed in ODE_EXEMPT.
 
+No program file reads a numpy name that numpy 2.0 added (np.vecdot, ...)
+while pyproject.toml promises an older numpy.
+
 Every name the benchmark binds resolves: bench/tracing.py wraps its TARGETS
 by name, and the workloads call a few private functions directly.  Its hooks
 read: with the tracer installed, one call of each package function it counts
@@ -235,6 +238,39 @@ def test_only_the_reference_routes_import_scipy_integrate_or_optimize():
     assert sorted(found - set(ODE_EXEMPT)) == []
     # an exemption whose import has gone is stale
     assert set(ODE_EXEMPT) <= found
+
+
+# numpy 2.0's new names: the array-API aliases and functions, and np.linalg's
+NUMPY_2_NAMES = {"acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype",
+                 "bitwise_count", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
+                 "concat", "cumulative_prod", "cumulative_sum", "isdtype", "matrix_norm",
+                 "matrix_transpose", "matvec", "permute_dims", "pow", "trapezoid", "unstack",
+                 "vecdot", "vecmat", "vector_norm"}
+
+
+def numpy_2_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each np.<name> or np.linalg.<name> in NUMPY_2_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_NAMES:
+            base = node.value
+            base = base.value if isinstance(base, ast.Attribute) and base.attr == "linalg" else base
+            if isinstance(base, ast.Name) and base.id in ("np", "numpy"):
+                found.append((node.lineno, node.attr))
+    return found
+
+
+def test_scan_finds_a_numpy_2_name():
+    source = ("import numpy as np\nnp.vecdot(a, b)\nnp.linalg.vector_norm(a)\n"
+              "np.dot(a, b)\nx.astype(float)\n")
+    assert numpy_2_names(source) == [(2, "vecdot"), (3, "vector_norm")]
+
+
+def test_the_program_reads_no_numpy_2_name_below_its_numpy_floor():
+    floor = re.search(r'"numpy>=(\d+)', (ROOT / "pyproject.toml").read_text()).group(1)
+    found = [f"{path.relative_to(ROOT)}:{line} np.{name}" for path in PROGRAM
+             for line, name in numpy_2_names(path.read_text())]
+    assert int(floor) >= 2 or found == []
 
 
 # names bench/workloads.py calls directly, besides the tracer's TARGETS

@@ -236,8 +236,9 @@ def _one_rule_per_call(rule, rows, where):
     live, n = list(range(rows)), 16
     while live and n <= quadrature._MAX_NODES:
         running = []
-        one = [(slice(0, n), quadrature._gl_rule(n)[1])]
-        for i, (value,) in zip(live, rule(live, quadrature._nodes((n,)), one)):
+        f, c, r = rule(live, quadrature._nodes((n,)))
+        for i, fi, ri in zip(live, f, r):
+            value = np.dot(quadrature._gl_rule(n)[1], fi).item() * c * ri
             prev, values[i] = values[i], value
             if prev is not None:
                 errs[i] = abs(value - prev)
