@@ -438,12 +438,10 @@ def _polyline(path, annulus: Annulus) -> list[complex]:
     return [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
 
 
-def _start_states(keys) -> dict:
-    """States (I_0, 0, I_2, 0) at real (level, annulus) keys, one quadrature per annulus."""
-    unique = dict.fromkeys(keys)
-    grids = {a: [h for h, b in unique if b is a] for a in dict.fromkeys(a for _, a in unique)}
-    return {(h, a): (i0, 0.0, i2, 0.0) for a, hs in grids.items()
-            for h, i0, i2 in zip(hs, *oval_integrals([(0, 1), (2, 1)], hs, a).tolist())}
+def _start_state(h: float, annulus: Annulus) -> tuple:
+    """The transport state (I_0, 0, I_2, 0) at a real level, from the period_vector memo."""
+    pv = period_vector(h, annulus)
+    return (pv.i0, 0.0, pv.i2, 0.0)
 
 
 def transport_table(path, annulus: Annulus) -> PathTable:
@@ -455,8 +453,7 @@ def transport_table(path, annulus: Annulus) -> PathTable:
     from scipy.integrate import solve_ivp
 
     vertices = _polyline(path, annulus)
-    key = (vertices[0].real, annulus)
-    u = _start_states([key])[key]
+    u = _start_state(vertices[0].real, annulus)
     solutions = []
     for z0, z1 in zip(vertices, vertices[1:]):
         sol = solve_ivp(_pf_rhs(z0, z1 - z0), (0.0, 1.0), u, method="DOP853",
@@ -485,9 +482,8 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
     from ._dop853 import Lane, run
 
     runs = [_polyline(path, annulus) for path, annulus in zip(paths, annuli, strict=True)]
-    keys = [(v[0].real, annulus) for v, annulus in zip(runs, annuli)]
-    starts = _start_states(keys)
-    at = [[v[0], starts[key], starts[key]] for v, key in zip(runs, keys)]  # level, next start, end
+    starts = [_start_state(v[0].real, annulus) for v, annulus in zip(runs, annuli)]
+    at = [[v[0], u, u] for v, u in zip(runs, starts)]  # level, next start, end
     for j in range(max(map(len, runs), default=1) - 1):
         legs = [(a, v[j], v[j + 1]) for a, v in zip(at, runs) if j + 1 < len(v)]
         lanes = [Lane(_pf_rhs(z0, z1 - z0), a[1], 1.0, _TRANSPORT_RTOL, _TRANSPORT_ATOL,

@@ -3,8 +3,7 @@
 Subcommands
 -----------
 coeffs   closed-form Melnikov coefficient tables for one parameter set, with
-         the vanishing residuals, the legacy-table deviations, and a
-         quadrature agreement column
+         the vanishing residuals and a quadrature agreement column
 verify   structural checks of the period integrals: system-matrix residuals
          on level grids, moment reductions, Picard-Fuchs transport against
          quadrature, linearity of the odd moment, saddle and large-h
@@ -47,7 +46,6 @@ from .melnikov import (
     m1_quadrature,
     m1_vanishes,
     m1_vanishing_residuals,
-    m2_deviation_report,
     m2_form,
     m2_iliev_quadrature,
     m_eval,
@@ -73,7 +71,11 @@ def _parse_contour(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--contour expects R,ETA,RHO, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    values = tuple(float(p) for p in parts)
+    for name, v in zip(("radius R", "cut offset eta", "puncture radius rho"), values):
+        if not np.isfinite(v):  # the config line would print it as non-JSON
+            raise ValueError(f"contour {name} must be finite, got {v}")
+    return values  # type: ignore[return-value]
 
 
 def _draw_count(text: str) -> int:
@@ -222,7 +224,6 @@ def cmd_coeffs(args) -> int:
     if f2 is not None:
         records.append({"record": "m2-table", "annulus": annulus.value,
                         "slots": _form_slots(f2), "pole": f2.pole})
-        records.append({"record": "m2-deviation", **m2_deviation_report(params, annulus)})
         if any(f2.poly0 + f2.poly1 + f2.poly2):  # against M_2 = 0 only rounding is left
             records.extend(_agreement_rows(params, f2, annulus, m2_iliev_quadrature, 2))
 
@@ -236,11 +237,6 @@ def cmd_coeffs(args) -> int:
         elif kind == "m1-residuals":
             vals = {k: v for k, v in rec.items() if k not in ("record", "annulus")}
             print("m1 vanishing residuals: " + json.dumps(vals, sort_keys=True))
-        elif kind == "m2-deviation":
-            print(f"m2 derived-vs-legacy max |delta| = {rec['max_abs_delta']:.6g}")
-            for slot, cell in rec["slots"].items():
-                if cell["delta"] != 0.0:
-                    print(f"  {slot:8s} derived {_fmt(cell['derived'])}  legacy {_fmt(cell['legacy'])}")
         elif kind == "quadrature-agreement":
             print(f"agreement order {rec['order']} h={rec['h']:g}: closed {_fmt(rec['closed_form'])}"
                   f"  quadrature {_fmt(rec['quadrature'])}  rel {rec['rel_dev']:.3e}")

@@ -22,9 +22,7 @@ polynomial (in h) coefficients:
 m2_form carries closed-form coefficients.  Its tables were derived
 symbolically from the Iliev formula and cross-checked against direct
 quadrature of that formula and against an independent integrate-the-flow
-oracle.  An older coefficient table in circulation disagrees in several
-slots; it is kept as private data, reachable only through
-m2_deviation_report, which lists the slot-by-slot differences.
+oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "pole_cleared_rows",
     "m1_quadrature",
     "m2_iliev_quadrature",
-    "m2_deviation_report",
 ]
 
 #: exponent pairs (i, j) meaning x^i y^j, in coefficient order
@@ -285,71 +282,13 @@ def m2_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
     Raises ConstraintError unless the first-order residuals of the annulus
     vanish to 1e-12.  The coefficient tables are the symbolically derived
     ones, validated against quadrature of the Iliev formula and an
-    integrate-the-flow oracle; the older legacy table is reachable only
-    through m2_deviation_report.
+    integrate-the-flow oracle.
     """
     _require_m1_zero(params, annulus)
     if annulus is Annulus.EXTERIOR:
         p0, p2 = _m2_exterior_coeffs(params)
         return MelnikovForm(2, annulus, p0, (), p2, pole=True)
     return MelnikovForm(2, annulus, *_m2_interior_coeffs(params))
-
-
-def _m2_legacy_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
-    """The older published order-2 table, for m2_deviation_report only."""
-    l, g = params.lambda1, params.gamma1
-    m, n = params.lambda2, params.gamma2
-    c = l[3] + 2.0 * g[5]
-    w = l[6] + g[7]
-    if annulus is not Annulus.EXTERIOR:
-        a0 = -l[0] * c + m[1] + n[2]
-        a1h = 4.0 * c * (-l[8] / 7.0 - l[5])
-        b0 = (-c * (l[1] - l[7] / 8.0) + 2.0 * w * (l[0] + 2.0 * l[4] - 2.0 * l[7])
-              + 2.0 * m[4] + n[3])
-        b1h = 4.0 * (-0.5 * l[7] * c + 3.0 * l[7] * w)
-        rho = (c * (l[4] - l[5] / 7.0 - (8.0 / 7.0) * l[8]) - 2.0 * l[1] * w
-               + n[6] + 3.0 * m[8] + m[7] / 7.0 + (3.0 / 7.0) * n[9])
-        return MelnikovForm(2, annulus, (a0, a1h), (b0, b1h), (rho,))
-    e = g[3] + 2.0 * l[4]
-    half_c = g[5] + l[3] / 2.0
-    tier2_0 = m[1] + n[2]
-    tier2_2 = n[6] + 3.0 * m[8] + m[7] / 7.0 + (3.0 / 7.0) * n[9]
-    a0 = -l[0] * c + tier2_0 - g[0] * e
-    a1 = (-l[0] * c + tier2_0 - (4.0 / 7.0) * l[5] * c
-          + (4.0 / 7.0) * (m[7] + 3.0 * n[9]) - (8.0 / 7.0) * l[8] * w
-          + (g[4] / 3.0) * e + (8.0 / 15.0) * e * half_c)
-    a2 = (-(4.0 / 7.0) * l[5] * c + (4.0 / 7.0) * (m[7] + 3.0 * n[9])
-          - (8.0 / 7.0) * l[8] * w)
-    head = (2.0 * l[4] * l[3] + l[3] * g[3] / 2.0 + 2.0 * l[4] * g[5]
-            + 2.0 * l[1] * l[6] + 2.0 * l[1] * g[7] - tier2_2
-            + (l[5] / 7.0) * c + (16.0 / 7.0) * l[8] * w)
-    b0 = -(head - 5.0 * e * (g[4] / 3.0 + g[0]) + (17.0 / 15.0) * e * half_c)
-    b1 = -(head - (1.0 / 5.0) * e * half_c)
-    return MelnikovForm(2, annulus, (a0, 4.0 * a1, a2), (), (b0, 4.0 * b1), pole=True)
-
-
-def m2_deviation_report(params: PerturbationParams, annulus: Annulus) -> dict:
-    """Slot-by-slot difference between the derived and legacy order-2 tables.
-
-    Returns {"annulus", "slots": {name: {"derived", "legacy", "delta"}},
-    "max_abs_delta"}; slot names are <period>-h<power>.
-    """
-    derived = m2_form(params, annulus)
-    legacy = _m2_legacy_form(params, annulus)
-    slots: dict[str, dict[str, float]] = {}
-    for label, dv, lv in (("i0", derived.poly0, legacy.poly0),
-                          ("i1", derived.poly1, legacy.poly1),
-                          ("i2", derived.poly2, legacy.poly2)):
-        width = max(len(dv), len(lv))
-        for k in range(width):
-            a = dv[k] if k < len(dv) else 0.0
-            b = lv[k] if k < len(lv) else 0.0
-            slots[f"{label}-h{k}"] = {"derived": a, "legacy": b, "delta": a - b}
-    return {
-        "annulus": annulus.value,
-        "slots": slots,
-        "max_abs_delta": max(abs(s["delta"]) for s in slots.values()),
-    }
 
 
 # ---------------------------------------------------------------------------

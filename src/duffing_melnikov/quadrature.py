@@ -19,8 +19,8 @@ node count and only running rows are evaluated again.  Its first rule call
 takes the 16-, 32- and 64-node rules on their concatenated nodes, as no row
 stops on its first estimate and most stop by 64 nodes, where a call costs its
 numpy overhead, not its nodes.  Per benchmark cycle, rows stop at 32/64/128/256
-nodes: crosscheck 400/237/88/75, verify 768/154/65/6; rule calls 524 and 31,
-against 1124 and 68 one rule per call.  The integrators below are its one-row
+nodes: crosscheck 400/237/88/75, verify 766/152/65/6; rule calls 524 and 29,
+against 1124 and 63 one rule per call.  The integrators below are its one-row
 case.  _oval_rows is the oval rule built on it, the one place that knows the
 endpoint substitution, the upper branch y = sqrt(t sigma(x)), the split of a
 pinched exterior oval and the per-piece sums; the periods

@@ -8,6 +8,7 @@ two, the constraint projection) are checked on top.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,6 @@ from duffing_melnikov.melnikov import (
     m1_form,
     m1_quadrature,
     m1_vanishing_residuals,
-    _m2_legacy_form,
-    m2_deviation_report,
     m2_form,
     m2_iliev_quadrature,
     m_eval,
@@ -113,6 +112,95 @@ def test_m1_form_drops_odd_moment_on_exterior():
     params = _single("gamma1", 3)
     assert m1_form(params, Annulus.INTERIOR_RIGHT).poly1 == (1.0,)
     assert m1_form(params, Annulus.EXTERIOR).poly1 == ()
+
+
+# ---------------------------------------------------------------------------
+# order one, reduced exactly to I_0, I_1, I_2
+# ---------------------------------------------------------------------------
+# A reduced integral is a dict {(k, p): c}, meaning the sum of c h^p I_k.
+
+
+def _add_to(out: dict, terms: dict, scale, shift: int = 0) -> dict:
+    """out += scale * h^shift * terms."""
+    for (k, p), c in terms.items():
+        out[k, p + shift] = out.get((k, p + shift), Fraction(0)) + scale * c
+    return out
+
+
+def _moment(a: int) -> dict:
+    """I_a = contour of x^a y dx, by (b/2 + 3) I_(b+3) = 2 b h I_(b-1) + (b+3) I_(b+1),
+    which is the integral of d(x^b y^3) = 0 with y^2 = 2h + x^2 - x^4/2; so
+    I_3 = I_1 and I_4 = (4h/7) I_0 + (8/7) I_2."""
+    if a < 3:
+        return {(a, 0): Fraction(1)}
+    b = a - 3
+    out = _add_to({}, _moment(b + 1), Fraction(2 * (b + 3), b + 6))
+    return _add_to(out, _moment(b - 1), Fraction(4 * b, b + 6), 1) if b else out
+
+
+def _contour_dx(i: int, j: int) -> dict:
+    """Contour of x^i y^j dx: zero for even j, where y^j is a polynomial in x on
+    the oval; for odd j, y^j = y (2h + x^2 - x^4/2)^((j-1)/2) expanded in moments."""
+    if j % 2 == 0:
+        return {}
+    poly = {(0, 0): Fraction(1)}  # {(power of x, power of h): c}
+    for _ in range(j // 2):
+        step: dict = {}
+        for (xp, hp), c in poly.items():
+            for (dx, dh), d in (((0, 1), 2), ((2, 0), 1), ((4, 0), Fraction(-1, 2))):
+                step[xp + dx, hp + dh] = step.get((xp + dx, hp + dh), 0) + c * d
+        poly = step
+    out: dict = {}
+    for (xp, hp), c in poly.items():
+        _add_to(out, _moment(i + xp), c, hp)
+    return out
+
+
+def _exact_m1(lam, gam) -> dict:
+    """Contour of g dx - f dy, with the contour of x^i y^j dy = -i/(j+1) times
+    that of x^(i-1) y^(j+1) dx."""
+    out: dict = {}
+    for (i, j), l, g in zip(MONOMIALS, lam, gam):
+        _add_to(out, _contour_dx(i, j), Fraction(g))
+        if i:
+            _add_to(out, _contour_dx(i - 1, j + 1), Fraction(l) * Fraction(i, j + 1))
+    return out
+
+
+def _assert_form_is(form, exact: dict, label: str, factor=(1,)):
+    """form's polynomials against exact times the polynomial factor, to rounding;
+    on the exterior annulus I_1 vanishes identically and form drops it."""
+    for k, got in enumerate((form.poly0, form.poly1, form.poly2)):
+        if k == 1 and form.annulus is Annulus.EXTERIOR:
+            assert got == ()
+            continue
+        coeffs = [exact.get((k, p), 0) for p in range(max((p for _, p in exact), default=0) + 1)]
+        want = [float(sum(coeffs[p - s] * f for s, f in enumerate(factor) if 0 <= p - s < len(coeffs)))
+                for p in range(len(coeffs) + len(factor) - 1)]
+        width = max(len(got), len(want))
+        assert list(got) + [0.0] * (width - len(got)) == pytest.approx(
+            want + [0.0] * (width - len(want)), rel=1e-14, abs=1e-15), f"{label}, I_{k}"
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+@pytest.mark.parametrize("which", ["lambda1", "gamma1"])
+def test_m1_form_equals_the_exact_reduction(annulus, which):
+    for k in range(_N):
+        params = _single(which, k)
+        _assert_form_is(m1_form(params, annulus), _exact_m1(params.lambda1, params.gamma1),
+                        f"{which}[{k}]")
+
+
+@pytest.mark.parametrize("annulus", list(Annulus))
+@pytest.mark.parametrize("which", ["lambda2", "gamma2"])
+def test_m2_linear_part_equals_the_exact_m1_reduction(annulus, which):
+    # with no first tier, M_2 is the first-order integral of the second tier,
+    # over the common denominator 4h + 1 on the exterior annulus
+    factor = (1, 4) if annulus is Annulus.EXTERIOR else (1,)
+    for k in range(_N):
+        params = _single(which, k)
+        _assert_form_is(m2_form(params, annulus), _exact_m1(params.lambda2, params.gamma2),
+                        f"{which}[{k}]", factor)
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +519,13 @@ def test_m2_splits_into_quadratic_and_linear_parts():
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
-def test_m2_legacy_table_disagrees_with_quadrature():
-    # The legacy table is kept for comparison; on a generic constrained draw
-    # it deviates from the quadrature oracle while the derived table matches.
+def test_m2_derived_table_matches_quadrature_on_a_generic_draw():
     rng = np.random.default_rng(21)
     annulus = Annulus.EXTERIOR
     params = enforce_m1_zero(PerturbationParams.random(rng), annulus)
-    report = m2_deviation_report(params, annulus)
-    assert report["max_abs_delta"] > 1e-3
     h = 0.9
     quad = m2_iliev_quadrature(params, h, annulus)
-    derived = _closed_m2(params, h, annulus)
-    legacy = float(np.real(m_eval(_m2_legacy_form(params, annulus),
-                                  h, period_vector(h, annulus))))
-    assert derived == pytest.approx(quad, rel=1e-9)
-    assert abs(legacy - quad) > 1e-6 * abs(quad)
-
-
-def test_m2_deviation_report_structure(rng):
-    params = enforce_m1_zero(PerturbationParams.random(rng), Annulus.INTERIOR_RIGHT)
-    report = m2_deviation_report(params, Annulus.INTERIOR_RIGHT)
-    assert report["annulus"] == "interior-right"
-    for name, slot in report["slots"].items():
-        period, power = name.split("-h")
-        assert period in {"i0", "i1", "i2"}
-        assert slot["delta"] == pytest.approx(slot["derived"] - slot["legacy"])
-    assert report["max_abs_delta"] == pytest.approx(
-        max(abs(s["delta"]) for s in report["slots"].values()))
+    assert _closed_m2(params, h, annulus) == pytest.approx(quad, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
