@@ -184,10 +184,11 @@ def _second_order(params: PerturbationParams, annulus: Annulus, order: int | Non
 
 
 def _form_slots(form) -> dict[str, float]:
+    """The form's coefficients by slot; + 0.0 turns a -0.0 product into 0.0."""
     slots: dict[str, float] = {}
     for label, poly in (("i0", form.poly0), ("i1", form.poly1), ("i2", form.poly2)):
         for k, c in enumerate(poly):
-            slots[f"{label}-h{k}"] = c
+            slots[f"{label}-h{k}"] = c + 0.0
     return slots
 
 

@@ -16,23 +16,23 @@ Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
 parameters, and the levels where the periods are read do not depend on the
 parameters.  So the periods are evaluated once per contour and cached in
 its one ContourTable: the keyhole loop with the periods at its initial
-samples, and the real scan of the physical interval, its grid, the 9-point
-window around each grid point and the periods at all of those levels.
+samples, and the real scan of the physical interval, its grid refined 4x
+into one linspace and the periods at all of its levels.
 
 Forms are certified in blocks: bound_census certifies all its draws as one
 block, and certify and winding_count are blocks of one; real_zeros runs
 the real scan on one function.
 Per block, the counting functions of all forms are evaluated in one
 broadcast pass at every cached keyhole sample and scan grid level, then at
-the cached window levels each form's scan picks, one coefficient row per
-form, in numpy's polyval operation order.  Phase refinement then runs in
-lock-step, with one period evaluation per round for the bisection midpoints
-of every form, each the mean of its step's two end levels; the two halves
-of each bisected step replace it in its form's phase sum and keep the
-small-value limit of its initial step.  Every sign change of the block is
-polished at once by a lock-step copy of scipy's brentq iteration, with one
-period evaluation per step.  Those midpoints and steps are the only periods
-evaluated per block.
+the cached quarter levels each form's scan picks next to its small grid
+samples, one coefficient row per form, in numpy's polyval operation order.
+Phase refinement then runs in lock-step, with one period evaluation per
+round for the bisection midpoints of every form, each the mean of its
+step's two end levels; the two halves of each bisected step replace it in
+its form's phase sum and keep the small-value limit of its initial step.
+Every sign change of the block is polished at once by a lock-step copy of
+scipy's brentq iteration, with one period evaluation per step.  Those
+midpoints and steps are the only periods evaluated per block.
 Each certificate is then built once, with its final status.  Each value is
 computed point by point and form by form, so a value read from the table or
 computed in a block is the same float a single evaluation returns, and a
@@ -180,10 +180,10 @@ class ContourTable:
     seeds the initial samples: init_values holds their levels h on the
     polyline and the closed-form periods there, point by point.  scan, built
     by the first certification, holds the real scan of the physical interval
-    clipped to the contour: its levels as _scan_levels gives them and (I_0,
-    I_1, I_2) there.  Every cached value is the float a per-draw evaluation
-    would return, and every cached array is read-only: every later draw
-    reads them.
+    clipped to the contour: its one array of levels as _scan_levels gives
+    it, the grid refined 4x, and (I_0, I_1, I_2) there.  Every cached value
+    is the float a per-draw evaluation would return, and every cached array
+    is read-only: every later draw reads them.
     """
 
     annulus: Annulus
@@ -204,7 +204,7 @@ class ContourTable:
     def scan(self) -> tuple:
         """(_scan_levels of the real scan, (I_0, I_1, I_2) at its levels)."""
         levels = _scan_levels(*_scan_interval(self.annulus, self.R, self.rho), _N_SCAN)
-        periods = closed_form(levels[0], self.annulus)[:3]
+        periods = closed_form(levels, self.annulus)[:3]
         return levels, tuple(_read_only(x) for x in periods)
 
 
@@ -396,20 +396,15 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
 # ---------------------------------------------------------------------------
 
 
-def _scan_levels(a: float, b: float, n_scan: int):
+def _scan_levels(a: float, b: float, n_scan: int) -> np.ndarray:
     """Every level the real scan of [a, b] can sample before root polishing.
 
-    Returns the levels sorted, the positions among them of the n_scan grid
-    points and the positions of the 9-point window over each grid point.
-    Row i of the windows spans grid points i-1 .. i+1 (clipped at the ends);
-    it is where the scan densifies when sample i is small.  Read-only.
+    The n_scan-point grid refined 4x, np.linspace(a, b, 4 n_scan - 3): every
+    fourth level is np.linspace(a, b, n_scan), bit for bit, and the three
+    levels between two grid points are where the scan densifies when either
+    is small.  Read-only.
     """
-    h = np.linspace(a, b, n_scan)
-    windows = np.array([np.linspace(h[max(i - 1, 0)], h[min(i + 1, n_scan - 1)], 9)
-                        for i in range(n_scan)])
-    points = np.unique(np.concatenate([h, windows.ravel()]))
-    return (_read_only(points), _read_only(np.searchsorted(points, h)),
-            _read_only(np.searchsorted(points, windows)))
+    return _read_only(np.linspace(a, b, 4 * n_scan - 3))
 
 
 def _suspect_positions(rows, mag, sign, scale) -> np.ndarray:
@@ -496,30 +491,29 @@ def _brentq(f, a, b, fa, fb, xtol: float = _ROOT_XTOL) -> np.ndarray:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
-def _scan_block(n_fns: int, levels: tuple, at_levels, evaluate) -> list:
+def _scan_block(n_fns: int, levels: np.ndarray, at_levels, evaluate) -> list:
     """Bracketing root scans of n_fns real functions at once.
 
     levels is a _scan_levels result, and at_levels(r, i) returns functions r
-    at its levels i.  Each scan evaluates the grid, densifies 4x around its
-    small grid samples by evaluating their windows, and polishes every sign
-    change with _brentq to width 1e-12; evaluate(x, r) returns functions r at
-    levels x.  Returns one (roots, suspects) pair per function, as real_zeros
-    does.
+    at its levels i.  Each scan evaluates the grid, levels[::4], then the
+    three levels on each side of its small grid samples (|value| below 0.05
+    of the scan's largest grid value), and polishes every sign change with
+    _brentq to width 1e-12; evaluate(x, r) returns functions r at levels x.
+    Returns one (roots, suspects) pair per function, as real_zeros does.
     """
-    points, grid, windows = levels
-    values = np.zeros((n_fns, points.size))
-    values[:, grid] = at_levels(np.arange(n_fns)[:, None], grid)
-    on_grid = np.abs(values[:, grid])
+    values = np.zeros((n_fns, levels.size))
+    values[:, ::4] = at_levels(np.arange(n_fns)[:, None], slice(None, None, 4))
+    on_grid = np.abs(values[:, ::4])
     scale = np.max(on_grid, axis=1)
+    small = on_grid < 0.05 * scale[:, None]
     pick = np.zeros(values.shape, dtype=bool)
-    r, i = np.nonzero(on_grid < 0.05 * scale[:, None])
-    pick[r[:, None], windows[i]] = True
-    pick[:, grid] = False  # window levels that are grid levels are in already
+    for k in (1, 2, 3):  # the levels between grid points j and j + 1
+        pick[:, k::4] = small[:, :-1] | small[:, 1:]
     values[pick] = at_levels(*np.nonzero(pick))
-    pick[:, grid] = True
+    pick[:, ::4] = True
     pick[scale == 0.0] = False  # nothing to scan
     rows, cols = np.nonzero(pick)
-    h, v = points[cols], values[rows, cols]
+    h, v = levels[cols], values[rows, cols]
     sign = np.sign(v)
     cross = np.flatnonzero((rows[1:] == rows[:-1]) & (sign[:-1] * sign[1:] < 0))
     owner = rows[cross]
@@ -546,13 +540,13 @@ def real_zeros(fn, interval, n_scan: int = _N_SCAN):
     scale without a sign change are returned separately as suspects (the
     even-multiplicity heuristic); they are flagged, never counted.  This is
     the block scan of certify with one function: fn is evaluated once at
-    every level the scan can sample, then at the polishing steps.
+    every level of the 4x refined grid, then at the polishing steps.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
     levels = _scan_levels(a, b, n_scan)
-    values = np.real(np.asarray(fn(levels[0])))
+    values = np.real(np.asarray(fn(levels)))
     ((roots, suspects),) = _scan_block(1, levels, lambda r, i: values[i],
                                        lambda x, r: np.real(np.asarray(fn(x))))
     return roots, suspects
@@ -594,7 +588,6 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     ph = _phase_block(ct, coeffs)
     live = np.flatnonzero(~ph.degenerate)
     levels, periods = ct.scan
-    points = levels[0]
     coeffs = tuple(c[live] for c in coeffs)
     exterior = annulus is Annulus.EXTERIOR
 
@@ -604,7 +597,7 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
         return np.real(_counting_rows(rows, exterior, x, *closed_form(x, annulus)[:3]))
 
     def at_levels(r, i):
-        return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, points[i],
+        return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, levels[i],
                                       *(p[i] for p in periods)))
 
     scans = iter(_scan_block(live.size, levels, at_levels, polish))

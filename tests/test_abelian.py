@@ -509,7 +509,7 @@ def test_closed_form_is_vectorized_and_real_on_real_levels():
 def test_closed_form_on_a_few_scan_levels_equals_the_scan_table(annulus):
     # the root polish evaluates 1 to 9 real levels at a time, brackets from
     # the table's scan values, and must read the same floats there
-    (points, _, _), cached = contour_table(annulus).scan
+    points, cached = contour_table(annulus).scan
     rng = np.random.default_rng(7)
     for size in range(1, 10):
         idx = rng.choice(points.size, size=size, replace=False)
@@ -653,6 +653,38 @@ def test_cut_wronskian_constants_are_exact():
         for h, w in zip(hs, wronskian_cut(hs)):
             w /= h * (4.0 * h + 1.0)
             assert abs(w - const) <= 1e-10 * abs(const)
+
+
+# Petrov's inputs for exterior order 1.  Up to a nonvanishing factor the
+# form is F = a + b h + c w with w = I_2 / I_0 and real a, b, c.  Im F+ on
+# the cut is c Im w+, and the growth of w sets the big circle's turns.
+
+
+def test_im_w_on_the_exterior_cut_changes_sign_once():
+    # Im w+ = W / (2i |I_0+|^2) with W a constant times h (4h + 1): negative
+    # on (-1/4, 0) and positive below -1/4, on ~4000 cut levels
+    h = -np.geomspace(1.1e-3, 1e4, 4000)
+    h = h[np.abs(h + 0.25) > MIN_CLEARANCE]
+    plus, _ = cut_values(h, Annulus.EXTERIOR)
+    im = (np.array(plus.i2) / np.array(plus.i0)).imag
+    inner = h > -0.25
+    assert np.count_nonzero(inner) > 1000 and np.count_nonzero(~inner) > 1000
+    # measured: -0.428 to -0.0021 on (-1/4, 0), 0.0032 to 54.8 below -1/4
+    assert -0.43 < im[inner].min() and im[inner].max() < -2e-3
+    assert 3e-3 < im[~inner].min() and im[~inner].max() < 55.0
+    assert np.count_nonzero(np.diff(np.sign(im))) == 1
+
+
+@pytest.mark.parametrize("r", [1e4, 1e6, 1e8])
+def test_w_grows_like_the_root_of_h_on_the_exterior(r):
+    # |I_2 / I_0| / |h|^(1/2) within 1% of 0.5483 on rays away from the cut
+    # (-inf, 0]: for b != 0 the big circle adds one turn.  With the one sign
+    # change above, Petrov's count gives at most 1 + 2 = 3 zeros on the cut
+    # plane, against the bound 2 that acceptance 7 states
+    h = r * np.exp(1j * np.linspace(-0.75 * math.pi, 0.75 * math.pi, 7))
+    i0, _, i2, _, _ = closed_form(h, Annulus.EXTERIOR)
+    ratio = np.abs(i2 / i0) / math.sqrt(r)
+    assert np.all(np.abs(ratio / 0.5483 - 1.0) < 0.01), ratio
 
 
 # ---------------------------------------------------------------------------

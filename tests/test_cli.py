@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -621,6 +622,21 @@ def test_oracle_and_eval_output_matches_the_byte_pin(capsys, tmp_path):
         assert cli.main(argv) == 0
     stdout = capsys.readouterr().out.replace(str(tmp_path), "TMP")
     assert stdout == _PIN.with_name("stdout_pin.txt").read_text()
+
+
+def test_coeffs_tables_hold_no_negative_zero(capsys, tmp_path):
+    # with lambda1[7] = 0 a slot's product is -0.0, which the table must not
+    # print or write as a negative number
+    params, out = tmp_path / "p.json", tmp_path / "rows.jsonl"
+    params.write_text(json.dumps(_EVAL_PIN_PARAMS))
+    assert cli.main(["coeffs", "--params", str(params), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "i2-h1     0.000000000000e+00" in printed
+    assert not re.search(r"-0\.0+e[+-]00", printed)
+    written = []
+    for line in out.read_text().splitlines():
+        json.loads(line, parse_float=lambda text: written.append(float(text)))
+    assert written and not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in written)
 
 
 # ---------------------------------------------------------------------------

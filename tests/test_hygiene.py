@@ -1,8 +1,8 @@
 """Source hygiene scans (stdlib ast and re only).
 
-No module in src/, tests/ or scripts/ imports a name it never reads: an
-import counts as used when its bound name appears as a name anywhere in the
-module or is listed in the module's __all__.
+No module in src/, tests/, scripts/ or bench/ imports a name it never
+reads: an import counts as used when its bound name appears as a name
+anywhere in the module or is listed in the module's __all__.
 
 No public name is kept for the tests alone: every name in a package module's
 __all__ must be referenced somewhere in src/, scripts/ or bench/ outside its
@@ -37,7 +37,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FILES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
 PROGRAM = sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
 
 # a string constant that spells a dotted name refers to it (bench/tracing.py

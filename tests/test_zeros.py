@@ -7,6 +7,7 @@ exactly; random draws then exercise the certification pipeline end to end
 
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -370,6 +371,26 @@ def test_block_mixing_degenerate_and_live_draws(annulus):
     assert all(c.status is Status.DEGENERATE for c in all_zero)
 
 
+_CENSUS_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "census_reference.json"
+
+
+def test_census_matches_the_benchmark_reference():
+    # the census benchmark's gate, draw for draw: every block of its
+    # reference, certified as the zeros command certifies it
+    reference = json.loads(_CENSUS_REFERENCE.read_text())
+    assert reference["fields"] == ["winding", "real_roots", "status"]
+    assert len(reference["draws"]) == 160
+    wrong = []
+    for key, expected in reference["draws"].items():
+        order, label, seed = key.split("/")
+        certs, _ = bound_census(int(order), Annulus.from_label(label),
+                                n_draws=reference["block_draws"], seed=int(seed))
+        got = [[c.winding, len(c.real_roots), c.status.value] for c in certs]
+        assert len(got) == len(expected) == 10, key
+        wrong += [(key, draw, g, e) for draw, (g, e) in enumerate(zip(got, expected)) if g != e]
+    assert wrong == []
+
+
 def test_census_is_deterministic():
     _, s1 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
     _, s2 = bound_census(1, Annulus.EXTERIOR, n_draws=4, seed=9)
@@ -534,6 +555,15 @@ def test_real_zeros_flags_tangency_as_suspect():
     assert suspects[0] == pytest.approx(0.5, abs=1e-2)
 
 
+def test_real_zeros_densifies_next_to_small_grid_samples():
+    # four roots lie between the grid levels 0.5 and 0.75 of a 5-point grid,
+    # one between each two of its quarter levels: the grid sees no sign
+    # change, the three quarter levels next to the small samples see all four
+    zs = (0.53, 0.6, 0.65, 0.72)
+    roots, _ = real_zeros(lambda h: np.prod([h - z for z in zs], axis=0), (0.0, 1.0), n_scan=5)
+    assert [r for r, _ in roots] == pytest.approx(zs, abs=1e-10)
+
+
 def test_real_zeros_rejects_empty_interval():
     with pytest.raises(ValueError):
         real_zeros(lambda h: h, (1.0, 1.0))
@@ -657,15 +687,12 @@ def test_suspect_scan_matches_reference_loop(scans):
         assert h[found[rows[found] == r]].tolist() == expected
 
 
-def test_scan_windows_match_per_sample_linspace():
-    points, on_grid, in_windows = zeros._scan_levels(-0.2, 0.3, 64)
-    h = points[on_grid]
-    assert np.array_equal(h, np.linspace(-0.2, 0.3, 64))
-    for i in range(64):
-        assert np.array_equal(points[in_windows[i]],
-                              np.linspace(h[max(i - 1, 0)], h[min(i + 1, 63)], 9))
-    # the levels are the grid and the windows, each level once
-    assert np.array_equal(points, np.unique(np.concatenate([h, points[in_windows].ravel()])))
+def test_scan_levels_are_one_grid_refined_4x():
+    for interval, n_scan in (((-0.2, 0.3), 64), ((0.5, 0.75), 2), ((0.1, 0.9), 1)):
+        levels = zeros._scan_levels(*interval, n_scan)
+        assert levels.size == 4 * n_scan - 3 and np.all(np.diff(levels) > 0)
+        # the grid is every fourth level, bit for bit
+        assert np.array_equal(levels[::4], np.linspace(*interval, n_scan))
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +740,7 @@ def test_contour_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_real_values_on_a_subset_equal_the_full_evaluation(annulus, seed):
-    (points, _, _), _ = _scanned_table(annulus).scan
+    points, _ = _scanned_table(annulus).scan
     _assert_subset_matches(lambda h: closed_form(h, annulus)[:3], points, seed)
 
 
@@ -723,19 +750,19 @@ def test_cached_periods_equal_a_fresh_evaluation(annulus):
     for cached, fresh in zip(ct.init_values[1:], closed_form(ct.init_values[0], annulus)):
         assert np.array_equal(cached, fresh)
     levels, cached = ct.scan
-    for c, fresh in zip(cached, closed_form(levels[0], annulus)[:3]):
+    for c, fresh in zip(cached, closed_form(levels, annulus)[:3]):
         assert np.array_equal(c, fresh)
-    # the table holds the whole grid and every densification window of the
-    # interval certify scans
-    fresh = zeros._scan_levels(*_default_scan_interval(annulus), zeros._N_SCAN)
-    for c, f in zip(levels, fresh):
-        assert np.array_equal(c, f)
+    # the table holds every level the scan of the interval certify scans can
+    # sample: 2045 levels, whose every fourth is that interval's grid
+    interval = _default_scan_interval(annulus)
+    assert np.array_equal(levels, zeros._scan_levels(*interval, zeros._N_SCAN))
+    assert levels.size == 2045 and (levels[::4] == np.linspace(*interval, zeros._N_SCAN)).all()
 
 
 def test_cached_arrays_are_read_only():
     ct = _scanned_table(Annulus.EXTERIOR)
     levels, periods = ct.scan
-    for arr in (ct.vertices, ct.s_init, *ct.init_values, *levels, *periods):
+    for arr in (ct.vertices, ct.s_init, *ct.init_values, levels, *periods):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
