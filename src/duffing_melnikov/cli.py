@@ -118,6 +118,8 @@ def _resolve_params(args, annulus: Annulus) -> tuple[PerturbationParams, dict]:
     second-order function is defined only there.
     """
     if args.params is not None:
+        if args.seed is not None:
+            raise ValueError("--params and --seed each choose the parameters; give only one")
         return _load_params(args.params), {"params_file": args.params}
     if args.seed is not None:
         params = PerturbationParams.uniform(np.random.default_rng(args.seed))
@@ -290,9 +292,6 @@ def _print_certificate(cert) -> None:
         print(f"  real roots: {roots}")
     else:
         print("  real roots: none")
-    if cert.suspect_roots:
-        sus = "  ".join(f"{loc:.6f}" for loc in cert.suspect_roots)
-        print(f"  suspects (not counted): {sus}")
 
 
 def cmd_zeros(args) -> int:

@@ -128,17 +128,17 @@ class ZeroCertificate:
     """Outcome of one argument-principle zero count plus a real-root scan.
 
     real_roots holds (location, bracket width) pairs from sign changes on
-    the physical interval; suspect_roots are near-tangencies flagged by the
-    local-minimum heuristic but not counted.  winding is the certified
-    complex zero count in D_R, to be compared against bound.  closure_error
+    the physical interval, in ascending order; winding is the certified
+    complex zero count in D_R, to be compared against bound, and counts a
+    double real zero twice though real_roots lists none.  closure_error
     compares the counting function at the two ends of the loop, which are
-    the same level; with closed-form periods it reads 0.
+    the same level; with closed-form periods it reads 0.  A degenerate
+    certificate lists no roots and reads 0 in every count and error.
     """
 
     annulus: Annulus
     order: int
     real_roots: tuple
-    suspect_roots: tuple
     winding: int
     bound: int
     contour: tuple
@@ -152,7 +152,6 @@ class ZeroCertificate:
             "annulus": self.annulus.value,
             "order": self.order,
             "real_roots": [[float(r), float(w)] for r, w in self.real_roots],
-            "suspect_roots": [float(r) for r in self.suspect_roots],
             "winding": self.winding,
             "bound": self.bound,
             "contour": {"R": self.contour[0], "eta": self.contour[1],
@@ -315,7 +314,7 @@ def _counting_rows(coeffs, exterior: bool, h, i0, i1, i2):
 class _Phases:
     """Per-form outcome of a lock-step phase refinement, arrays over the block."""
 
-    degenerate: np.ndarray  # numerically zero counting functions, not refined
+    degenerate: np.ndarray  # numerically zero counting functions: unrefined, 0 in each field below
     converged: np.ndarray
     total: np.ndarray       # sum of the phase steps over the refined samples
     closure: np.ndarray     # |v_end - v_start| / max |v|
@@ -358,9 +357,9 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
     rows, k = np.nonzero(fail)
     hl, vl, hr, vr, step, lim = (h[k], v[rows, k], h[k + 1], v[rows, k + 1], steps[rows, k],
                                  limit[rows, k])
-    total = np.sum(steps, axis=1)
+    total = np.where(degenerate, 0.0, np.sum(steps, axis=1))
     peak = scale.copy()
-    n_samples = np.full(n, h.size)
+    n_samples = np.where(degenerate, 0, h.size)
     active = ~degenerate
     converged = np.zeros(n, dtype=bool)
     for _ in range(_MAX_REFINE):
@@ -386,7 +385,7 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
         np.add.at(total, rows[:m], halves[:m] + halves[m:] - step)
         rows, hl, vl, hr, vr, step, lim = (x[fail] for x in (rows, hl, vl, hr, vr, halves, lim))
     with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
-        closure = np.abs(v[:, -1] - v[:, 0]) / peak
+        closure = np.where(degenerate, 0.0, np.abs(v[:, -1] - v[:, 0]) / peak)
     return _Phases(degenerate=degenerate, converged=converged, total=total,
                    closure=closure, n_samples=n_samples)
 
@@ -405,20 +404,6 @@ def _scan_levels(a: float, b: float, n_scan: int) -> np.ndarray:
     is small.  Read-only.
     """
     return _read_only(np.linspace(a, b, 4 * n_scan - 3))
-
-
-def _suspect_positions(rows, mag, sign, scale) -> np.ndarray:
-    """Interior local minima of |fn| below 1e-6 scale without a sign change.
-
-    The arrays hold the scans of several functions end to end: rows names
-    the function of each position, and scale[r] is the scan scale of
-    function r.  A minimum needs both neighbours in its own function.
-    """
-    m = mag[1:-1]
-    hit = ((rows[:-2] == rows[2:]) & (m < 1e-6 * scale[rows[1:-1]])
-           & (m <= mag[:-2]) & (m <= mag[2:])
-           & (sign[:-2] == sign[2:]) & (sign[1:-1] == sign[:-2]))
-    return np.flatnonzero(hit) + 1
 
 
 _BRENT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.brentq's default and least rtol
@@ -499,7 +484,7 @@ def _scan_block(n_fns: int, levels: np.ndarray, at_levels, evaluate) -> list:
     three levels on each side of its small grid samples (|value| below 0.05
     of the scan's largest grid value), and polishes every sign change with
     _brentq to width 1e-12; evaluate(x, r) returns functions r at levels x.
-    Returns one (roots, suspects) pair per function, as real_zeros does.
+    Returns one list of roots per function, as real_zeros does.
     """
     values = np.zeros((n_fns, levels.size))
     values[:, ::4] = at_levels(np.arange(n_fns)[:, None], slice(None, None, 4))
@@ -519,15 +504,14 @@ def _scan_block(n_fns: int, levels: np.ndarray, at_levels, evaluate) -> list:
     owner = rows[cross]
     found = _brentq(lambda x, k: evaluate(x, owner[k]), h[cross], h[cross + 1],
                     v[cross], v[cross + 1])
-    out = [([], []) for _ in range(values.shape[0])]
+    out = [[] for _ in range(n_fns)]
     for r, x in zip(owner.tolist(), found.tolist()):
-        out[r][0].append((x, _ROOT_XTOL))
+        out[r].append((x, _ROOT_XTOL))
     zero = np.flatnonzero(sign == 0)
     for r, x in zip(rows[zero].tolist(), h[zero].tolist()):
-        out[r][0].append((x, 0.0))
-    sus = _suspect_positions(rows, np.abs(v), sign, scale)
-    for r, x in zip(rows[sus].tolist(), h[sus].tolist()):
-        out[r][1].append(x)
+        out[r].append((x, 0.0))
+    for roots in out:
+        roots.sort()
     return out
 
 
@@ -536,20 +520,18 @@ def real_zeros(fn, interval, n_scan: int = _N_SCAN):
 
     fn must accept a float ndarray and return values; sign changes of the
     real part are polished by Brent's method to width 1e-12 and returned as
-    (location, width) pairs.  Local minima of |fn| below 1e-6 of the scan
-    scale without a sign change are returned separately as suspects (the
-    even-multiplicity heuristic); they are flagged, never counted.  This is
-    the block scan of certify with one function: fn is evaluated once at
-    every level of the 4x refined grid, then at the polishing steps.
+    (location, width) pairs in ascending order, an exact zero at a scan
+    level with width 0.0.  This is the block scan of certify with one
+    function: fn is evaluated at the n_scan-point grid, then at the quarter
+    levels next to its small samples, then at the polishing steps.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError(f"empty scan interval ({a}, {b})")
     levels = _scan_levels(a, b, n_scan)
-    values = np.real(np.asarray(fn(levels)))
-    ((roots, suspects),) = _scan_block(1, levels, lambda r, i: values[i],
-                                       lambda x, r: np.real(np.asarray(fn(x))))
-    return roots, suspects
+    real_fn = lambda x: np.real(np.asarray(fn(x)))
+    (roots,) = _scan_block(1, levels, lambda r, i: real_fn(levels[i]), lambda x, r: real_fn(x))
+    return roots
 
 
 def _real_table(annulus: Annulus) -> RealPeriodTable:
@@ -591,43 +573,33 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
     coeffs = tuple(c[live] for c in coeffs)
     exterior = annulus is Annulus.EXTERIOR
 
-    def polish(x, r):
-        # root polishing evaluates the periods afresh at its steps
-        rows = tuple(c[r] for c in coeffs)
-        return np.real(_counting_rows(rows, exterior, x, *closed_form(x, annulus)[:3]))
+    def counting(r, x, i0, i1, i2):
+        return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, x, i0, i1, i2))
 
-    def at_levels(r, i):
-        return np.real(_counting_rows(tuple(c[r] for c in coeffs), exterior, levels[i],
-                                      *(p[i] for p in periods)))
-
-    scans = iter(_scan_block(live.size, levels, at_levels, polish))
+    # the scan reads the cached levels; root polishing evaluates the periods afresh
+    scans = iter(_scan_block(live.size, levels,
+                             lambda r, i: counting(r, levels[i], *(p[i] for p in periods)),
+                             lambda x, r: counting(r, x, *closed_form(x, annulus)[:3])))
     bound = BOUNDS[(order, annulus)]
-    contour = (ct.R, ct.eta, ct.rho)
     certs = []
     for degenerate, converged, total, closure, n_samples in zip(
             ph.degenerate.tolist(), ph.converged.tolist(), ph.total.tolist(),
             ph.closure.tolist(), ph.n_samples.tolist()):
-        if degenerate:
-            certs.append(ZeroCertificate(annulus=annulus, order=order, real_roots=(),
-                                         suspect_roots=(), winding=0, bound=bound,
-                                         contour=contour, status=Status.DEGENERATE,
-                                         phase_defect=0.0, closure_error=0.0, n_samples=0))
-            continue
-        roots, suspects = next(scans)
+        roots = [] if degenerate else next(scans)
         raw = total / (2.0 * math.pi)
         winding = int(round(raw))
         defect = abs(raw - winding)
-        if not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL \
-                or winding < 0:
+        if degenerate:
+            status = Status.DEGENERATE
+        elif not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL or winding < 0:
             status = Status.INCONCLUSIVE
         elif winding <= bound:
             status = Status.WITHIN_BOUND if len(roots) <= winding else Status.INCONCLUSIVE
         else:
             status = Status.BOUND_VIOLATED
         certs.append(ZeroCertificate(annulus=annulus, order=order, real_roots=tuple(roots),
-                                     suspect_roots=tuple(suspects), winding=winding,
-                                     bound=bound, contour=contour, status=status,
-                                     phase_defect=defect, closure_error=closure,
+                                     winding=winding, bound=bound, contour=(ct.R, ct.eta, ct.rho),
+                                     status=status, phase_defect=defect, closure_error=closure,
                                      n_samples=n_samples))
     return certs
 

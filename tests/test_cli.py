@@ -187,6 +187,17 @@ def test_zeros_params_and_draws_exclude_each_other(capsys, tmp_path):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["coeffs", "oracle", "eval"])
+def test_params_and_seed_exclude_each_other(capsys, tmp_path, command):
+    # --seed beside --params was once dropped: the file's parameters ran and exited 0
+    out = tmp_path / "both.jsonl"
+    assert cli.main([command, "--params", _write_params(tmp_path / "p.json", _crafted()),
+                     "--seed", "3", "--annulus", "exterior", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--params" in captured.err and "--seed" in captured.err
+    assert "# config" not in captured.out and not out.exists()
+
+
 def test_zeros_source_flag_is_gone(capsys):
     assert cli.main(["zeros", "--draws", "1", "--source", "legacy"]) == 2
 

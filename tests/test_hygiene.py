@@ -267,8 +267,9 @@ def test_scan_finds_a_numpy_2_name():
 
 
 def test_the_program_reads_no_numpy_2_name_below_its_numpy_floor():
+    # the tests too: they run against the same numpy floor
     floor = re.search(r'"numpy>=(\d+)', (ROOT / "pyproject.toml").read_text()).group(1)
-    found = [f"{path.relative_to(ROOT)}:{line} np.{name}" for path in PROGRAM
+    found = [f"{path.relative_to(ROOT)}:{line} np.{name}" for path in FILES
              for line, name in numpy_2_names(path.read_text())]
     assert int(floor) >= 2 or found == []
 
@@ -340,6 +341,26 @@ def test_the_benchmark_tracer_hooks_read_what_they_count(monkeypatch):
     assert sorted(counted) == sorted(layers)
     assert [f"{layer}.{key}" for layer, keys in counted.items() for key in keys
             if not metrics[f"{layer}.{key}"] > 0] == []
+
+
+def test_the_real_scan_evaluates_only_the_grid_where_nothing_is_small(monkeypatch):
+    # h + 2.0 has no small grid sample and no sign change: the scan reads its
+    # 512-point grid and nothing more, not the 2045 levels of the 4x grid
+    from duffing_melnikov import zeros
+
+    tracing = _bench_tracing(monkeypatch)
+    importlib.import_module(f"{tracing.PACKAGE}.cli")  # install patches every module it binds
+    sizes = []
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        roots = zeros.real_zeros(lambda h: sizes.append(h.size) or h + 2.0, (0.0, 1.0), n_scan=512)
+    finally:
+        tracer.uninstall()
+    assert roots == [] and sum(sizes) == 512
+    metrics = tracer.layer_metrics()
+    assert metrics["zeros.real_zeros.samples"] == 512
+    assert metrics["zeros.real_zeros.refine_samples"] == 0
 
 
 # Names the benchmark binds that no top-level definition in src/ outside this

@@ -24,13 +24,14 @@ from duffing_melnikov.melnikov import (
     PerturbationParams,
     enforce_m1_zero,
     m1_form,
+    m2_form,
     m_eval,
+    pole_cleared_eval,
 )
 from duffing_melnikov.zeros import (
     BOUNDS,
     DegenerateFormError,
     Status,
-    _suspect_positions,
     bound_census,
     certify,
     contour_table,
@@ -184,7 +185,6 @@ def test_certificate_with_real_exterior_zero():
     assert len(cert.real_roots) == 1
     root = cert.real_roots[0][0]
     assert 9.0 < root < 9.2
-    assert cert.suspect_roots == ()
 
 
 def test_certificate_stable_under_contour_changes():
@@ -444,6 +444,59 @@ def test_three_real_exterior_roots_straddle_h_star():
     assert found == [(20, 1), (30, 2)]
 
 
+_POOL_CLASSES = ((1, Annulus.INTERIOR_LEFT), (1, Annulus.INTERIOR_RIGHT), (1, Annulus.EXTERIOR),
+                 (2, Annulus.INTERIOR_RIGHT), (2, Annulus.EXTERIOR))
+
+
+def _real_zeros_at_complex_levels(form, interval, periods: dict):
+    """real_zeros of form's real part on interval, evaluated at levels h + 0j,
+    and the largest |imaginary part| there relative to the largest |value|.
+
+    periods caches closed_form per annulus and level array, so the draws of
+    an annulus share the periods of the scan grid."""
+    seen = []
+
+    def fn(h):
+        key = (form.annulus, h.tobytes())
+        if key not in periods:
+            periods[key] = closed_form(h + 0j, form.annulus)[:3]
+        seen.append(pole_cleared_eval(form, h + 0j, periods[key]))
+        return seen[-1]
+
+    roots = real_zeros(fn, interval)
+    values = np.concatenate(seen)
+    return roots, np.max(np.abs(values.imag)) / np.max(np.abs(values))
+
+
+def test_non_real_zeros_pair_off_on_the_census_pool():
+    # each form is real on the real axis, so its non-real zeros in D_R come in
+    # conjugate pairs: the winding has the parity of the real zeros in D_R.
+    # The exterior scan covers the real part of D_R; an interior scan misses
+    # the forced zero at -1/4 and (-R, -1/4), scanned here at complex levels
+    left = (-10.0 * (1.0 - 1e-9), -0.25 - 1e-6)
+    odd, lefts, imag, periods = [], [], 0.0, {}
+    for order, annulus in _POOL_CLASSES:
+        for seed in range(32):
+            certs, _ = bound_census(order, annulus, n_draws=10, seed=seed)
+            rng = np.random.default_rng(seed)  # the draws of bound_census
+            for draw, cert in enumerate(certs):
+                params = PerturbationParams.uniform(rng)
+                real = len(cert.real_roots)
+                if annulus is not Annulus.EXTERIOR:
+                    form = (m1_form(params, annulus) if order == 1
+                            else m2_form(enforce_m1_zero(params, annulus), annulus))
+                    roots, rel_imag = _real_zeros_at_complex_levels(form, left, periods)
+                    imag = max(imag, rel_imag)
+                    lefts.append(len(roots))
+                    real += len(roots) + 1
+                if (cert.winding - real) % 2:
+                    odd.append((order, annulus.value, seed, draw))
+    assert odd == []
+    assert imag < 1e-10
+    # the left interval decides the parity of over a third of the interior draws
+    assert len(lefts) == 960 and lefts.count(1) > 300
+
+
 # ---------------------------------------------------------------------------
 # symmetries of the certificate
 # ---------------------------------------------------------------------------
@@ -541,18 +594,29 @@ def test_circle_argument_tracks_growth(circle_argument):
 
 
 def test_real_zeros_bracketing():
-    roots, suspects = real_zeros(lambda h: (h - 0.3) * (h - 0.7), (0.0, 1.0))
+    roots = real_zeros(lambda h: (h - 0.3) * (h - 0.7), (0.0, 1.0))
     assert len(roots) == 2
     assert roots[0][0] == pytest.approx(0.3, abs=1e-10)
     assert roots[1][0] == pytest.approx(0.7, abs=1e-10)
-    assert suspects == []
 
 
-def test_real_zeros_flags_tangency_as_suspect():
-    roots, suspects = real_zeros(lambda h: (h - 0.5) ** 2 + 1e-15, (0.0, 1.0))
-    assert roots == []
-    assert len(suspects) >= 1
-    assert suspects[0] == pytest.approx(0.5, abs=1e-2)
+def test_real_zeros_lists_an_exact_zero_in_ascending_order():
+    # 0.25 is a scan level, where the value is exactly 0: a root of width 0.0,
+    # once listed after every polished root
+    roots = real_zeros(lambda h: (h - 0.25) * (h - 0.7), (0.0, 1.0))
+    assert roots == [(0.25, 0.0), (pytest.approx(0.7, abs=1e-12), 1e-12)]
+
+
+def test_real_zeros_evaluates_the_grid_then_the_levels_it_picks():
+    seen = []
+    roots = real_zeros(lambda h: seen.append(h) or h - 0.3, (0.0, 1.0))
+    assert roots == [(pytest.approx(0.3, abs=1e-12), 1e-12)]
+    assert np.array_equal(seen[0], np.linspace(0.0, 1.0, 512))
+    # then the quarter levels next to grid samples below 0.05 * 0.7, then Brent's steps
+    step = 1.0 / 511
+    assert np.all(np.abs(seen[1] - 0.3) < 0.035 + step)
+    assert not np.isin(seen[1], seen[0]).any()
+    assert sum(x.size for x in seen) < 4 * 512 - 3
 
 
 def test_real_zeros_densifies_next_to_small_grid_samples():
@@ -560,7 +624,7 @@ def test_real_zeros_densifies_next_to_small_grid_samples():
     # one between each two of its quarter levels: the grid sees no sign
     # change, the three quarter levels next to the small samples see all four
     zs = (0.53, 0.6, 0.65, 0.72)
-    roots, _ = real_zeros(lambda h: np.prod([h - z for z in zs], axis=0), (0.0, 1.0), n_scan=5)
+    roots = real_zeros(lambda h: np.prod([h - z for z in zs], axis=0), (0.0, 1.0), n_scan=5)
     assert [r for r, _ in roots] == pytest.approx(zs, abs=1e-10)
 
 
@@ -655,36 +719,6 @@ def test_block_brentq_edge_brackets():
     with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
         zeros._brentq(step, np.array([-1e300]), np.array([1e300]), np.array([-1.0]),
                       np.array([1.0]))
-
-
-def _reference_suspects(h, mag, sign, scale):
-    # reference: the suspect conditions checked one index at a time
-    out = []
-    for i in range(1, len(h) - 1):
-        if (mag[i] < 1e-6 * scale and mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1]
-                and sign[i - 1] == sign[i + 1] and sign[i] == sign[i - 1]):
-            out.append(float(h[i]))
-    return out
-
-
-# few distinct magnitudes, so draws are full of ties, plateaus and exact zeros
-_SCAN_VALUES = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 3e-8, -3e-8, 2e-7, 0.4, -0.4, 1.0])
-
-
-@given(st.lists(st.lists(_SCAN_VALUES, min_size=0, max_size=40), min_size=1, max_size=4))
-def test_suspect_scan_matches_reference_loop(scans):
-    # several scans end to end: each finds the suspects of the reference
-    # loop on its own values, none across a boundary between scans
-    rows = np.concatenate([np.full(len(v), r) for r, v in enumerate(scans)]).astype(int)
-    v = np.concatenate([np.array(v, dtype=float) for v in scans])
-    h = np.concatenate([np.linspace(0.0, 1.0, len(v)) for v in scans])
-    mag, sign = np.abs(v), np.sign(v)
-    scale = np.array([float(np.max(np.abs(s), initial=0.0)) or 1.0 for s in scans])
-    found = _suspect_positions(rows, mag, sign, scale)
-    for r, values in enumerate(scans):
-        part = rows == r
-        expected = _reference_suspects(h[part], mag[part], sign[part], scale[r])
-        assert h[found[rows[found] == r]].tolist() == expected
 
 
 def test_scan_levels_are_one_grid_refined_4x():
