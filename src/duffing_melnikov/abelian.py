@@ -18,12 +18,11 @@ entry, so a sweep of parameters at fixed levels runs each level's quadrature
 once per process.
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
-Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), and both come from
-one arithmetic-geometric mean (_rf_rd; DLMF 19.8(i) and 19.25), with Gauss's
-right choice of each geometric mean at complex levels (closed_form).  It is
-the evaluator of the zero counts, the root scans and their polish, the cut
-boundary values and the nonvanishing survey, at real or complex levels, all
-through the one array loop.
+Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), both from one
+arithmetic-geometric mean of principal roots, Gauss's right choice at real
+and complex levels (_rf_rd, closed_form; DLMF 19.8(i) and 19.25).  It is the
+evaluator of the zero counts, the root scans and their polish, the cut
+boundary values and the nonvanishing survey, through the one array loop.
 
 Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
 Picard-Fuchs system)
@@ -222,10 +221,10 @@ def _rf_rd(y, z):
     Numer. Algorithms 10 (1995) 13-26).  The recursion for c_n has no
     difference of means, so nothing cancels next to y = z.  The loop carries
     e_n = c_n / (z - y) and the tail V = sum_{n>=1} 2^(n-1) e_n^2, finite at
-    y = z, so that R_D = 3 R_F (1/2 + (z - y) V) / z.  At complex levels each
-    b_{n+1} is Gauss's right choice, |a_{n+1} - b_{n+1}| <= |a_{n+1} + b_{n+1}|,
-    that is Re(a_{n+1} conj(b_{n+1})) >= 0, which gives the principal branches
-    on the cut plane (D. A. Cox, L'Enseignement Math. 30 (1984) 275-330).
+    y = z, so that R_D = 3 R_F (1/2 + (z - y) V) / z.  Principal roots are
+    Gauss's right choice (Cox, L'Enseignement Math. 30 (1984) 275-330): for
+    y, z off (-inf, 0], arg a_{n+1} is between arg a_n and arg b_n, arg b_{n+1}
+    their midpoint: the spread halves from below pi, so Re(a_n conj b_n) > 0 for n >= 1.
 
     Each element runs one more round after |c_n| <= sqrt(eps) |a_n|, which
     leaves c_{n+1} at rounding level, and at most _AGM_ROUNDS; so an
@@ -237,7 +236,7 @@ def _rf_rd(y, z):
     q = 0.25 * c2
     go = np.abs(c2) > _AGM_TOL * _AGM_TOL * np.abs(z)
     a, b = np.sqrt(z), np.sqrt(y)
-    a, b = _agm_step(a, b)
+    a, b = (a + b) * 0.5, np.sqrt(a * b)
     e = 0.25 / a
     v = ee = e * e
     a_end, v_end = np.empty_like(a), np.empty_like(v)
@@ -250,7 +249,7 @@ def _rf_rd(y, z):
             if not live.size:
                 break
         go = np.abs(e * q / a) > 0.25 * _AGM_TOL
-        a, b = _agm_step(a, b)
+        a, b = (a + b) * 0.5, np.sqrt(a * b)
         e = ee * q / a
         ee = e * e
         p *= 2.0
@@ -259,15 +258,6 @@ def _rf_rd(y, z):
     f = np.pi / (2.0 * a_end)
     d = 3.0 * f * (0.5 + c2 * v_end) / z
     return tuple(t.reshape(shape)[()] for t in (f, d, v_end))
-
-
-def _agm_step(a, b):
-    a, b = (a + b) * 0.5, np.sqrt(a * b)
-    if a.dtype.kind == "c":
-        flip = (a * b.conj()).real < 0.0
-        if np.count_nonzero(flip):
-            b = np.where(flip, -b, b)
-    return a, b
 
 
 def closed_form(h, annulus: Annulus):
@@ -290,12 +280,13 @@ def closed_form(h, annulus: Annulus):
         I_0 = (2/3) c a s G,   I_2 = (2/15) c a s (G + s (3 F - 2 s D)),
 
     with G = F - (2/3) D and c the factor above.  F and D come from one
-    arithmetic-geometric mean (_rf_rd), whose principal branches are the
-    values on the annulus's own cut plane.  On an interior lobe G vanishes
-    like s at the centre level -1/4; there it is formed from the AGM tail V
-    as G = s F (1 - 4V) / a, so that I_0 and I_2, which vanish like s^2,
-    keep their relative accuracy.  I_1 is the exact linear form.  Real
-    levels inside the annulus give real arrays.
+    arithmetic-geometric mean (_rf_rd) of principal roots, the right choice
+    here with a margin of pi/8 (Re z >= 0, so the first spread is 3 pi/4 at
+    most), and are the values on the annulus's own cut plane.  On an interior
+    lobe G vanishes like s at the centre level -1/4; there it is formed from
+    the AGM tail V as G = s F (1 - 4V) / a, so that I_0 and I_2, which vanish
+    like s^2, keep their relative accuracy.  I_1 is the exact linear form.
+    Real levels inside the annulus give real arrays.
     """
     h = np.asarray(h)
     s = np.sqrt(1.0 + 4.0 * h)

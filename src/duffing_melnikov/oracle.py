@@ -103,12 +103,10 @@ class Section:
 
 
 def oval_section(h: float, annulus: Annulus) -> Section:
-    """Cross-section through the canonical section point of the oval at level h."""
+    """Cross-section through the oval's canonical section point at h, never an equilibrium."""
     z = section_point(h, annulus)
     vx, vy = z[1], z[0] - z[0] ** 3
     norm = math.hypot(vx, vy)
-    if norm == 0.0:
-        raise ValueError(f"section anchor {z} is an equilibrium")
     return Section(point=z, normal=(vx / norm, vy / norm))
 
 

@@ -629,6 +629,19 @@ def test_agm_matches_scipys_carlson_integrals_on_complex_levels(annulus):
     assert np.all(np.abs(d - elliprd(0.0, y, z)) <= _ULPS * np.abs(d))
 
 
+def test_agm_matches_scipys_carlson_integrals_on_all_of_carlsons_domain():
+    # principal roots are Gauss's right choice for any y, z off (-inf, 0], not
+    # only at closed_form's arguments (scipy returns nan on that axis itself)
+    from scipy.special import elliprd, elliprf
+
+    rng = np.random.default_rng(40)
+    y, z = 10.0 ** rng.uniform(-6.0, 6.0, (2, 20000)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (2, 20000)))
+    f, d, _ = _rf_rd(y, z)
+    assert np.all(np.abs(f - elliprf(0.0, y, z)) <= 1e-13 * np.abs(f))
+    assert np.all(np.abs(d - elliprd(0.0, y, z)) <= 1e-13 * np.abs(d))
+
+
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_RIGHT, Annulus.EXTERIOR])
 def test_closed_form_matches_continuation(annulus):
     # complex levels in both half planes, reached by transport along

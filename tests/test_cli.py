@@ -58,11 +58,18 @@ def test_readme_has_command_examples():
     assert len(_readme_commands()) >= 5
 
 
+# the README's order-1 exterior census holds acceptance 7's known violations
+_README_EXIT = {"duffing-melnikov zeros --draws 200 --seed 20260815 --order 1 "
+                "--annulus exterior --out census.jsonl": 3}
+
+
 @pytest.mark.parametrize("line", _readme_commands())
-def test_readme_command_parses(line):
-    # argparse exits 2 on a usage error, which pytest reports as SystemExit
-    args = cli.build_parser().parse_args(shlex.split(line)[1:])
-    assert args.command == shlex.split(line)[1]
+def test_readme_command_parses(line, capsys, monkeypatch, tmp_path):
+    # each command runs as written, in a directory holding its params.json;
+    # the eval example once ran on the default lobe and exited 2
+    monkeypatch.chdir(tmp_path)
+    _write_params(tmp_path / "params.json", _crafted())
+    assert cli.main(shlex.split(line)[1:]) == _README_EXIT.get(line, 0), capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -75,8 +82,15 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_bad_h_grid_spec(capsys):
     assert cli.main(["eval", "--h-grid", "1:2"]) == 2
-    assert cli.main(["eval", "--annulus", "exterior", "--h-grid", "-1:2:5:log"]) == 2
     capsys.readouterr()
+    # "--h-grid -1:..." is read as an option, so these pass the grid with "="
+    for grid, message in (("-1:2:5:log", "must share a sign"),
+                          ("0.5:2:0", "needs at least one point")):
+        assert cli.main(["eval", "--annulus", "exterior", f"--h-grid={grid}"]) == 2
+        assert message in capsys.readouterr().err
+    for grid, hs in (("0.5:2:4", [0.5, 1.0, 1.5, 2.0]), ("0.01:1:3:log", [0.01, 0.1, 1.0])):
+        assert cli.main(["eval", "--annulus", "exterior", f"--h-grid={grid}"]) == 0
+        assert _config_h(capsys.readouterr().out) == hs
     # a non-finite endpoint is named, not turned into a nan level by linspace
     for grid, end in (("1:inf:3", "'inf'"), ("nan:2:3", "'nan'"), ("1:inf:3:log", "'inf'"),
                       ("-inf:-0.1:3:log", "'-inf'")):
@@ -118,8 +132,17 @@ def test_repeated_eps_rejected(capsys, monkeypatch):
         assert "needs 4 distinct eps values" in err and "# config" not in out
 
 
+def test_ill_conditioned_eps_ladder_exits_4(capsys):
+    # four distinct eps pass the ladder check, but they are too close to fit
+    assert cli.main(["oracle", "--seed", "0", "--h", "-0.125",
+                     "--eps-list=1e-3,1.000001e-3,1.000002e-3,1.000003e-3"]) == 4
+    assert "displacement fit is ill-conditioned" in capsys.readouterr().err
+
+
 def test_bad_contour_spec(capsys):
     assert cli.main(["zeros", "--draws", "1", "--contour", "1,2"]) == 2
+    assert cli.main(["zeros", "--draws", "1", "--contour", "10,2e-2,1e-3"]) == 2
+    assert "cut offset eta must lie in" in capsys.readouterr().err
     for radius in ("inf", "nan", "1e160"):
         assert cli.main(["zeros", "--draws", "2", "--annulus", "exterior",
                          "--contour", f"{radius},1e-3,1e-3"]) == 2
@@ -139,6 +162,8 @@ def test_negative_draw_count_is_usage_error(capsys, tmp_path):
     assert cli.main(["zeros", "--draws", "-3", "--out", str(out)]) == 2
     assert "--draws" in capsys.readouterr().err
     assert not out.exists()
+    assert cli.main(["zeros", "--draws", "x"]) == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_zero_draws_write_the_summary_only(capsys, tmp_path):
@@ -455,6 +480,9 @@ def test_zeros_single_certificate(capsys, tmp_path):
     assert code == 0
     assert "status=within-bound" in out
     assert "real roots: 9.1" in out
+    # with neither --params nor --draws the zero perturbation is certified
+    assert cli.main(["zeros", "--annulus", "exterior"]) == 0
+    assert "status=degenerate" in capsys.readouterr().out
 
 
 def test_zero_on_the_contour_is_inconclusive_without_a_warning(capsys, tmp_path):
@@ -484,6 +512,20 @@ def test_zeros_census_is_byte_identical(capsys, tmp_path):
     assert records[-1]["record"] == "census-summary"
     assert not {"dist", "scale", "source"} & records[-1].keys()
     assert len(records) == 5
+
+
+def test_census_over_its_bound_exits_3(capsys, tmp_path):
+    # draw 8 of this block has winding 3 against the bound 2, as the benchmark's
+    # census reference records it
+    out = tmp_path / "over.jsonl"
+    assert cli.main(["zeros", "--order", "1", "--annulus", "exterior", "--draws", "10",
+                     "--seed", "10", "--out", str(out)]) == 3
+    assert "bound violated on draws [8]" in capsys.readouterr().out
+    *certs, summary = [json.loads(line) for line in out.read_text().splitlines()]
+    assert summary["violations"] == [8]
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "census_reference.json"
+    draws = json.loads(reference.read_text())["draws"]["1/exterior/10"]
+    assert [[c["winding"], len(c["real_roots"]), c["status"]] for c in certs] == draws
 
 
 _PIN = pathlib.Path(__file__).resolve().parent / "data" / "census_pin.jsonl"

@@ -586,6 +586,9 @@ def test_params_from_dict_rejects_extras_and_bad_length():
         PerturbationParams.from_dict({"gamma1": [0.0] * (_N - 1)})
     with pytest.raises(ValueError):
         PerturbationParams.from_json("[1, 2, 3]")
+    zero = (0.0,) * _N
+    with pytest.raises(ValueError, match="lambda1 needs 10 coefficients, got 9"):
+        PerturbationParams(zero[:-1], zero, zero, zero)
 
 
 def test_uniform_draw_stays_in_box(rng):
