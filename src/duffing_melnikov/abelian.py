@@ -8,21 +8,20 @@ taken with the orientation of the flow, so I_0(h) > 0 equals the area
 enclosed by the oval.  Their h-derivatives are I_k'(h) = contour integral of
 x^k / y dx; in particular I_0'(h) is the period of the orbit.
 
-There are three routes to these values, and the tests compare them.
-
-Quadrature: on the real annuli, the oval integrals themselves as terms of
-quadrature's oval rule, whole level grids at once (oval_integrals,
-period_vector); the rule owns the endpoint substitution and the split of a
-pinched exterior oval.  period_vector is memoized per level, about 0.3 KB an
-entry, so a sweep of parameters at fixed levels runs each level's quadrature
-once per process.
+There are three routes to these values: the closed form, which every command
+evaluates at run time, and two checks on it.  The tests compare all three.
 
 Closed form: with u = x^2 every period is a complete elliptic integral in
 Carlson's symmetric form, R_F(0, y, z) and R_D(0, y, z), both from one
 arithmetic-geometric mean of principal roots, Gauss's right choice at real
-and complex levels (_rf_rd, closed_form; DLMF 19.8(i) and 19.25).  It is the
-evaluator of the zero counts, the root scans and their polish, the cut
-boundary values and the nonvanishing survey, through the one array loop.
+and complex levels (_rf_rd, closed_form; DLMF 19.8(i) and 19.25), whole
+level grids through the one array loop.
+
+Quadrature: on the real annuli, the oval integrals themselves as terms of
+quadrature's oval rule, whole level grids at once (oval_integrals, and
+period_vector, the reference at one level); the rule owns the endpoint
+substitution and the split of a pinched exterior oval.  period_vector is
+memoized per level, about 0.3 KB an entry.
 
 Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
 Picard-Fuchs system)
@@ -38,7 +37,7 @@ whose inverted form
 is regular except at h = 0 and h = -1/4.  _pf_matrix is this matrix in
 plain complex arithmetic, the one definition that derivative_pair and the
 transport right-hand side both apply.  continue_paths, the one continuation
-entry point, transports it along polylines from quadrature values at their
+entry point, transports it along polylines from closed-form values at their
 real first vertices, each path a lane of one lock-step DOP853, to check the
 closed form; transport_table is the dense solve_ivp route tests compare with.
 continue_paths (see _dop853) and closed_form load no scipy module, and
@@ -160,13 +159,14 @@ def oval_integral(k: int, h: float, annulus: Annulus) -> float:
 
 
 def orbit_period(h: float, annulus: Annulus) -> float:
-    """Period of the closed orbit at level h; equal to I_0'(h)."""
-    return float(oval_integrals([(0, -1)], [h], annulus)[0, 0])
+    """Period of the closed orbit at level h: I_0'(h), from the closed form."""
+    annulus.require(h)
+    return float(closed_form(h, annulus)[3])
 
 
 @lru_cache(maxsize=None)
 def period_vector(h: float, annulus: Annulus) -> PeriodVector:
-    """(I_0, I_1, I_2) at a real level, by direct quadrature, memoized per level.
+    """(I_0, I_1, I_2) at a real level by direct quadrature, closed_form's reference; memoized.
 
     A level's quadrature runs once per process: a float and an np.float64 h
     of one value share an entry (about 0.3 KB), whose h is a float.
@@ -176,24 +176,19 @@ def period_vector(h: float, annulus: Annulus) -> PeriodVector:
     return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
 
 
-@lru_cache(maxsize=None)
-def _base_values(annulus: Annulus) -> tuple[float, float, float]:
-    h = BASE_POINTS[annulus]
-    pv = period_vector(h, annulus)
-    return (float(pv.i0.real), float(pv.i1.real), float(pv.i2.real))
+def _base_values(annulus: Annulus) -> PeriodVector:
+    """period_vector at the annulus's base point, which warms its memo."""
+    return period_vector(BASE_POINTS[annulus], annulus)
 
 
 def i1_slope(annulus: Annulus) -> float:
-    """The constant c in I_1(h) = c (4h + 1) on an interior lobe.
+    """The constant c in I_1(h) = c (4h + 1) on an interior lobe, exactly.
 
-    Measured once at the base point; positive on the right lobe, negated on
-    the left, zero on the exterior annulus (odd moments vanish by symmetry).
-    Exactly pi/(2 sqrt 2) on the right lobe: I_1 = int y d(x^2), a half-ellipse.
+    pi/(2 sqrt 2) on the right lobe, where I_1 = int y d(x^2) is a half-ellipse;
+    negated on the left, zero on the exterior annulus (odd moments vanish by symmetry).
     """
-    if annulus is Annulus.EXTERIOR:
-        return 0.0
-    h = BASE_POINTS[annulus]
-    return _base_values(annulus)[1] / (4.0 * h + 1.0)
+    c = math.pi / (2.0 * math.sqrt(2.0))
+    return {Annulus.INTERIOR_RIGHT: c, Annulus.INTERIOR_LEFT: -c}.get(annulus, 0.0)
 
 
 def _i1_at(h, annulus: Annulus):
@@ -429,10 +424,11 @@ def _polyline(path, annulus: Annulus) -> list[complex]:
     return [start] + [z for z_prev, z in zip(vertices, vertices[1:]) if z != z_prev]
 
 
+@lru_cache(maxsize=None)
 def _start_state(h: float, annulus: Annulus) -> tuple:
-    """The transport state (I_0, 0, I_2, 0) at a real level, from the period_vector memo."""
-    pv = period_vector(h, annulus)
-    return (pv.i0, 0.0, pv.i2, 0.0)
+    """The transport state (I_0, 0, I_2, 0) at a real level, from the closed form, once a level."""
+    i0, _, i2, _, _ = closed_form(h, annulus)
+    return (float(i0), 0.0, float(i2), 0.0)
 
 
 def transport_table(path, annulus: Annulus) -> PathTable:

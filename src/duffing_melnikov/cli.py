@@ -22,13 +22,14 @@ to PATH as one JSON object per line, with a PATH.config.json sibling, so a
 repeated run with the same configuration produces byte-identical files.
 
 Exit codes: 0 success, 2 usage or input error, 3 a tolerance or bound check
-failed, 4 a numerical method failed to converge.
+failed, 4 a numerical method failed to converge, 141 the output pipe closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from functools import lru_cache
@@ -38,7 +39,7 @@ import numpy as np
 from .geometry import Annulus
 from .quadrature import AccuracyError
 from . import checks
-from .abelian import PathError, PoleError, period_vector
+from .abelian import PathError, PoleError, closed_form
 from .melnikov import (
     PerturbationParams,
     enforce_m1_zero,
@@ -195,9 +196,8 @@ def _form_slots(form) -> dict[str, float]:
 
 
 def _agreement_rows(params, form, annulus, oracle, order: int) -> list[dict]:
-    rows = []
-    for h in _DEFAULT_H[annulus]:
-        closed = float(np.real(m_eval(form, h, period_vector(h, annulus))))
+    rows, hs = [], _DEFAULT_H[annulus]
+    for h, closed in zip(hs, m_eval(form, hs, closed_form(hs, annulus)[:3]).tolist()):
         direct = oracle(params, h, annulus)
         scale = max(abs(closed), abs(direct), 1e-15)
         rows.append({"record": "quadrature-agreement", "order": order,
@@ -365,14 +365,15 @@ def cmd_oracle(args) -> int:
     if f2 is not None:
         header += ["m2_closed", "m2_fit", "m2_sigma", "m2_rel_dev"]
     print("\t".join(header))
-    for h in hs:
+    periods = closed_form(hs, annulus)[:3]
+    closed_m = {k: m_eval(form, hs, periods).tolist() for k, form in ((1, f1), (2, f2)) if form}
+    for j, h in enumerate(hs):
         fit = melnikov_fit(h, params, annulus, eps_list=eps)
-        pv = period_vector(h, annulus)
         row = {"record": "oracle-row", "h": h, "condition": fit.condition,
                "samples": [[s.epsilon, s.d] for s in fit.samples]}
-        for k, form, value, err in ((1, f1, fit.m1, fit.m1_err), (2, f2, fit.m2, fit.m2_err)):
-            if form is not None:
-                closed = float(np.real(m_eval(form, h, pv)))
+        for k, value, err in ((1, fit.m1, fit.m1_err), (2, fit.m2, fit.m2_err)):
+            if k in closed_m:
+                closed = closed_m[k][j]
                 row.update({f"m{k}_closed": closed, f"m{k}_fit": value, f"m{k}_sigma": err,
                             f"m{k}_rel_dev": abs(value - closed) / max(abs(closed), err, 1e-300)})
         records.append(row)
@@ -400,13 +401,13 @@ def cmd_eval(args) -> int:
     records = []
     header = ["h", "i0", "i1", "i2", "m1"] + (["m2"] if f2 else []) + ["quad_rel_tol"]
     print("\t".join(header))
-    for h in hs:
-        pv = period_vector(h, annulus)
-        row = {"record": "eval-row", "h": h, "i0": pv.i0.real, "i1": pv.i1.real,
-               "i2": pv.i2.real, "m1": float(np.real(m_eval(f1, h, pv))),
-               "quad_rel_tol": 1e-10}
-        if f2 is not None:
-            row["m2"] = float(np.real(m_eval(f2, h, pv)))
+    periods = closed_form(hs, annulus)[:3]
+    columns = dict(zip(("i0", "i1", "i2"), periods), m1=m_eval(f1, hs, periods))
+    if f2 is not None:
+        columns["m2"] = m_eval(f2, hs, periods)
+    for k, h in enumerate(hs):
+        row = {"record": "eval-row", "h": h, "quad_rel_tol": 1e-10,
+               **{key: float(column[k]) for key, column in columns.items()}}
         records.append(row)
         print(_table_line(header, row))
     if f2 is None:
@@ -501,6 +502,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: exit as SIGPIPE would, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit's flush succeeds
+        return 141
     except (AccuracyError, EscapeError, PathError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4

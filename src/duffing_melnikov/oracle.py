@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .abelian import orbit_period, period_vector
+from .abelian import closed_form, orbit_period
 from .geometry import Annulus, hamiltonian, section_point
 from .melnikov import PerturbationParams
 from .quadrature import AccuracyError
@@ -266,7 +266,7 @@ def displacement_sign() -> int:
     h, annulus = -0.125, Annulus.INTERIOR_RIGHT
     samples = _ladder(h, probe, annulus, DEFAULT_EPS_LIST)
     slope = _fit_core(samples)[0][0]
-    area = period_vector(h, annulus).i0.real
+    area = closed_form(h, annulus)[0]
     return 1 if slope * area > 0 else -1
 
 

@@ -80,11 +80,10 @@ def test_first_moment_is_exactly_linear():
     # On an interior lobe I_1(h) = c (4h + 1) with c = +-pi / (2 sqrt 2): with
     # u = x^2, 2 int x y dx = int y du and y^2 = ((4h + 1) - (u - 1)^2) / 2, a
     # half-ellipse over u in [1 - s, 1 + s], s = sqrt(4h + 1), of area
-    # pi s^2 / (2 sqrt 2).  The measured slope is that constant to rounding.
+    # pi s^2 / (2 sqrt 2).  i1_slope is that constant; the quadrature meets it.
     slope = i1_slope(Annulus.INTERIOR_RIGHT)
-    exact = math.pi / (2.0 * math.sqrt(2.0))
-    assert slope == pytest.approx(exact, rel=1e-14)
-    assert i1_slope(Annulus.INTERIOR_LEFT) == pytest.approx(-exact, rel=1e-14)
+    assert slope == math.pi / (2 * math.sqrt(2))
+    assert i1_slope(Annulus.INTERIOR_LEFT) == -slope
     for h in INTERIOR_LEVELS:
         i1 = oval_integral(1, h, Annulus.INTERIOR_RIGHT)
         assert i1 == pytest.approx(slope * (4.0 * h + 1.0), rel=1e-11, abs=1e-13)
@@ -309,9 +308,12 @@ def test_transport_needs_two_vertices():
 
 
 def test_continuation_at_base_point_is_quadrature():
-    # a path that never leaves its start keeps the quadrature start values
+    # a path that never leaves its start keeps its start values, the closed
+    # form's, which are the quadrature's to rounding
     base = BASE_POINTS[Annulus.EXTERIOR]
     (pv,) = continue_paths([[base, base]], [Annulus.EXTERIOR])
+    i0, _, i2, _, _ = closed_form(base, Annulus.EXTERIOR)
+    assert (pv.i0, pv.i2) == (i0, i2)
     ref = period_vector(base, Annulus.EXTERIOR)
     assert pv.i0 == pytest.approx(ref.i0, rel=1e-12)
     assert pv.i2 == pytest.approx(ref.i2, rel=1e-12)
@@ -381,8 +383,8 @@ def test_transport_table_dense_values():
     h, i0, i1, i2 = table.values_at(np.arange(len(path)))
     assert np.all(h == path)
     assert np.all(i1 == 0.0)  # exterior first moment
-    start = period_vector(path[0], Annulus.EXTERIOR)
-    assert (i0[0], i2[0]) == (start.i0, start.i2)
+    start = closed_form(path[0], Annulus.EXTERIOR)  # the transport's start state
+    assert (i0[0], i2[0]) == (start[0], start[2])
     for k in range(1, len(path)):
         (end,) = continue_paths([path[:k + 1]], [Annulus.EXTERIOR])
         assert (end.h, end.i0, end.i1, end.i2) == (h[k], i0[k], i1[k], i2[k])

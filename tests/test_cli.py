@@ -2,8 +2,9 @@
 
 Each test drives cli.main in process and checks the exit-code contract:
 0 success, 2 usage/domain errors, 3 tolerance or bound failures, 4 numerical
-failures.  File outputs are re-read and cross-checked against their stated
-tolerances; census output is checked for byte-level determinism.
+failures, 141 a closed output pipe.  File outputs are re-read and
+cross-checked against their stated tolerances; census output is checked for
+byte-level determinism.
 """
 
 import json
@@ -18,7 +19,7 @@ import warnings
 
 import pytest
 
-from duffing_melnikov import abelian, checks, cli, oracle, quadrature, zeros
+from duffing_melnikov import abelian, checks, cli, melnikov, oracle, quadrature, zeros
 from duffing_melnikov.geometry import Annulus
 from duffing_melnikov.melnikov import PerturbationParams, enforce_m1_zero
 from duffing_melnikov.quadrature import AccuracyError
@@ -29,6 +30,14 @@ import numpy as np
 def _write_params(path, params: PerturbationParams):
     path.write_text(params.to_json())
     return str(path)
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _crafted():
@@ -384,6 +393,31 @@ def test_eval_notes_missing_m2_column(capsys, tmp_path):
     assert "m2 column omitted" in out
 
 
+def test_eval_prints_the_exterior_first_moment_as_exactly_zero(capsys):
+    # I_1 vanishes identically outside; eval once printed quadrature rounding there
+    assert cli.main(["eval", "--annulus", "exterior", "--h-grid=0.5:2:4"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[2] for row in rows] == [" 0.000000000000e+00"] * 4
+
+
+def test_the_commands_run_without_the_oval_quadrature(capsys, monkeypatch):
+    # the closed form is the one period route at run time; the oval rule is
+    # only its check, so with every binding of it refusing to run, the
+    # closed form, a census, eval and oracle still succeed
+    def refuse(terms, hs, annulus):
+        raise AssertionError("the oval quadrature ran")
+
+    for module in (quadrature, abelian, melnikov):
+        monkeypatch.setattr(module, "_oval_rows", refuse)
+    abelian.period_vector.cache_clear()
+    oracle.displacement_sign.cache_clear()
+    for annulus in Annulus:
+        assert np.all(np.isfinite(abelian.closed_form(abelian.BASE_POINTS[annulus], annulus)))
+    assert cli.main(["zeros", "--draws", "2"]) == 0
+    assert cli.main(["eval", "--seed", "1", "--annulus", "exterior", "--h-grid=0.5:2:4"]) == 0
+    assert cli.main(["oracle", "--seed", "3", "--h", "-0.125"]) == 0
+
+
 def test_oracle_row_carries_error_bars(capsys, tmp_path):
     out = tmp_path / "oracle.jsonl"
     code = cli.main(["oracle", "--seed", "3", "--h", "-0.125", "--out", str(out)])
@@ -423,6 +457,20 @@ def test_verify_detects_corrupted_period_system(capsys, monkeypatch):
     assert "picard-fuchs-residual" in failed and "picard-fuchs-matrix" in failed
     # the corruption must not leak into later runs
     assert cli.main(["verify", "--annulus", "interior-right"]) == 0
+
+
+def test_a_closed_output_pipe_exits_141_without_a_message():
+    # 128 + SIGPIPE, the code a shell reports for a process a closed pipe
+    # killed; the broken pipe once read as a usage error, exit 2.  The config
+    # line and 4000 rows overfill the pipe, so the reader leaves mid-write.
+    argv = [sys.executable, "-m", "duffing_melnikov.cli", "eval", "--annulus", "exterior",
+            "--h-grid=0.5:2:4000"]
+    with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"# config")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141
 
 
 def test_verify_maps_numerical_failure_to_exit_4(capsys, monkeypatch):
@@ -736,11 +784,8 @@ def test_integrating_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     # is the package's own AGM, so no scipy module is loaded at all, not even
     # by zeros and verify.  (--seed draws load numpy.random, 17 more modules,
     # so the counted oracle command reads its parameters.)
-    env = dict(os.environ)
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path / "p.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["codes"] == [0, 0, 0, 0, 0]

@@ -370,7 +370,8 @@ BENCH_ONLY = {
     "quadrature.integrate_endpoint_sqrt": "one-interval rule; the oval rows run _doubling",
     "quadrature.integrate_smooth": "one-interval rule; the oval rows run _doubling",
     "quadrature.integrate_path": "polyline rule; nothing integrates along a complex path",
-    "abelian.oval_integral": "one level of oval_integrals, which is the route",
+    "abelian.oval_integral": "one level of oval_integrals, the quadrature check",
+    "abelian._base_values": "the workloads' set-up warms it; i1_slope is exact",
     "abelian.transport_table": "the dense solve_ivp transport the tests compare with",
     "abelian.PathTable": "the record transport_table returns",
     "abelian.RealPeriodTable": "a range-checked closed_form; the root scans read closed_form",
