@@ -16,7 +16,6 @@ from .geometry import Annulus, DomainError, branch_points, hamiltonian
 from .quadrature import AccuracyError
 from .abelian import (
     PathError,
-    PeriodVector,
     PoleError,
     cut_values,
     orbit_period,
@@ -43,7 +42,6 @@ __all__ = [
     "hamiltonian",
     "branch_points",
     "AccuracyError",
-    "PeriodVector",
     "PoleError",
     "PathError",
     "period_vector",

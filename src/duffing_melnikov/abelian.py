@@ -21,7 +21,7 @@ Quadrature: on the real annuli, the oval integrals themselves as terms of
 quadrature's oval rule, whole level grids at once (oval_integrals, and
 period_vector, the reference at one level); the rule owns the endpoint
 substitution and the split of a pinched exterior oval.  period_vector is
-memoized per level, about 0.3 KB an entry.
+memoized per level, about 0.24 KB an entry.
 
 Transport: the pair (I_0, I_2) satisfies a first-order linear system (the
 Picard-Fuchs system)
@@ -70,7 +70,6 @@ from .quadrature import _oval_rows
 __all__ = [
     "BASE_POINTS",
     "MIN_CLEARANCE",
-    "PeriodVector",
     "PoleError",
     "PathError",
     "oval_integrals",
@@ -125,17 +124,6 @@ class PathError(ValueError):
     """A continuation path runs too close to a singular level."""
 
 
-@dataclass(frozen=True)
-class PeriodVector:
-    """Values of (I_0, I_1, I_2) at a (possibly complex) level h."""
-
-    h: complex
-    annulus: Annulus
-    i0: complex
-    i1: complex
-    i2: complex
-
-
 # ---------------------------------------------------------------------------
 # real-annulus evaluation by quadrature
 # ---------------------------------------------------------------------------
@@ -165,18 +153,16 @@ def orbit_period(h: float, annulus: Annulus) -> float:
 
 
 @lru_cache(maxsize=None)
-def period_vector(h: float, annulus: Annulus) -> PeriodVector:
+def period_vector(h: float, annulus: Annulus) -> tuple[float, float, float]:
     """(I_0, I_1, I_2) at a real level by direct quadrature, closed_form's reference; memoized.
 
     A level's quadrature runs once per process: a float and an np.float64 h
-    of one value share an entry (about 0.3 KB), whose h is a float.
+    of one value share an entry (about 0.24 KB).
     """
-    h = float(h)
-    i0, i1, i2 = oval_integrals([(0, 1), (1, 1), (2, 1)], [h], annulus)[:, 0].tolist()
-    return PeriodVector(h=h, annulus=annulus, i0=i0, i1=i1, i2=i2)
+    return tuple(oval_integrals([(0, 1), (1, 1), (2, 1)], [float(h)], annulus)[:, 0].tolist())
 
 
-def _base_values(annulus: Annulus) -> PeriodVector:
+def _base_values(annulus: Annulus) -> tuple[float, float, float]:
     """period_vector at the annulus's base point, which warms its memo."""
     return period_vector(BASE_POINTS[annulus], annulus)
 
@@ -307,8 +293,8 @@ def closed_form(h, annulus: Annulus):
 # ---------------------------------------------------------------------------
 
 
-def reduce_moment(k: int, h, pv: PeriodVector):
-    """Higher moments I_3, I_4, I_6 as combinations of (I_0, I_1, I_2).
+def reduce_moment(k: int, h, periods):
+    """Higher moments I_3, I_4, I_6 as combinations of periods = (I_0, I_1, I_2).
 
     These follow from integrating d(x^a y^b) over the closed oval and hold on
     every annulus:
@@ -317,12 +303,13 @@ def reduce_moment(k: int, h, pv: PeriodVector):
         I_4 = (4h/7) I_0 + (8/7) I_2
         I_6 = (16h/21) I_0 + (4h/3 + 32/21) I_2
     """
+    i0, i1, i2 = periods
     if k == 3:
-        return pv.i1
+        return i1
     if k == 4:
-        return (4.0 * h / 7.0) * pv.i0 + (8.0 / 7.0) * pv.i2
+        return (4.0 * h / 7.0) * i0 + (8.0 / 7.0) * i2
     if k == 6:
-        return (16.0 * h / 21.0) * pv.i0 + (4.0 * h / 3.0 + 32.0 / 21.0) * pv.i2
+        return (16.0 * h / 21.0) * i0 + (4.0 * h / 3.0 + 32.0 / 21.0) * i2
     raise ValueError(f"no reduction implemented for k={k}")
 
 
@@ -460,7 +447,7 @@ def _segment_end(steps):
             lane.end = y_new.tolist(), (y_old + (y_new - y_old)).tolist()
 
 
-def continue_paths(paths, annuli) -> list[PeriodVector]:
+def continue_paths(paths, annuli) -> list[tuple]:
     """(I_0, I_1, I_2) at the end of each polyline (see _polyline), by one lock-step transport.
 
     Segment j of every path is a lane of one lock-step DOP853 run, then segment
@@ -480,15 +467,15 @@ def continue_paths(paths, annuli) -> list[PeriodVector]:
             if isinstance(lane.end, str):
                 raise PathError(lane.end)
             a[:] = z0 + 1.0 * (z1 - z0), *lane.end
-    return [PeriodVector(h, annulus, complex(*u[:2]), i1_slope(annulus) * (4.0 * h + 1.0),
-                         complex(*u[2:])) for (h, _, u), annulus in zip(at, annuli)]
+    return [(complex(*u[:2]), _i1_at(h, annulus), complex(*u[2:]))
+            for (h, _, u), annulus in zip(at, annuli)]
 
 
 # ---------------------------------------------------------------------------
 # boundary values on the cut
 # ---------------------------------------------------------------------------
 
-def cut_values(h, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
+def cut_values(h, annulus: Annulus) -> tuple[tuple, tuple]:
     """Boundary values (plus side, minus side) of the periods on the branch cut.
 
     The cut is [0, +inf) for the interior families and (-inf, 0] for the
@@ -496,9 +483,10 @@ def cut_values(h, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
     zero imaginary part does not select a side, an offset this small does
     and moves the values by far less than their rounding error.  For real
     coefficients the two sides are complex conjugates; both are computed
-    independently so that tests can check this rather than assume it.  h is
-    one level or an array of levels, all through one closed_form call; for
-    an array each field of the two PeriodVectors is a list over the levels.
+    independently so that tests can check this rather than assume it.  Each
+    side is the triple (I_0, I_1, I_2).  h is one level or an array of
+    levels, all through one closed_form call; for an array each entry of a
+    triple is a list over the levels.
     """
     h = np.asarray(h, dtype=float)
     exterior = annulus is Annulus.EXTERIOR
@@ -512,9 +500,7 @@ def cut_values(h, annulus: Annulus) -> tuple[PeriodVector, PeriodVector]:
                         f"{MIN_CLEARANCE} of a singular level")
     i0, _, i2, _, _ = closed_form(h[..., None] + np.array([1e-15j, -1e-15j]), annulus)
     i1 = _i1_at(h, annulus).astype(complex).tolist()
-    plus, minus = (PeriodVector(h=h.tolist(), annulus=annulus, i0=i0[..., k].tolist(), i1=i1,
-                                i2=i2[..., k].tolist()) for k in (0, 1))
-    return plus, minus
+    return tuple((i0[..., k].tolist(), i1, i2[..., k].tolist()) for k in (0, 1))
 
 
 def wronskian_cut(hs) -> list[complex]:
@@ -525,8 +511,8 @@ def wronskian_cut(hs) -> list[complex]:
     times h (4h + 1) on each maximal interval where the boundary values are
     analytic, with the constant doubling when h crosses -1/4.
     """
-    plus, minus = cut_values(hs, Annulus.EXTERIOR)
-    return [p2 * m0 - m2 * p0 for p0, p2, m0, m2 in zip(plus.i0, plus.i2, minus.i0, minus.i2)]
+    (p0, _, p2), (m0, _, m2) = cut_values(hs, Annulus.EXTERIOR)
+    return [a2 * b0 - b2 * a0 for a0, a2, b0, b2 in zip(p0, p2, m0, m2)]
 
 
 # ---------------------------------------------------------------------------

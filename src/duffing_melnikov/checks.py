@@ -13,7 +13,6 @@ import numpy as np
 
 from .abelian import (
     BASE_POINTS,
-    PeriodVector,
     continue_paths,
     derivative_pair,
     exterior_slope,
@@ -56,11 +55,10 @@ def moment_reduction(annuli) -> dict:
         grid = oval_integrals([(0, 1), (1, 1), (2, 1), (4, 1), (6, 1), (2, -1), (4, -1), (6, -1)],
                               hs, annulus).tolist()
         for h, i0, i1, i2, i4, i6, d2, d4, d6 in zip(hs.tolist(), *grid):
-            pv = PeriodVector(h, annulus, i0, i1, i2)
             den = 4.0 * h + 1.0
             pairs = [
-                (i4, reduce_moment(4, h, pv).real),
-                (i6, reduce_moment(6, h, pv).real),
+                (i4, reduce_moment(4, h, (i0, i1, i2))),
+                (i6, reduce_moment(6, h, (i0, i1, i2))),
                 (d2, (5.0 * i2 - i0) / den),
                 (d4, (4.0 * h * i0 + 5.0 * i2) / den),
                 (d6, (4.0 * h * i0 + (12.0 * h + 8.0) * i2) / den),
@@ -79,10 +77,9 @@ def picard_fuchs_matrix(annuli) -> dict:
     quad = [pair for annulus in annuli for pair in zip(*oval_integrals(
         [(0, 1), (2, 1)], _grid_for(annulus, 6), annulus).tolist())]
     worst = 0.0
-    for pv, (i0q, i2q) in zip(ends, quad):
-        i0t, i2t = pv.i0.real, pv.i2.real
-        worst = max(worst, abs(i0t - i0q) / (1.0 + abs(i0q)),
-                    abs(i2t - i2q) / (1.0 + abs(i2q)))
+    for (i0t, _, i2t), (i0q, i2q) in zip(ends, quad):
+        worst = max(worst, abs(i0t.real - i0q) / (1.0 + abs(i0q)),
+                    abs(i2t.real - i2q) / (1.0 + abs(i2q)))
     return {"check": "picard-fuchs-matrix", "worst": worst, "tol": 1e-8,
             "ok": worst <= 1e-8, "detail": {"levels_per_annulus": 6}}
 

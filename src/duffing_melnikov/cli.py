@@ -145,16 +145,16 @@ def _gather_h(args, annulus: Annulus) -> list[float]:
 
 
 def _print_config(config: dict) -> None:
-    print("# config " + json.dumps(config, sort_keys=True))
+    print("# config " + json.dumps(config, sort_keys=True, allow_nan=False))
 
 
 def _emit(args, config: dict, records: list[dict]) -> None:
     if args.out is None:
         return
+    # every record is serialized before the file opens: a non-finite value writes no file
+    text = "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
     path = pathlib.Path(args.out)
-    with path.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    path.write_text(text)
     sidecar = path.with_name(path.name + ".config.json")
     sidecar.write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
 
@@ -164,10 +164,10 @@ def _fmt(x: float) -> str:
 
 
 def _table_line(header: list[str], row: dict) -> str:
-    """The row's cells under header, tab-separated: h and tolerances as %g,
-    fit sigmas and relative deviations as .3e, every other value by _fmt."""
+    """The row's cells under header, tab-separated: h as %g, fit sigmas and
+    relative deviations as .3e, every other value by _fmt."""
     def cell(key: str) -> str:
-        if key in ("h", "quad_rel_tol"):
+        if key == "h":
             return f"{row[key]:g}"
         return f"{row[key]:.3e}" if key.endswith(("_sigma", "_rel_dev")) else _fmt(row[key])
     return "\t".join(cell(key) for key in header)
@@ -284,9 +284,7 @@ def _print_certificate(cert) -> None:
     print(f"annulus={cert.annulus.value} order={cert.order} winding={cert.winding} "
           f"bound={cert.bound} status={cert.status.value}")
     R, eta, rho = cert.contour
-    print(f"  contour R={R:g} eta={eta:g} rho={rho:g}  "
-          f"phase defect {cert.phase_defect:.2e}  "
-          f"closure {cert.closure_error:.2e}  samples {cert.n_samples}")
+    print(f"  contour R={R:g} eta={eta:g} rho={rho:g}  samples {cert.n_samples}")
     if cert.real_roots:
         roots = "  ".join(f"{loc:.9f} (width {w:.1e})" for loc, w in cert.real_roots)
         print(f"  real roots: {roots}")
@@ -398,15 +396,19 @@ def cmd_eval(args) -> int:
     f1 = m1_form(params, annulus)
     f2 = _second_order(params, annulus, None)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        periods = closed_form(hs, annulus)[:3]
+        columns = dict(zip(("i0", "i1", "i2"), periods), m1=m_eval(f1, hs, periods))
+        if f2 is not None:
+            columns["m2"] = m_eval(f2, hs, periods)
+    bad = np.flatnonzero(~np.isfinite(list(columns.values())).all(axis=0))
+    if bad.size:
+        raise ValueError(f"the values at h={hs[bad[0]]!r} are not finite")
     records = []
-    header = ["h", "i0", "i1", "i2", "m1"] + (["m2"] if f2 else []) + ["quad_rel_tol"]
+    header = ["h", *columns]
     print("\t".join(header))
-    periods = closed_form(hs, annulus)[:3]
-    columns = dict(zip(("i0", "i1", "i2"), periods), m1=m_eval(f1, hs, periods))
-    if f2 is not None:
-        columns["m2"] = m_eval(f2, hs, periods)
     for k, h in enumerate(hs):
-        row = {"record": "eval-row", "h": h, "quad_rel_tol": 1e-10,
+        row = {"record": "eval-row", "h": h,
                **{key: float(column[k]) for key, column in columns.items()}}
         records.append(row)
         print(_table_line(header, row))

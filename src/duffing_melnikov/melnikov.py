@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .abelian import PeriodVector, PoleError
+from .abelian import PoleError
 from .geometry import Annulus
 from .quadrature import _oval_rows
 
@@ -299,9 +299,9 @@ def m2_form(params: PerturbationParams, annulus: Annulus) -> MelnikovForm:
 def m_eval(form: MelnikovForm, h, periods):
     """Evaluate a form at levels h given the matching period values.
 
-    periods is either a PeriodVector or a 3-tuple of arrays (I_0, I_1, I_2)
-    aligned with h.  Works for real or complex h; raises PoleError on the
-    exterior order-2 pole at h = -1/4 (use pole_cleared_eval there).
+    periods is the triple (I_0, I_1, I_2) of values or arrays aligned with
+    h.  Works for real or complex h; raises PoleError on the exterior
+    order-2 pole at h = -1/4 (use pole_cleared_eval there).
     """
     value = pole_cleared_eval(form, h, periods)
     if not form.pole:
@@ -321,8 +321,6 @@ def pole_cleared_eval(form: MelnikovForm, h, periods):
     is (4h+1) M(h), analytic across h = -1/4 and the right object for
     argument-variation counts.  It is the one-row case of pole_cleared_rows.
     """
-    if isinstance(periods, PeriodVector):
-        periods = (periods.i0, periods.i1, periods.i2)
     return pole_cleared_rows(form.coeff_arrays(), np.asarray(h), periods)
 
 

@@ -192,7 +192,6 @@ def flow(state, params: PerturbationParams, epsilons, section: Section,
 class DisplacementSample:
     """One measured return-map displacement in energy units."""
 
-    h: float
     epsilon: float
     d: float
     return_time: float
@@ -206,8 +205,8 @@ def _ladder(h: float, params: PerturbationParams, annulus: Annulus,
     T0 = orbit_period(h, annulus)
     t_max = min(_TIME_BUDGET, 3.0 * T0 + 10.0)
     ends = flow(sec.point, params, eps_list, sec, t_min=0.5 * T0, t_max=t_max)
-    return tuple(DisplacementSample(h=float(h), epsilon=float(e),
-                                    d=float(hamiltonian(end[0], end[1]) - h), return_time=t_ret)
+    return tuple(DisplacementSample(epsilon=float(e), d=float(hamiltonian(end[0], end[1]) - h),
+                                    return_time=t_ret)
                  for e, (end, t_ret) in zip(eps_list, ends))
 
 

@@ -8,9 +8,11 @@ equals, by the argument principle, the winding of the function's argument
 around the boundary of D_R.  This module builds that boundary as a keyhole
 polyline (big circle, two cut sides at height eta, small polygon around the
 puncture) and counts zeros of any bifurcation form by sampling its phase
-along it with adaptive refinement.  Every period value, on the loop and on
-the real scan, is the closed form abelian.closed_form; no Picard-Fuchs
-transport runs here.
+along it with adaptive refinement.  The loop starts and ends on one level,
+so the principal phase steps of a converged refinement sum to a whole
+number of turns up to rounding, and the winding is that sum rounded.
+Every period value, on the loop and on the real scan, is the closed form
+abelian.closed_form; no Picard-Fuchs transport runs here.
 
 Every form is p0 I_0 + p1 I_1 + p2 I_2 with polynomials p_k that carry the
 parameters, and the levels where the periods are read do not depend on the
@@ -103,8 +105,6 @@ BOUNDS = {
 _N_CIRCLE = 256          # polygon edges on the big circle
 _N_PUNCT = 64            # polygon edges around the puncture
 _N_SLIT = 160            # log-spaced samples per cut side
-_INTEGRALITY_TOL = 0.1   # max deviation of the phase sum from an integer turn
-_CLOSURE_TOL = 1e-8      # relative mismatch of the counting function at the loop ends
 _MAX_REFINE = 40
 _MAX_SAMPLES = 300_000
 _DEGENERATE_TOL = 1e-14
@@ -130,10 +130,9 @@ class ZeroCertificate:
     real_roots holds (location, bracket width) pairs from sign changes on
     the physical interval, in ascending order; winding is the certified
     complex zero count in D_R, to be compared against bound, and counts a
-    double real zero twice though real_roots lists none.  closure_error
-    compares the counting function at the two ends of the loop, which are
-    the same level; with closed-form periods it reads 0.  A degenerate
-    certificate lists no roots and reads 0 in every count and error.
+    double real zero twice though real_roots lists none: it is the phase sum
+    around the loop in whole turns.  A degenerate certificate lists no roots
+    and reads 0 in every count.
     """
 
     annulus: Annulus
@@ -143,8 +142,6 @@ class ZeroCertificate:
     bound: int
     contour: tuple
     status: Status
-    phase_defect: float
-    closure_error: float
     n_samples: int
 
     def as_record(self) -> dict:
@@ -157,11 +154,7 @@ class ZeroCertificate:
             "contour": {"R": self.contour[0], "eta": self.contour[1],
                         "rho": self.contour[2]},
             "status": self.status.value,
-            "phase_defect": self.phase_defect,
-            "closure_error": self.closure_error,
             "n_samples": self.n_samples,
-            "tolerances": {"integrality": _INTEGRALITY_TOL,
-                           "closure": _CLOSURE_TOL},
         }
 
 
@@ -317,7 +310,6 @@ class _Phases:
     degenerate: np.ndarray  # numerically zero counting functions: unrefined, 0 in each field below
     converged: np.ndarray
     total: np.ndarray       # sum of the phase steps over the refined samples
-    closure: np.ndarray     # |v_end - v_start| / max |v|
     n_samples: np.ndarray
 
 
@@ -358,7 +350,6 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
     hl, vl, hr, vr, step, lim = (h[k], v[rows, k], h[k + 1], v[rows, k + 1], steps[rows, k],
                                  limit[rows, k])
     total = np.where(degenerate, 0.0, np.sum(steps, axis=1))
-    peak = scale.copy()
     n_samples = np.where(degenerate, 0, h.size)
     active = ~degenerate
     converged = np.zeros(n, dtype=bool)
@@ -374,7 +365,6 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
         vm = _counting_rows(tuple(c[rows] for c in coeffs), exterior, hm,
                             *closed_form(hm, ct.annulus)[:3])
         n_samples += np.bincount(rows, minlength=n)
-        np.maximum.at(peak, rows, np.abs(vm))
         # the two halves of every bisected step replace it in the phase sum;
         # the failing ones go on
         m = rows.size
@@ -384,10 +374,8 @@ def _phase_block(ct: ContourTable, coeffs: tuple) -> _Phases:
         halves, fail = _phase_steps_fail(vl, vr, lim)
         np.add.at(total, rows[:m], halves[:m] + halves[m:] - step)
         rows, hl, vl, hr, vr, step, lim = (x[fail] for x in (rows, hl, vl, hr, vr, halves, lim))
-    with np.errstate(invalid="ignore"):  # 0/0 on degenerate rows only
-        closure = np.where(degenerate, 0.0, np.abs(v[:, -1] - v[:, 0]) / peak)
     return _Phases(degenerate=degenerate, converged=converged, total=total,
-                   closure=closure, n_samples=n_samples)
+                   n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +570,14 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
                              lambda x, r: counting(r, x, *closed_form(x, annulus)[:3])))
     bound = BOUNDS[(order, annulus)]
     certs = []
-    for degenerate, converged, total, closure, n_samples in zip(
+    for degenerate, converged, total, n_samples in zip(
             ph.degenerate.tolist(), ph.converged.tolist(), ph.total.tolist(),
-            ph.closure.tolist(), ph.n_samples.tolist()):
+            ph.n_samples.tolist()):
         roots = [] if degenerate else next(scans)
-        raw = total / (2.0 * math.pi)
-        winding = int(round(raw))
-        defect = abs(raw - winding)
+        winding = int(round(total / (2.0 * math.pi)))
         if degenerate:
             status = Status.DEGENERATE
-        elif not converged or defect >= _INTEGRALITY_TOL or closure > _CLOSURE_TOL or winding < 0:
+        elif not converged or winding < 0:
             status = Status.INCONCLUSIVE
         elif winding <= bound:
             status = Status.WITHIN_BOUND if len(roots) <= winding else Status.INCONCLUSIVE
@@ -599,8 +585,7 @@ def _certify_block(forms, R: float, eta: float, rho: float) -> list:
             status = Status.BOUND_VIOLATED
         certs.append(ZeroCertificate(annulus=annulus, order=order, real_roots=tuple(roots),
                                      winding=winding, bound=bound, contour=(ct.R, ct.eta, ct.rho),
-                                     status=status, phase_defect=defect, closure_error=closure,
-                                     n_samples=n_samples))
+                                     status=status, n_samples=n_samples))
     return certs
 
 

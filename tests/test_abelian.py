@@ -69,11 +69,11 @@ def test_area_and_period_positive(annulus):
 def test_interior_lobes_mirror():
     # x -> -x maps one lobe onto the other: even moments agree, odd flip sign.
     for h in INTERIOR_LEVELS:
-        right = period_vector(h, Annulus.INTERIOR_RIGHT)
-        left = period_vector(h, Annulus.INTERIOR_LEFT)
-        assert right.i0 == pytest.approx(left.i0, rel=1e-12)
-        assert right.i2 == pytest.approx(left.i2, rel=1e-12)
-        assert right.i1 == pytest.approx(-left.i1, rel=1e-12)
+        r0, r1, r2 = period_vector(h, Annulus.INTERIOR_RIGHT)
+        l0, l1, l2 = period_vector(h, Annulus.INTERIOR_LEFT)
+        assert r0 == pytest.approx(l0, rel=1e-12)
+        assert r2 == pytest.approx(l2, rel=1e-12)
+        assert r1 == pytest.approx(-l1, rel=1e-12)
 
 
 def test_first_moment_is_exactly_linear():
@@ -113,9 +113,9 @@ def test_level_grid_is_bit_for_bit_the_one_level_calls(annulus):
 
 
 def test_period_vector_runs_a_levels_quadrature_once(monkeypatch):
-    # The memo's entry is the uncached call's PeriodVector, bit for bit; a
-    # float and an np.float64 level share it, and its h is a float whichever
-    # filled it; a repeated level runs no Gauss-Legendre round.
+    # The memo's entry is the uncached call's (I_0, I_1, I_2) floats, bit for
+    # bit; a float and an np.float64 level share it; a repeated level runs no
+    # Gauss-Legendre round.
     sizes = []
     rule = quadrature._gl_rule
     monkeypatch.setattr(quadrature, "_gl_rule", lambda n: sizes.append(n) or rule(n))
@@ -127,9 +127,8 @@ def test_period_vector_runs_a_levels_quadrature_once(monkeypatch):
         sizes.clear()
         again = period_vector(h, annulus)
         assert again is first and sizes == []
-        assert type(first.h) is float and first.h == h and first.annulus is annulus
-        got, want = (np.array([pv.i0, pv.i1, pv.i2]).view(np.int64) for pv in (first, ref))
-        assert np.array_equal(got, want)
+        assert [type(x) for x in first] == [float] * 3
+        assert np.array_equal(np.array(first).view(np.int64), np.array(ref).view(np.int64))
     assert period_vector.cache_info().currsize == 3
 
 
@@ -155,8 +154,8 @@ def test_period_system_matches_quadrature_derivatives(annulus):
     # derivative_pair reconstructs I_0', I_2' from (I_0, I_2) alone; both
     # derivatives are also directly computable as integrals of x^k / y.
     for h in _levels(annulus):
-        pv = period_vector(h, annulus)
-        d0, d2 = derivative_pair(h, pv.i0, pv.i2)
+        i0, _, i2 = period_vector(h, annulus)
+        d0, d2 = derivative_pair(h, i0, i2)
         q0, q2 = oval_integrals([(0, -1), (2, -1)], [h], annulus)[:, 0]
         assert complex(d0).imag == 0.0
         assert d0.real == pytest.approx(q0, rel=1e-10)
@@ -167,8 +166,8 @@ def test_period_system_matches_quadrature_derivatives(annulus):
 def test_period_system_matches_finite_differences(annulus):
     h = -0.11 if annulus is not Annulus.EXTERIOR else 0.9
     delta = 1e-5
-    pv = period_vector(h, annulus)
-    d0, d2 = derivative_pair(h, pv.i0, pv.i2)
+    i0, _, i2 = period_vector(h, annulus)
+    d0, d2 = derivative_pair(h, i0, i2)
     fd0 = (oval_integral(0, h + delta, annulus) - oval_integral(0, h - delta, annulus)) / (2 * delta)
     fd2 = (oval_integral(2, h + delta, annulus) - oval_integral(2, h - delta, annulus)) / (2 * delta)
     assert d0.real == pytest.approx(fd0, rel=1e-6)
@@ -196,12 +195,12 @@ def test_y_cubed_reduction(annulus):
     # contour integral of y^3 dx by quadrature: y^3 dx = y^2 * y dx, and
     # y^2 = 2(h + x^2/2 - x^4/4) on the level set, so it reduces to moments.
     for h in _levels(annulus)[1::2]:
-        pv = period_vector(h, annulus)
+        i0, _, i2 = period_vector(h, annulus)
         direct = (2.0 * h * oval_integral(0, h, annulus)
                   + oval_integral(2, h, annulus)
                   - 0.5 * oval_integral(4, h, annulus))
         # the same integral reduced to the basis: (12h/7) I_0 + (3/7) I_2
-        reduced = (12.0 * h / 7.0) * pv.i0 + (3.0 / 7.0) * pv.i2
+        reduced = (12.0 * h / 7.0) * i0 + (3.0 / 7.0) * i2
         assert complex(reduced).real == pytest.approx(direct, rel=1e-10)
 
 
@@ -311,44 +310,46 @@ def test_continuation_at_base_point_is_quadrature():
     # a path that never leaves its start keeps its start values, the closed
     # form's, which are the quadrature's to rounding
     base = BASE_POINTS[Annulus.EXTERIOR]
-    (pv,) = continue_paths([[base, base]], [Annulus.EXTERIOR])
+    ((t0, _, t2),) = continue_paths([[base, base]], [Annulus.EXTERIOR])
     i0, _, i2, _, _ = closed_form(base, Annulus.EXTERIOR)
-    assert (pv.i0, pv.i2) == (i0, i2)
-    ref = period_vector(base, Annulus.EXTERIOR)
-    assert pv.i0 == pytest.approx(ref.i0, rel=1e-12)
-    assert pv.i2 == pytest.approx(ref.i2, rel=1e-12)
+    assert (t0, t2) == (i0, i2)
+    r0, _, r2 = period_vector(base, Annulus.EXTERIOR)
+    assert t0 == pytest.approx(r0, rel=1e-12)
+    assert t2 == pytest.approx(r2, rel=1e-12)
 
 
 def test_continuation_reaches_real_levels():
     # Transporting along the real axis must agree with direct quadrature.
-    singles, paths = [], []
+    singles, paths, annuli = [], [], []
     for h in (0.3, 2.0, 8.0):
         (pv,) = continue_paths([[BASE_POINTS[Annulus.EXTERIOR], h]], [Annulus.EXTERIOR])
-        ref = period_vector(h, Annulus.EXTERIOR)
-        assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
-        assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
+        r0, _, r2 = period_vector(h, Annulus.EXTERIOR)
+        assert abs(pv[0] - r0) < 1e-9 * abs(r0)
+        assert abs(pv[2] - r2) < 1e-9 * abs(r2)
         singles.append(pv)
         paths.append([BASE_POINTS[Annulus.EXTERIOR], h])
+        annuli.append(Annulus.EXTERIOR)
     for h in (-0.2, -0.05):
         (pv,) = continue_paths([[BASE_POINTS[Annulus.INTERIOR_RIGHT], h]],
                                [Annulus.INTERIOR_RIGHT])
-        ref = period_vector(h, Annulus.INTERIOR_RIGHT)
-        assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
+        r0, _, _ = period_vector(h, Annulus.INTERIOR_RIGHT)
+        assert abs(pv[0] - r0) < 1e-9 * abs(r0)
         singles.append(pv)
         paths.append([BASE_POINTS[Annulus.INTERIOR_RIGHT], h])
+        annuli.append(Annulus.INTERIOR_RIGHT)
     # one lock-step batch that mixes annuli and path lengths gives every
     # lane the floats of its one-lane run
     paths.append([1.0, 3.0, 3.0 + 2.0j, 2.0 + 1.0j])
     singles += continue_paths([paths[-1]], [Annulus.EXTERIOR])
-    assert continue_paths(paths, [pv.annulus for pv in singles]) == singles
+    assert continue_paths(paths, annuli + [Annulus.EXTERIOR]) == singles
 
 
 def test_continuation_is_path_independent():
     target = 2.0 + 1.0j
     direct, detour = continue_paths([[1.0, target], [1.0, 3.0, 3.0 + 2.0j, target]],
                                     [Annulus.EXTERIOR] * 2)
-    assert abs(direct.i0 - detour.i0) < 1e-9 * abs(direct.i0)
-    assert abs(direct.i2 - detour.i2) < 1e-9 * abs(direct.i2)
+    assert abs(direct[0] - detour[0]) < 1e-9 * abs(direct[0])
+    assert abs(direct[2] - detour[2]) < 1e-9 * abs(direct[2])
 
 
 _SADDLE_LOOP = ([-0.125] + [0.125 * cmath.exp(1j * (math.pi + 2.0 * math.pi * j / 64))
@@ -363,16 +364,14 @@ _SADDLE_LOOP = ([-0.125] + [0.125 * cmath.exp(1j * (math.pi + 2.0 * math.pi * j 
      sum(c * (-0.125) ** k for k, c in enumerate(SADDLE_LOG_I0))),
 ], ids=["no-pole", "saddle"])
 def test_continuation_round_trip(annulus, loop, gain):
-    base = loop[0]
-    (pv,) = continue_paths([loop], [annulus])
+    ((i0, i1, i2),) = continue_paths([loop], [annulus])
     table = transport_table(loop, annulus)
-    assert [pv.h, pv.i0, pv.i1, pv.i2] == [x[0] for x in table.values_at(len(table.solutions))]
-    ref = period_vector(base, annulus)
-    assert abs(pv.h - base) < 1e-14
-    assert abs(pv.i0 - ref.i0 - 2j * math.pi * gain) < 1e-3 * abs(ref.i0)
+    assert [i0, i1, i2] == [x[0] for x in table.values_at(len(table.solutions))[1:]]
+    r0, _, r2 = period_vector(loop[0], annulus)
+    assert abs(i0 - r0 - 2j * math.pi * gain) < 1e-3 * abs(r0)
     if not gain:
-        assert abs(pv.i0 - ref.i0) < 1e-9 * abs(ref.i0)
-        assert abs(pv.i2 - ref.i2) < 1e-9 * abs(ref.i2)
+        assert abs(i0 - r0) < 1e-9 * abs(r0)
+        assert abs(i2 - r2) < 1e-9 * abs(r2)
 
 
 def test_transport_table_dense_values():
@@ -387,7 +386,7 @@ def test_transport_table_dense_values():
     assert (i0[0], i2[0]) == (start[0], start[2])
     for k in range(1, len(path)):
         (end,) = continue_paths([path[:k + 1]], [Annulus.EXTERIOR])
-        assert (end.h, end.i0, end.i1, end.i2) == (h[k], i0[k], i1[k], i2[k])
+        assert end == (i0[k], i1[k], i2[k])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def _monodromy_around_saddle(radius: float):
     before, after = continue_paths([[BASE_POINTS[annulus], entry], [BASE_POINTS[annulus]] + loop],
                                    [annulus] * 2)
     two_pi_i = 2j * math.pi
-    return ((after.i0 - before.i0) / two_pi_i, (after.i2 - before.i2) / two_pi_i)
+    return ((after[0] - before[0]) / two_pi_i, (after[2] - before[2]) / two_pi_i)
 
 
 def test_saddle_monodromy_matches_log_series():
@@ -435,9 +434,9 @@ def test_saddle_monodromy_matches_log_series():
 def test_cut_boundary_values_are_conjugate(annulus, h):
     # Real coefficients force the two boundary values to be conjugates;
     # both sides are computed independently, so this is a real check.
-    plus, minus = cut_values(h, annulus)
-    assert abs(plus.i0 - np.conj(minus.i0)) < 1e-8 * abs(plus.i0)
-    assert abs(plus.i2 - np.conj(minus.i2)) < 1e-8 * max(abs(plus.i2), 1.0)
+    (p0, _, p2), (m0, _, m2) = cut_values(h, annulus)
+    assert abs(p0 - np.conj(m0)) < 1e-8 * abs(p0)
+    assert abs(p2 - np.conj(m2)) < 1e-8 * max(abs(p2), 1.0)
 
 
 def test_cut_values_reject_off_cut_levels():
@@ -459,8 +458,8 @@ def test_wronskian_cut_takes_each_level_as_cut_values_alone():
     ws = wronskian_cut(hs)
     assert len(ws) == len(hs)
     for h, w in zip(hs, ws):
-        plus, minus = cut_values(h, Annulus.EXTERIOR)
-        alone = plus.i2 * minus.i0 - minus.i2 * plus.i0
+        (p0, _, p2), (m0, _, m2) = cut_values(h, Annulus.EXTERIOR)
+        alone = p2 * m0 - m2 * p0
         assert type(w) is complex and (w.real.hex(), w.imag.hex()) == (alone.real.hex(),
                                                                       alone.imag.hex())
 
@@ -479,11 +478,11 @@ def test_closed_form_matches_quadrature(annulus):
         levels = (-0.25 + 1e-6,) + levels
     for h in levels:
         i0, i1, i2, d0, d2 = (float(v) for v in closed_form(h, annulus))
-        pv = period_vector(h, annulus)
+        r0, r1, r2 = period_vector(h, annulus)
         q0, q2 = oval_integrals([(0, -1), (2, -1)], [h], annulus)[:, 0]
-        assert i0 == pytest.approx(pv.i0, rel=1e-12, abs=0.0)
-        assert i1 == pytest.approx(pv.i1, rel=1e-12, abs=1e-13)
-        assert i2 == pytest.approx(pv.i2, rel=1e-12, abs=0.0)
+        assert i0 == pytest.approx(r0, rel=1e-12, abs=0.0)
+        assert i1 == pytest.approx(r1, rel=1e-12, abs=1e-13)
+        assert i2 == pytest.approx(r2, rel=1e-12, abs=0.0)
         assert d0 == pytest.approx(q0, rel=1e-12, abs=0.0)
         assert d2 == pytest.approx(q2, rel=1e-12, abs=0.0)
 
@@ -651,10 +650,10 @@ def test_closed_form_matches_continuation(annulus):
     hs = [-h.conjugate() if annulus is not Annulus.EXTERIOR and h.real > 0 else h
           for h in (0.5 + 2j, -3.0 + 0.5j, -0.1 - 0.3j, 4.0 - 6j)]
     ends = continue_paths([[BASE_POINTS[annulus], h] for h in hs], [annulus] * len(hs))
-    for h, pv in zip(hs, ends):
+    for h, (t0, t1, t2) in zip(hs, ends):
         i0, i1, i2, d0, d2 = closed_form(h, annulus)
-        e0, e2 = derivative_pair(h, pv.i0, pv.i2)
-        for got, ref in ((i0, pv.i0), (i1, pv.i1), (i2, pv.i2), (d0, e0), (d2, e2)):
+        e0, e2 = derivative_pair(h, t0, t2)
+        for got, ref in ((i0, t0), (i1, t1), (i2, t2), (d0, e0), (d2, e2)):
             assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
@@ -680,8 +679,8 @@ def test_im_w_on_the_exterior_cut_changes_sign_once():
     # on (-1/4, 0) and positive below -1/4, on ~4000 cut levels
     h = -np.geomspace(1.1e-3, 1e4, 4000)
     h = h[np.abs(h + 0.25) > MIN_CLEARANCE]
-    plus, _ = cut_values(h, Annulus.EXTERIOR)
-    im = (np.array(plus.i2) / np.array(plus.i0)).imag
+    (p0, _, p2), _ = cut_values(h, Annulus.EXTERIOR)
+    im = (np.array(p2) / np.array(p0)).imag
     inner = h > -0.25
     assert np.count_nonzero(inner) > 1000 and np.count_nonzero(~inner) > 1000
     # measured: -0.428 to -0.0021 on (-1/4, 0), 0.0032 to 54.8 below -1/4
@@ -712,10 +711,10 @@ def test_real_table_matches_quadrature(annulus):
     table = RealPeriodTable(annulus)
     for h in _levels(annulus):
         i0, i1, i2 = (float(v[0]) for v in table.values(h))
-        pv = period_vector(h, annulus)
-        assert i0 == pytest.approx(float(pv.i0.real), rel=1e-9)
-        assert i1 == pytest.approx(float(pv.i1.real), rel=1e-9, abs=1e-12)
-        assert i2 == pytest.approx(float(pv.i2.real), rel=1e-9)
+        r0, r1, r2 = period_vector(h, annulus)
+        assert i0 == pytest.approx(r0, rel=1e-9)
+        assert i1 == pytest.approx(r1, rel=1e-9, abs=1e-12)
+        assert i2 == pytest.approx(r2, rel=1e-9)
 
 
 @pytest.mark.parametrize("annulus,offsets", [
@@ -732,8 +731,7 @@ def test_real_table_matches_quadrature_inside_clearance(annulus, offsets):
         h = edge + offset
         assert offset < MIN_CLEARANCE
         got = (float(v[0]) for v in table.values(h))
-        pv = period_vector(h, annulus)
-        for value, ref in zip(got, (pv.i0.real, pv.i1.real, pv.i2.real)):
+        for value, ref in zip(got, period_vector(h, annulus)):
             assert abs(value - ref) <= 1e-10 * (1.0 + abs(ref))
 
 

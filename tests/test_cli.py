@@ -379,7 +379,7 @@ def test_eval_table_with_m2_column(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     header = out.splitlines()[1].split("\t")
-    assert header == ["h", "i0", "i1", "i2", "m1", "m2", "quad_rel_tol"]
+    assert header == ["h", "i0", "i1", "i2", "m1", "m2"]
     assert len(out.splitlines()) == 4  # config + header + two rows
 
 
@@ -398,6 +398,18 @@ def test_eval_prints_the_exterior_first_moment_as_exactly_zero(capsys):
     assert cli.main(["eval", "--annulus", "exterior", "--h-grid=0.5:2:4"]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[2] for row in rows] == [" 0.000000000000e+00"] * 4
+
+
+def test_eval_refuses_levels_whose_values_overflow(capsys, tmp_path):
+    # at h = 1e250 on the exterior annulus I_2 and M_1 overflow; such a row
+    # would be written as Infinity, which is not JSON
+    out = tmp_path / "run.jsonl"
+    argv = ["eval", "--seed", "4", "--annulus", "exterior", "--h", "0.5", "--out", str(out)]
+    assert cli.main(argv + ["--h", "1e250"]) == 2
+    assert "values at h=1e+250 are not finite" in capsys.readouterr().err
+    assert not out.exists() and not out.with_name(out.name + ".config.json").exists()
+    assert cli.main(argv + ["--h", "1e150"]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_the_commands_run_without_the_oval_quadrature(capsys, monkeypatch):
@@ -761,8 +773,8 @@ def loaded():
 params = PerturbationParams((0.5,) * 10, (-0.25,) * 10, (0.0,) * 10, (0.0,) * 10)
 with open(sys.argv[1], "w") as fh:
     fh.write(params.to_json())
-seen = {"i0": abs(abelian.continue_paths([[1.0, 0.5 + 0.3j]], [Annulus.EXTERIOR])[0].i0),
-        "pv": abelian.period_vector(0.5, Annulus.EXTERIOR).i0.real,
+seen = {"i0": abs(abelian.continue_paths([[1.0, 0.5 + 0.3j]], [Annulus.EXTERIOR])[0][0]),
+        "pv": abelian.period_vector(0.5, Annulus.EXTERIOR)[0],
         "m1": melnikov.m1_quadrature(params, 0.5, Annulus.EXTERIOR),
         "d": oracle.displacement(-0.125, 1e-2, params, Annulus.INTERIOR_RIGHT).d,
         "codes": [run("oracle", "--params", sys.argv[1], "--annulus", "exterior", "--h", "1.0")]}

@@ -117,7 +117,7 @@ def test_fit_is_section_independent(rng):
     sec = Section(point=point, normal=(v[0] / math.hypot(*v), v[1] / math.hypot(*v)))
     ends = flow(sec.point, params, DEFAULT_EPS_LIST, sec, t_min=0.5 * T0,
                 t_max=min(_TIME_BUDGET, 3.0 * T0 + 10.0))
-    samples = [DisplacementSample(h, e, hamiltonian(*end) - h, t)
+    samples = [DisplacementSample(e, hamiltonian(*end) - h, t)
                for e, (end, t) in zip(DEFAULT_EPS_LIST, ends)]
     coef, err, _ = _fit_core(samples)
     m1 = displacement_sign() * coef[0]
@@ -172,8 +172,7 @@ def test_flow_raises_when_no_return_in_window():
 def test_fit_core_recovers_synthetic_cubic():
     a1, a2, a3 = 0.37, -1.42, 5.0
     samples = [
-        DisplacementSample(h=-0.1, epsilon=e, d=a1 * e + a2 * e ** 2 + a3 * e ** 3,
-                           return_time=7.0)
+        DisplacementSample(epsilon=e, d=a1 * e + a2 * e ** 2 + a3 * e ** 3, return_time=7.0)
         for e in DEFAULT_EPS_LIST
     ]
     coef, err, cond = _fit_core(samples)

@@ -2,7 +2,7 @@
 
 Crafted coefficient forms with known zero locations pin the winding count
 exactly; random draws then exercise the certification pipeline end to end
-(integrality, closure, real-root consistency, serialization).
+(whole phase turns, real-root consistency, serialization).
 """
 
 import json
@@ -91,6 +91,15 @@ def test_contour_table_is_cached():
     assert a is b
 
 
+@pytest.mark.parametrize("R", [10.0, 1e8])
+@pytest.mark.parametrize("annulus", list(Annulus))
+def test_the_loop_starts_and_ends_on_one_level(annulus, R):
+    # the first and last samples are one float level with one period triple,
+    # so every counting function closes up exactly on the loop
+    for values in contour_table(annulus, R).init_values:
+        assert values[0] == values[-1]
+
+
 @pytest.mark.parametrize("annulus", [Annulus.INTERIOR_LEFT, Annulus.INTERIOR_RIGHT,
                                      Annulus.EXTERIOR])
 def test_loop_values_match_a_transport_of_the_keyhole(annulus):
@@ -131,8 +140,6 @@ def test_winding_counts_polynomial_zero_plus_center_zero():
     cert = winding_count(_form(Annulus.INTERIOR_RIGHT, (0.1, 1.0)))
     assert cert.winding == 2
     assert cert.status is Status.WITHIN_BOUND
-    assert cert.phase_defect < 1e-9
-    assert cert.closure_error < 1e-12
 
 
 def test_winding_counts_double_zero():
@@ -151,7 +158,6 @@ def test_winding_exterior_nonvanishing_form():
     # plain I_0 never vanishes on the exterior cut disc
     cert = winding_count(_form(Annulus.EXTERIOR, (1.0,)))
     assert cert.winding == 0
-    assert cert.phase_defect < 1e-12
 
 
 @pytest.mark.parametrize("annulus,zero,n_samples", [
@@ -267,7 +273,6 @@ def test_random_draws_stay_consistent(rng):
             cert = certify(params, 1, annulus)
             assert cert.status in (Status.WITHIN_BOUND, Status.BOUND_VIOLATED)
             assert len(cert.real_roots) <= cert.winding
-            assert cert.phase_defect < 0.01
             if annulus is Annulus.INTERIOR_RIGHT:
                 assert cert.winding >= 1
 
@@ -290,7 +295,6 @@ def test_certificate_record_roundtrip():
     cert = certify(params, 1, Annulus.EXTERIOR)
     rec = cert.as_record()
     assert rec["contour"] == {"R": 10.0, "eta": 1e-3, "rho": 1e-3}
-    assert rec["tolerances"]["closure"] == 1e-8
     # the JSON form parses back to the same record
     assert json.loads(_json(cert)) == rec
 
@@ -389,6 +393,26 @@ def test_census_matches_the_benchmark_reference():
         assert len(got) == len(expected) == 10, key
         wrong += [(key, draw, g, e) for draw, (g, e) in enumerate(zip(got, expected)) if g != e]
     assert wrong == []
+
+
+@pytest.mark.parametrize("order,annulus,seed", [
+    (1, Annulus.INTERIOR_LEFT, 5), (1, Annulus.INTERIOR_RIGHT, 20), (1, Annulus.EXTERIOR, 0),
+    (2, Annulus.INTERIOR_RIGHT, 6), (2, Annulus.EXTERIOR, 0)])
+def test_phase_sums_are_whole_turns_on_the_census_pool(order, annulus, seed):
+    # principal phase steps around a closed loop sum to 2 pi times an integer
+    # up to rounding, so the winding is that sum rounded; each seed has a
+    # draw that refines, so bisected steps are in the sums too
+    certs, _ = bound_census(order, annulus, n_draws=10, seed=seed)
+    rng = np.random.default_rng(seed)  # the draws of bound_census
+    draws = [PerturbationParams.uniform(rng) for _ in certs]
+    if order == 2:
+        draws = [enforce_m1_zero(p, annulus) for p in draws]
+    ct = contour_table(annulus)
+    ph = zeros._phase_block(ct, zeros._coeff_rows([zeros._form_of(p, order, annulus)
+                                                   for p in draws]))
+    assert ph.converged.all() and np.any(ph.n_samples > ct.s_init.size)
+    windings = np.array([c.winding for c in certs])
+    assert np.all(np.abs(ph.total - 2.0 * math.pi * windings) <= 1e-12)
 
 
 def test_census_is_deterministic():
